@@ -6,9 +6,9 @@ from .constitutive import (ClampCounter, CoercivityReport, ModelParams,
                            coercivity_check, growth, pressure_congestion,
                            pressure_repulsion, repulsion_scalar,
                            total_pressures)
-from .brinkman import (HelmholtzOperator, SolverConfig, SolverFailure,
-                       solve_brinkman, solve_brinkman_gradient_form,
-                       solve_brinkman_rhs, solve_screened_potential)
+from .brinkman import (SolverConfig, SolverFailure, solve_brinkman,
+                       solve_brinkman_gradient_form, solve_brinkman_rhs,
+                       solve_screened_potential)
 from .dynamics import (InitialDataError, SimState, StepControl, StepFailure,
                        init_state, run, step_esvm, step_vm)
 from .diagnostics import (CurlSignature, DiagnosticRecord,

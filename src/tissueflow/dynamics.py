@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .brinkman import HelmholtzOperator, SolverConfig, solve_brinkman_gradient_form
+from .brinkman import SolverConfig, solve_brinkman, solve_brinkman_gradient_form
 from .constitutive import (DELTA_CLAMP, ClampCounter, ModelParams, growth,
                            pressure_congestion, total_pressures)
 from .grid import GridSpec, ScalarField, VectorField, laplacian
@@ -89,22 +89,10 @@ class SimState:
         return self.n2.integral()
 
 
-_operator_cache: dict[tuple, HelmholtzOperator] = {}
-
-
-def _brinkman_operator(spec: GridSpec, beta: float) -> HelmholtzOperator:
-    key = (spec, beta)
-    op = _operator_cache.get(key)
-    if op is None:
-        op = HelmholtzOperator(spec, beta)
-        _operator_cache[key] = op
-    return op
-
-
 def _solve_velocity(p: ScalarField, beta: float, ctrl: StepControl) -> VectorField:
     if ctrl.velocity_law == "gradient":
         return solve_brinkman_gradient_form(p, beta, ctrl.solver)
-    return _brinkman_operator(p.spec, beta).solve_pressure(p, ctrl.solver)
+    return solve_brinkman(p, beta, ctrl.solver)
 
 
 def _upwind_fluxes(n: np.ndarray, vel: VectorField):

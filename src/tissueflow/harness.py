@@ -128,8 +128,13 @@ def _make_presets():
 PRESETS = _make_presets()
 
 
+def _num(v) -> str:
+    """Shortest round-tripping text of a number, numpy scalars included."""
+    return repr(float(v))
+
+
 def _format_rects(rects) -> str:
-    return "; ".join(" ".join(repr(v) for v in
+    return "; ".join(" ".join(_num(v) for v in
                               (r.value, r.x0, r.x1, r.y0, r.y1))
                      for r in rects)
 
@@ -158,14 +163,14 @@ def serialize_config(cfg: RunConfig) -> str:
     lines += [f"observe_every = {cfg.observe_every}", "",
               "[grid]",
               f"nx = {g.nx}", f"ny = {g.ny}",
-              f"x_min = {g.x_min!r}", f"x_max = {g.x_max!r}",
-              f"y_min = {g.y_min!r}", f"y_max = {g.y_max!r}", "",
+              f"x_min = {_num(g.x_min)}", f"x_max = {_num(g.x_max)}",
+              f"y_min = {_num(g.y_min)}", f"y_max = {_num(g.y_max)}", "",
               "[params]"]
-    lines += [f"{k} = {getattr(p, k)!r}" for k in _PARAM_ORDER
+    lines += [f"{k} = {_num(getattr(p, k))}" for k in _PARAM_ORDER
               if not (cfg.model in LIMIT_MODELS and k in ("eps", "m", "alpha"))]
     lines += ["", "[control]",
-              f"dt = {cfg.dt!r}", f"cfl = {cfg.cfl!r}",
-              f"t_end = {cfg.t_end!r}",
+              f"dt = {_num(cfg.dt)}", f"cfl = {_num(cfg.cfl)}",
+              f"t_end = {_num(cfg.t_end)}",
               f"velocity_law = {cfg.velocity_law}",
               f"scheme = {cfg.scheme}", "",
               "[initial]",
@@ -173,14 +178,14 @@ def serialize_config(cfg: RunConfig) -> str:
               f"n2 = {_format_rects(cfg.rects2)}", "",
               "[q]", f"source = {cfg.q_source}"]
     if cfg.q_source == "uniform":
-        lines.append(f"value = {cfg.q_value!r}")
+        lines.append(f"value = {_num(cfg.q_value)}")
     if cfg.q_source == "file":
         lines.append(f"path = {cfg.q_path}")
     if cfg.sweep_eps:
         lines += ["", "[sweep]",
-                  "eps = " + ", ".join(repr(v) for v in cfg.sweep_eps),
-                  "m = " + ", ".join(repr(v) for v in cfg.sweep_m),
-                  "alpha = " + ", ".join(repr(v) for v in cfg.sweep_alpha)]
+                  "eps = " + ", ".join(map(_num, cfg.sweep_eps)),
+                  "m = " + ", ".join(map(_num, cfg.sweep_m)),
+                  "alpha = " + ", ".join(map(_num, cfg.sweep_alpha))]
     return "\n".join(lines) + "\n"
 
 

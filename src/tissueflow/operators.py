@@ -64,30 +64,14 @@ def divergence_matrix(spec: GridSpec) -> sp.csr_matrix:
 
     Acts on the stacked vector [u_interior.ravel(), v_interior.ravel()].
     """
-    nx, ny = spec.nx, spec.ny
-    nu = (nx - 1) * ny
-    nv = nx * (ny - 1)
-    rows, cols, vals = [], [], []
+    def faces_to_cells(n):
+        # face k sits between cells k and k+1: +1 for the cell on its left
+        return sp.diags([np.ones(n - 1), -np.ones(n - 1)], [0, -1],
+                        shape=(n, n - 1))
 
-    def cell(i, j):
-        return i * ny + j
-
-    # u faces: face (i, j) with i = 1..nx-1 sits between cells (i-1, j), (i, j)
-    for i in range(1, nx):
-        for j in range(ny):
-            k = (i - 1) * ny + j
-            rows += [cell(i - 1, j), cell(i, j)]
-            cols += [k, k]
-            vals += [1.0 / spec.hx, -1.0 / spec.hx]
-    # v faces: face (i, j) with j = 1..ny-1 sits between cells (i, j-1), (i, j)
-    for i in range(nx):
-        for j in range(1, ny):
-            k = nu + i * (ny - 1) + (j - 1)
-            rows += [cell(i, j - 1), cell(i, j)]
-            cols += [k, k]
-            vals += [1.0 / spec.hy, -1.0 / spec.hy]
-
-    return sp.csr_matrix((vals, (rows, cols)), shape=(nx * ny, nu + nv))
+    du = sp.kron(faces_to_cells(spec.nx), sp.identity(spec.ny)) / spec.hx
+    dv = sp.kron(sp.identity(spec.nx), faces_to_cells(spec.ny)) / spec.hy
+    return sp.hstack([du, dv]).tocsr()
 
 
 def weighted_cell_flux_divergence(spec: GridSpec, w: np.ndarray) -> sp.csr_matrix:

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from tissueflow.brinkman import (HelmholtzOperator, SolverConfig,
-                                 SolverFailure, solve_brinkman,
+from tissueflow.brinkman import (SolverConfig, SolverFailure, solve_brinkman,
                                  solve_brinkman_gradient_form,
                                  solve_brinkman_rhs, solve_screened_potential)
 from tissueflow.grid import (GridSpec, ScalarField, VectorField, curl2d,
                              gradient, laplacian)
+from tissueflow.operators import (cell_laplacian_neumann, face_stiffness_u,
+                                  face_stiffness_v)
 
 CFG = SolverConfig(method="direct")
+
+
+def assembled(K, beta):
+    """The operator I + beta*K that the solves invert."""
+    return (sp.identity(K.shape[0]) + beta * K).tocsr()
 
 
 def manufactured_error(n, beta=0.5):
@@ -74,26 +82,45 @@ def test_energy_identity():
     beta = 0.4
     p = ScalarField.from_function(spec, lambda x, y: np.cos(np.pi * x) * y**2)
     v = solve_brinkman(p, beta, CFG)
-    op = HelmholtzOperator(spec, beta)
+    Au = assembled(face_stiffness_u(spec), beta)
+    Av = assembled(face_stiffness_v(spec), beta)
     g = gradient(p)
     # (I + beta*K)v = -grad p on the interior faces, so the assembled
     # residual is at solver roundoff
-    res_u = op.Au @ v.u[1:-1, :].ravel() + g.u[1:-1, :].ravel()
-    res_v = op.Av @ v.v[:, 1:-1].ravel() + g.v[:, 1:-1].ravel()
+    res_u = Au @ v.u[1:-1, :].ravel() + g.u[1:-1, :].ravel()
+    res_v = Av @ v.v[:, 1:-1].ravel() + g.v[:, 1:-1].ravel()
     scale = max(np.abs(g.u).max(), np.abs(g.v).max(), 1.0)
     assert max(np.abs(res_u).max(), np.abs(res_v).max()) < 1e-8 * scale
 
 
 def test_operator_is_spd():
     spec = GridSpec(nx=10, ny=10)
-    op = HelmholtzOperator(spec, 0.5)
     rng = np.random.default_rng(5)
-    for A in (op.Au, op.Av):
+    for K in (face_stiffness_u(spec), face_stiffness_v(spec)):
+        A = assembled(K, 0.5)
         dense = A.toarray()
         assert np.allclose(dense, dense.T)
         for _ in range(5):
             x = rng.standard_normal(dense.shape[0])
             assert x @ (dense @ x) > 0.0
+
+
+def test_transform_solves_match_sparse_solve_on_anisotropic_grid():
+    # nx != ny and hx != hy: swapping the two axes' eigenvalues would fail
+    spec = GridSpec(-1.0, 1.0, 0.0, 3.0, nx=12, ny=20)
+    beta = 0.3
+    rng = np.random.default_rng(7)
+    f = VectorField(spec, rng.standard_normal((13, 20)),
+                    rng.standard_normal((12, 21)))
+    p = ScalarField(spec, rng.standard_normal((12, 20)))
+    v = solve_brinkman_rhs(f, beta, CFG)
+    k = solve_screened_potential(p, beta, CFG)
+    for x, K, b in ((v.u[1:-1, :], face_stiffness_u(spec), f.u[1:-1, :]),
+                    (v.v[:, 1:-1], face_stiffness_v(spec), f.v[:, 1:-1]),
+                    (k.values, cell_laplacian_neumann(spec), p.values)):
+        ref = spla.spsolve(assembled(K, beta).tocsc(), b.ravel())
+        err = np.linalg.norm(x.ravel() - ref) / np.linalg.norm(ref)
+        assert err < 1e-12
 
 
 def test_gradient_form_constant_pressure():

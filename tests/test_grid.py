@@ -4,6 +4,7 @@ import pytest
 from tissueflow.grid import (BoundaryKind, GridError, GridSpec, ScalarField,
                              VectorField, curl2d, divergence, gradient,
                              laplacian)
+from tissueflow.operators import divergence_matrix
 
 
 def random_fields(spec, seed=0):
@@ -43,6 +44,18 @@ def test_divergence_of_linear_field_is_exact():
                                    lambda x, y: -3.0 * y)
     d = divergence(v)
     assert np.allclose(d.values, -1.0)
+
+
+def test_divergence_matrix_matches_divergence():
+    spec = GridSpec(-1.0, 1.0, 0.0, 3.0, nx=9, ny=14)
+    _, v = random_fields(spec, seed=4)
+    D = divergence_matrix(spec)
+    nu, nv = (spec.nx - 1) * spec.ny, spec.nx * (spec.ny - 1)
+    assert D.shape == (spec.nx * spec.ny, nu + nv)
+    assert D.nnz == 2 * (nu + nv)
+    d = D @ np.concatenate([v.u[1:-1, :].ravel(), v.v[:, 1:-1].ravel()])
+    scale = max(np.abs(v.u).max() / spec.hx, np.abs(v.v).max() / spec.hy)
+    assert np.abs(d - divergence(v).values.ravel()).max() <= 1e-14 * scale
 
 
 def test_gradient_constant_and_linear():

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,9 +32,16 @@ def test_band_initial_data_covers_lower_half():
 
 
 def test_serialize_parse_round_trip_fixed_point():
-    for name, cfg in PRESETS.items():
+    # numpy scalars must be written as plain numbers
+    f = np.float64
+    vm = PRESETS["fig3-vm"]
+    numpy_cfg = replace(
+        vm, rects1=(Rect(f(0.9), f(-2.0) / 3.0, f(2.0) / 3.0, f(-1.0), f(0.0)),),
+        dt=f(5e-4), params=replace(vm.params, beta1=f(0.45)))
+    for name, cfg in [*PRESETS.items(), ("numpy scalars", numpy_cfg)]:
         text = serialize_config(cfg)
         again = parse_config(text)
+        assert again == cfg, name
         assert serialize_config(again) == text, name
         assert config_hash(again) == config_hash(cfg)
 
