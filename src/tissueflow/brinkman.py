@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .grid import GridSpec, ScalarField, VectorField, gradient
 from .operators import (cell_laplacian_neumann, face_stiffness_u,
-                        face_stiffness_v)
+                        face_stiffness_v, stack_faces, unstack_faces)
 
 # Wall condition along one axis of n cells: (transform, inverse, type, k0).
 # The transform diagonalises that axis's stencil [-1, 2, -1]/h^2 with
@@ -77,27 +77,54 @@ def _transform_solve(b: np.ndarray, beta: float, spec: GridSpec,
     return ix(iy(y, type=ty, axis=1), type=tx, axis=0)
 
 
-def _solve(b: np.ndarray, beta: float, K: sp.csr_matrix, walls: tuple,
-           spec: GridSpec, cfg: SolverConfig, what: str) -> np.ndarray:
-    """Solve (I + beta*K) x = b; K acts on b.ravel(), walls diagonalise K."""
+def face_brinkman_inverse(b: np.ndarray, beta: float,
+                          spec: GridSpec) -> np.ndarray:
+    """Exact (I + beta*K)^-1 b for a stacked interior-face vector b.
+
+    ``b`` has the layout of ``operators.stack_faces`` and K is the
+    Dirichlet face stiffness of each component: one transform solve per
+    component, with no residual check.
+    """
+    nu = (spec.nx - 1) * spec.ny
+    u = _transform_solve(b[:nu].reshape(spec.nx - 1, spec.ny), beta, spec,
+                         (_FACES, _CELLS))
+    v = _transform_solve(b[nu:].reshape(spec.nx, spec.ny - 1), beta, spec,
+                         (_CELLS, _FACES))
+    return np.concatenate([u.ravel(), v.ravel()])
+
+
+def _screened_inverse(b: np.ndarray, beta: float, spec: GridSpec) -> np.ndarray:
+    return _transform_solve(b.reshape(spec.nx, spec.ny), beta, spec,
+                            (_NEUMANN, _NEUMANN)).ravel()
+
+
+def _solve(b: np.ndarray, beta: float, blocks: tuple, inverse,
+           spec: GridSpec, cfg: SolverConfig) -> np.ndarray:
+    """Solve (I + beta*K) x = b with K = blockdiag of ``blocks``' matrices.
+
+    ``inverse(b, beta, spec)`` is the exact transform solve; every block
+    ``(K_k, what)`` is solved by CG on its own rows under ``"cg"``, and
+    checked on its own rows under either method.
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    scale = np.linalg.norm(b)
-    if scale == 0.0:
-        return np.zeros_like(b)
-    if cfg.method == "direct":
-        x = _transform_solve(b, beta, spec, walls)
+    x = inverse(b, beta, spec) if cfg.method == "direct" else np.empty_like(b)
+    stop = 0
+    for K, what in blocks:
+        rows = slice(stop, stop + K.shape[0])
+        stop = rows.stop
         iters = 0
-    else:
-        A = (sp.identity(K.shape[0]) + beta * K).tocsr()
-        M = sp.diags(1.0 / A.diagonal())
-        x, info = spla.cg(A, b.ravel(), rtol=cfg.rel_tol * 0.1, atol=0.0,
-                          maxiter=cfg.iterations_for(spec), M=M)
-        x = x.reshape(b.shape)
-        iters = cfg.iterations_for(spec) if info > 0 else info
-    res = np.linalg.norm(x + beta * (K @ x.ravel()).reshape(b.shape) - b)
-    if res > cfg.rel_tol * scale:
-        raise SolverFailure(what, res / scale, cfg.rel_tol, iters)
+        if cfg.method == "cg":
+            A = (sp.identity(K.shape[0]) + beta * K).tocsr()
+            M = sp.diags(1.0 / A.diagonal())
+            x[rows], info = spla.cg(A, b[rows], rtol=cfg.rel_tol * 0.1,
+                                    atol=0.0, maxiter=cfg.iterations_for(spec),
+                                    M=M)
+            iters = cfg.iterations_for(spec) if info > 0 else info
+        scale = np.linalg.norm(b[rows])
+        res = np.linalg.norm(x[rows] + beta * (K @ x[rows]) - b[rows])
+        if res > cfg.rel_tol * scale:
+            raise SolverFailure(what, res / scale, cfg.rel_tol, iters)
     return x
 
 
@@ -106,13 +133,10 @@ def solve_brinkman_rhs(f: VectorField, beta: float,
     """Solve -beta*Lap(v) + v = f; boundary faces of f are ignored."""
     cfg = cfg or SolverConfig()
     spec = f.spec
-    u = np.zeros((spec.nx + 1, spec.ny))
-    v = np.zeros((spec.nx, spec.ny + 1))
-    u[1:-1, :] = _solve(f.u[1:-1, :], beta, face_stiffness_u(spec),
-                        (_FACES, _CELLS), spec, cfg, "brinkman u-component")
-    v[:, 1:-1] = _solve(f.v[:, 1:-1], beta, face_stiffness_v(spec),
-                        (_CELLS, _FACES), spec, cfg, "brinkman v-component")
-    return VectorField(spec, u, v)
+    blocks = ((face_stiffness_u(spec), "brinkman u-component"),
+              (face_stiffness_v(spec), "brinkman v-component"))
+    x = _solve(stack_faces(f), beta, blocks, face_brinkman_inverse, spec, cfg)
+    return unstack_faces(spec, x)
 
 
 def solve_brinkman(p: ScalarField, beta: float,
@@ -127,9 +151,10 @@ def solve_screened_potential(p: ScalarField, beta: float,
     """Scalar -beta*Lap(K) + K = p with zero-flux walls."""
     cfg = cfg or SolverConfig()
     spec = p.spec
-    x = _solve(p.values, beta, cell_laplacian_neumann(spec),
-               (_NEUMANN, _NEUMANN), spec, cfg, "screened potential")
-    return ScalarField(spec, x)
+    x = _solve(p.values.ravel(), beta,
+               ((cell_laplacian_neumann(spec), "screened potential"),),
+               _screened_inverse, spec, cfg)
+    return ScalarField(spec, x.reshape(spec.nx, spec.ny))
 
 
 def solve_brinkman_gradient_form(p: ScalarField, beta: float,

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .brinkman import SolverConfig
 from .constitutive import ModelParams
 from .dynamics import StepControl, VELOCITY_FLOOR, _cfl_dt, upwind_flux_divergence
 from .grid import GridSpec, ScalarField, VectorField, divergence
@@ -57,15 +56,14 @@ class LimitState:
 
 
 def init_limit_state(part: DomainPartition, params: ModelParams,
-                     q0: ScalarField | None = None,
-                     cfg: SolverConfig | None = None) -> LimitState:
+                     q0: ScalarField | None = None) -> LimitState:
     """Start from a sharp partition; q0 defaults to the zero field."""
     spec = part.spec
     q = q0 if q0 is not None else ScalarField.zeros(spec)
     if (q.values < 0).any():
         raise ValueError("limit repulsion pressure must be nonnegative")
     q = ScalarField(spec, q.values * (part.chi1.values + part.chi2.values))
-    sol = solve_stationary(part, params, q, cfg)
+    sol = solve_stationary(part, params, q)
     return LimitState(0.0, part, part.chi1, part.chi2, q, sol)
 
 

@@ -28,7 +28,7 @@ from . import diagnostics, fieldio
 from .brinkman import SolverFailure
 from .constitutive import ModelParams, coercivity_check
 from .dynamics import StepControl, StepFailure, init_state, run
-from .grid import GridSpec, ScalarField
+from .grid import GridError, GridSpec, ScalarField
 
 MODELS = ("ESVM", "VM", "L-ESVM", "L-VM", "STATIONARY", "STATIONARY-1SPECIES")
 DYNAMIC_MODELS = ("ESVM", "VM")
@@ -459,7 +459,7 @@ def run_stationary(cfg: RunConfig, out: Path) -> dict:
               for qty in ("pressure", "v1", "v2")]
     write_jump_csv(tables, out / "jumps.csv")
     report = verify_transmission(sol, part)
-    return {"rel_residual": sol.rel_residual,
+    return {"rel_residual": sol.rel_residual, "iterations": sol.iterations,
             "max_transmission_residual": report.max_residual()}
 
 
@@ -551,8 +551,9 @@ def _check_battery(seed: int):
 def run_cli(argv) -> int:
     """Entry point; returns the process exit code.
 
-    0 success, 1 config error, 2 solver failure, 3 invariant violation
-    in `check`.
+    0 success, 1 config error (an invalid grid included), 2 solver
+    failure (a non-finite field included), 3 invariant violation in
+    `check`.
     """
     parser = argparse.ArgumentParser(prog="tissueflow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -586,7 +587,7 @@ def run_cli(argv) -> int:
             except ValueError:
                 raise ConfigError([f"bad --grid value {args.grid!r}"])
             cfg = replace(cfg, grid=replace(cfg.grid, nx=nx, ny=ny))
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, GridError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
@@ -604,7 +605,7 @@ def run_cli(argv) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (SolverFailure, StepFailure, RuntimeError) as exc:
+    except (SolverFailure, StepFailure, GridError, RuntimeError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     _write_manifest(out, cfg, time.perf_counter() - t0, final)

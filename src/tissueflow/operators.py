@@ -17,7 +17,22 @@ import functools
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import GridSpec
+from .grid import GridSpec, VectorField
+
+
+def stack_faces(vec: VectorField) -> np.ndarray:
+    """Interior-face vector [u.ravel(), v.ravel()] of a staggered field."""
+    return np.concatenate([vec.u[1:-1, :].ravel(), vec.v[:, 1:-1].ravel()])
+
+
+def unstack_faces(spec: GridSpec, x: np.ndarray) -> VectorField:
+    """Staggered field from an interior-face vector; wall faces are 0."""
+    nu = (spec.nx - 1) * spec.ny
+    u = np.zeros((spec.nx + 1, spec.ny))
+    v = np.zeros((spec.nx, spec.ny + 1))
+    u[1:-1, :] = x[:nu].reshape(spec.nx - 1, spec.ny)
+    v[:, 1:-1] = x[nu:].reshape(spec.nx, spec.ny - 1)
+    return VectorField(spec, u, v)
 
 
 def _tridiag(n: int, h: float, end_diag: float) -> sp.csr_matrix:

@@ -1,15 +1,28 @@
 """Stationary two-tissue system on a fixed partition, and its interface laws.
 
-The velocity pair (v1, v2) minimizes nothing simple but satisfies a
-coupled elliptic system: for each tissue a Brinkman operator plus a
-grad-div term weighted by 1/g_i on that tissue's subdomain, with cross
-coupling through the other tissue's grad-div term.  Discretely this is
+The velocity pair (v1, v2) satisfies a coupled elliptic system: for each
+tissue a Brinkman operator plus a grad-div term weighted by 1/g_i on that
+tissue's subdomain, with cross coupling through the other tissue's
+grad-div term.  Discretely this is
 
-    [ b1*K + I + D^T C1 D        D^T C2 D       ] [x1]   [D^T f]
-    [      D^T C1 D         b2*K + I + D^T C2 D ] [x2] = [D^T f]
+    A_i x_i + D^T (C1 D x1 + C2 D x2) = D^T f,    i = 1, 2,
 
-with K the face stiffness (Dirichlet walls), D the cell divergence,
-C_i = diag(chi_i / g_i) and f = chi1*(p1* + q) + chi2*(p2* + q).
+with A_i = I + beta_i*K, K the face stiffness (Dirichlet walls), D the
+cell divergence, C_i = diag(chi_i / g_i) and
+f = chi1*(p1* + q) + chi2*(p2* + q).  ``assemble_weak_form`` builds this
+2x2 block matrix for the energy form and as a reference.
+
+``solve_stationary`` never forms it.  Eliminating the face velocities
+leaves a cell-sized equation for the total tissue pressure
+Pi = f - (C1 D x1 + C2 D x2),
+
+    (I + C1 D A1^-1 D^T + C2 D A2^-1 D^T) Pi = f,    x_i = A_i^-1 D^T Pi,
+
+whose operator is bounded independently of h because D A_i^-1 D^T acts
+like -Lap (I - beta_i Lap)^-1 <= 1/beta_i.  GMRES solves it matrix-free:
+each product applies every A_i^-1 once, as an exact sine transform solve
+(``brinkman.face_brinkman_inverse``), so nothing is assembled or
+factorised.  The residual of the full coupled system is then checked.
 
 The pressure is reconstructed from the velocity divergences,
 
@@ -21,18 +34,24 @@ which closes the divergence law div v_i = g_i*(p_i* - p) identically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .brinkman import SolverConfig, SolverFailure
+from .brinkman import SolverConfig, SolverFailure, face_brinkman_inverse
 from .constitutive import CoercivityReport, ModelParams, coercivity_check
 from .grid import GridSpec, ScalarField, VectorField, divergence
-from .operators import divergence_matrix, face_stiffness_u, face_stiffness_v
+from .operators import (divergence_matrix, face_stiffness_u, face_stiffness_v,
+                        stack_faces, unstack_faces)
 
 BOUNDARY_MARGIN_CELLS = 2
+
+# Krylov vectors kept between GMRES restarts: scipy stores restart + 1 of
+# them, and the pressure equation converges in well under 50 iterations.
+GMRES_RESTART = 50
 
 JUMP_CSV_COLUMNS = ("interface", "face_index", "x", "y", "nx", "ny",
                     "quantity", "left_trace", "right_trace", "jump",
@@ -147,27 +166,22 @@ def concentric_partition(spec: GridSpec, r1: float = 0.45,
     return DomainPartition(chi1, chi2)
 
 
-def _face_counts(spec: GridSpec):
-    return (spec.nx - 1) * spec.ny, spec.nx * (spec.ny - 1)
-
-
+@functools.lru_cache(maxsize=32)
 def _stiffness(spec: GridSpec) -> sp.csr_matrix:
     return sp.block_diag([face_stiffness_u(spec), face_stiffness_v(spec)],
                          format="csr")
 
 
-def _unstack(spec: GridSpec, x: np.ndarray) -> VectorField:
-    nu, nv = _face_counts(spec)
-    u = np.zeros((spec.nx + 1, spec.ny))
-    v = np.zeros((spec.nx, spec.ny + 1))
-    u[1:-1, :] = x[:nu].reshape(spec.nx - 1, spec.ny)
-    v[:, 1:-1] = x[nu:nu + nv].reshape(spec.nx, spec.ny - 1)
-    return VectorField(spec, u, v)
-
-
-def stack_field(vec: VectorField) -> np.ndarray:
-    """Interior-face vector of a staggered field, matching the assembly layout."""
-    return np.concatenate([vec.u[1:-1, :].ravel(), vec.v[:, 1:-1].ravel()])
+def _source(part: DomainPartition, params: ModelParams,
+            q: ScalarField | None):
+    """(q, f) with q defaulting to zero and f = chi1*(p1*+q) + chi2*(p2*+q)."""
+    if q is None:
+        q = ScalarField.zeros(part.spec)
+    if q.spec != part.spec:
+        raise PartitionError("q lives on a different grid")
+    f = (part.chi1.values * (params.p1_star + q.values) +
+         part.chi2.values * (params.p2_star + q.values))
+    return q, f.ravel()
 
 
 @dataclass(frozen=True)
@@ -184,11 +198,7 @@ def assemble_weak_form(part: DomainPartition, params: ModelParams,
                        q: ScalarField | None = None) -> AssembledSystem:
     """Discrete coupled system; a failed coercivity check only attaches a flag."""
     spec = part.spec
-    if q is None:
-        q = ScalarField.zeros(spec)
-    if q.spec != spec:
-        raise PartitionError("q lives on a different grid")
-
+    q, f = _source(part, params, q)
     K = _stiffness(spec)
     D = divergence_matrix(spec)
     identity = sp.identity(K.shape[0])
@@ -199,9 +209,7 @@ def assemble_weak_form(part: DomainPartition, params: ModelParams,
     A = sp.bmat([[params.beta1 * K + identity + G1, G2],
                  [G1, params.beta2 * K + identity + G2]], format="csr")
 
-    f = (part.chi1.values * (params.p1_star + q.values) +
-         part.chi2.values * (params.p2_star + q.values))
-    b_half = D.T @ f.ravel()
+    b_half = D.T @ f
     rhs = np.concatenate([b_half, b_half])
     return AssembledSystem(A, rhs, coercivity_check(params), part, params, q)
 
@@ -218,7 +226,7 @@ def quadratic_form(part: DomainPartition, params: ModelParams,
     """
     spec = part.spec
     sys = system if system is not None else assemble_weak_form(part, params)
-    x1, x2 = stack_field(v1), stack_field(v2)
+    x1, x2 = stack_faces(v1), stack_faces(v2)
     x = np.concatenate([x1, x2])
     energy = float(x @ (sys.matrix @ x)) * spec.cell_area
     K = _stiffness(spec)
@@ -236,6 +244,7 @@ class StationarySolution:
     p: ScalarField
     rel_residual: float
     coercivity: CoercivityReport
+    iterations: int = 0        # GMRES inner iterations of the solve
 
 
 def reconstruct_pressure(part: DomainPartition, params: ModelParams,
@@ -250,23 +259,60 @@ def reconstruct_pressure(part: DomainPartition, params: ModelParams,
 def solve_stationary(part: DomainPartition, params: ModelParams,
                      q: ScalarField | None = None,
                      cfg: SolverConfig | None = None) -> StationarySolution:
-    cfg = cfg or SolverConfig(method="direct")
-    sys = assemble_weak_form(part, params, q)
-    scale = np.linalg.norm(sys.rhs)
+    """Velocities and pressure of the coupled system, via the cell equation.
+
+    ``cfg.rel_tol`` bounds the relative residual of the full coupled
+    system and ``cfg.iterations_for`` the GMRES inner iterations;
+    ``cfg.method`` plays no part.  Raises SolverFailure when the
+    residual is missed.
+    """
+    cfg = cfg or SolverConfig()
+    spec = part.spec
+    q, f = _source(part, params, q)
+    D = divergence_matrix(spec)
+    c1 = part.chi1.values.ravel() / params.g1
+    c2 = part.chi2.values.ravel() / params.g2
+
+    def velocities(pi):
+        y = D.T @ pi
+        return (face_brinkman_inverse(y, params.beta1, spec),
+                face_brinkman_inverse(y, params.beta2, spec))
+
+    def coupling(x1, x2):
+        # grouped so that swapping the tissue labels is bitwise symmetric
+        return c1 * (D @ x1) + c2 * (D @ x2)
+
+    b = D.T @ f
+    scale = np.linalg.norm(np.concatenate([b, b]))
+    history = []    # one residual norm per GMRES inner iteration
     if scale == 0.0:
-        x = np.zeros_like(sys.rhs)
+        x1 = x2 = np.zeros_like(b)
         rel = 0.0
     else:
-        x = spla.splu(sys.matrix.tocsc()).solve(sys.rhs)
-        rel = float(np.linalg.norm(sys.matrix @ x - sys.rhs) / scale)
+        n = f.size
+        schur = spla.LinearOperator(
+            (n, n), lambda pi: pi + coupling(*velocities(pi)), dtype=float)
+        # scipy counts maxiter in restart cycles; bound the inner iterations.
+        # D^T amplifies the cell residual in the coupled one, hence 0.01.
+        budget = cfg.iterations_for(spec)
+        restart = min(GMRES_RESTART, budget)
+        pi, _ = spla.gmres(schur, f, rtol=0.01 * cfg.rel_tol, atol=0.0,
+                           restart=restart, maxiter=budget // restart,
+                           callback=history.append, callback_type="pr_norm")
+        x1, x2 = velocities(pi)
+        K = _stiffness(spec)
+        g = D.T @ coupling(x1, x2) - b
+        r = np.concatenate([x1 + params.beta1 * (K @ x1) + g,
+                            x2 + params.beta2 * (K @ x2) + g])
+        rel = float(np.linalg.norm(r) / scale)
         if rel > cfg.rel_tol:
-            raise SolverFailure("stationary system", rel, cfg.rel_tol, 0)
-    half = len(x) // 2
-    v1 = _unstack(part.spec, x[:half])
-    v2 = _unstack(part.spec, x[half:])
+            raise SolverFailure("stationary system", rel, cfg.rel_tol,
+                                len(history))
+    v1 = unstack_faces(spec, x1)
+    v2 = unstack_faces(spec, x2)
     p = reconstruct_pressure(part, params, v1, v2)
-    return StationarySolution(part, params, sys.q, v1, v2, p, rel,
-                              sys.coercivity)
+    return StationarySolution(part, params, q, v1, v2, p, rel,
+                              coercivity_check(params), len(history))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tissueflow import harness
 from tissueflow.harness import (PRESETS, ConfigError, Rect, config_hash,
                                 initial_densities, initial_partition,
                                 parse_config, run_cli, serialize_config)
-from tissueflow.grid import GridSpec
+from tissueflow.grid import GridError, GridSpec
 
 
 def test_preset_catalog():
@@ -147,6 +148,23 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert run_cli(["run", "fig3-vm", "--grid", "banana"]) == 1
 
 
+def test_cli_invalid_grid_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "tiny"
+    assert run_cli(["run", "fig3-vm", "--grid", "2x2", "--out", str(out)]) == 1
+    assert "need nx, ny >= 4" in capsys.readouterr().err
+
+
+def test_cli_non_finite_field_is_a_solver_failure(tmp_path, capsys,
+                                                   monkeypatch):
+    def blow_up(cfg, out):
+        raise GridError("scalar field contains non-finite entries")
+
+    monkeypatch.setattr(harness, "run_dynamic", blow_up)
+    out = tmp_path / "nan"
+    assert run_cli(["run", "fig3-vm", "--grid", "16x16", "--out", str(out)]) == 2
+    assert "solver failure" in capsys.readouterr().err
+
+
 def test_cli_dynamic_run_writes_artifacts(tmp_path):
     out = tmp_path / "run"
     code = run_cli(["run", "fig3-vm", "--grid", "16x16", "--out", str(out)])
@@ -192,6 +210,11 @@ n2 = 1.0 0.45 0.8 -0.4 0.4
     assert "coercivity" in text
     for name in ("p.csv", "v1_u.csv", "v2_v.csv", "jumps.csv", "p.vtk"):
         assert (out / name).exists(), name
+    with open(out / "manifest.csv") as fh:
+        rows = list(csv.reader(fh))
+    manifest = dict(zip(rows[0], rows[1]))
+    assert int(manifest["iterations"]) > 0
+    assert float(manifest["rel_residual"]) <= 1e-10
 
 
 def test_cli_sweep_writes_rows(tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from tissueflow.brinkman import SolverConfig, SolverFailure
 from tissueflow.constitutive import ModelParams
 from tissueflow.grid import GridSpec, ScalarField, VectorField, divergence
+from tissueflow.operators import stack_faces
 from tissueflow.stationary import (DomainPartition, PartitionError,
-                                   concentric_partition,
+                                   assemble_weak_form, concentric_partition,
                                    interface_force_residuals, measure_jump,
                                    quadratic_form, solve_stationary,
                                    verify_transmission)
@@ -190,3 +193,33 @@ def test_interface_force_residuals_finite_and_local():
     assert res.size > 0
     assert np.all(np.isfinite(res))
     assert res.max() < 5.0
+
+
+def test_pressure_equation_matches_coupled_system_on_anisotropic_grid():
+    # hx = 0.1, hy = 0.125, unequal viscosities and growth rates, q > 0
+    spec = GridSpec(-1.0, 1.0, 0.0, 3.0, 20, 24)
+    xx, yy = spec.cell_center_mesh()
+    chi1 = (np.abs(xx) < 0.5) & (yy > 0.5) & (yy < 1.5)
+    chi2 = (np.abs(xx) < 0.7) & (yy >= 1.5) & (yy < 2.6)
+    part = DomainPartition(ScalarField(spec, chi1.astype(float)),
+                           ScalarField(spec, chi2.astype(float)))
+    assert part.gamma and part.gamma1 and part.gamma2
+    params = ModelParams(beta1=1.0, beta2=0.3, g1=1.0, g2=2.0,
+                         p1_star=5.0, p2_star=10.0)
+    q = ScalarField(spec, 1.0 + 0.5 * np.sin(3.0 * xx) * np.cos(2.0 * yy))
+    sol = solve_stationary(part, params, q)
+    system = assemble_weak_form(part, params, q)
+    x = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    half = x.size // 2
+    for got, ref in ((sol.v1, x[:half]), (sol.v2, x[half:])):
+        err = np.linalg.norm(stack_faces(got) - ref) / np.linalg.norm(ref)
+        assert err <= 1e-9
+    assert sol.rel_residual <= SolverConfig().rel_tol
+    assert 0 < sol.iterations <= SolverConfig().iterations_for(spec)
+
+
+def test_iteration_budget_bounds_inner_iterations():
+    part = concentric_partition(GridSpec(nx=24, ny=24))
+    with pytest.raises(SolverFailure) as err:
+        solve_stationary(part, PARAMS, cfg=SolverConfig(max_iter=1))
+    assert err.value.iterations == 1
