@@ -9,10 +9,11 @@ linearly in eps.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import dynamics
 from .constitutive import DELTA_CLAMP, ModelParams, pressure_congestion
 from .grid import ScalarField, VectorField, curl2d
 
@@ -143,16 +144,12 @@ def limit_sweep(make_initial, grid_spec, base_params: ModelParams,
     sum-rescale and congestion-clamp totals and the smallest accepted
     time step of the run; failed runs get an ``error`` entry instead.
     """
-    from dataclasses import replace as _replace
-
-    from . import dynamics
-
     rows = []
     ctrl_kwargs = dict(ctrl_kwargs or {})
     for eps, m, alpha in sequence:
         row = {"eps": eps, "m": m, "alpha": alpha}
         try:
-            params = _replace(base_params, eps=eps, m=m, alpha=alpha)
+            params = replace(base_params, eps=eps, m=m, alpha=alpha)
             ctrl = dynamics.StepControl(model="ESVM", t_end=t_end, **ctrl_kwargs)
             n1_0, n2_0 = make_initial(grid_spec)
             state = dynamics.init_state(n1_0, n2_0, params, ctrl)

@@ -264,11 +264,16 @@ def _cfl_dt(ctrl: StepControl, spec: GridSpec, vmax: float) -> float:
 
 def _implicit_fourth_order(n_star: np.ndarray, n_old: np.ndarray,
                            spec: GridSpec, alpha: float, dt: float) -> np.ndarray:
-    # (I + dt*alpha*B*Lap) n_new = n_star, B = div(n_old grad .), Lap zero-flux
+    # (I + dt*alpha*B*Lap) n_new = n_star, B = div(n_old grad .), Lap zero-flux.
+    # A is structurally symmetric (13-point stencil): minimum degree on
+    # A + A^T fills about a third less than COLAMD, which orders for A^T A,
+    # at 64^2 and 128^2 (but twice as much at 256^2; see ROADMAP).
     B = weighted_cell_flux_divergence(spec, n_old)
     lap = -cell_laplacian_neumann(spec)
     A = (sp.identity(spec.nx * spec.ny) + (dt * alpha) * (B @ lap)).tocsc()
-    return spla.splu(A).solve(n_star.ravel()).reshape(spec.nx, spec.ny)
+    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                   options=dict(SymmetricMode=True))
+    return lu.solve(n_star.ravel()).reshape(spec.nx, spec.ny)
 
 
 def pressure_cap(params: ModelParams) -> float:

@@ -27,8 +27,10 @@ import numpy as np
 from . import diagnostics, fieldio
 from .brinkman import SolverFailure
 from .constitutive import ModelParams, coercivity_check
-from .dynamics import StepControl, StepFailure, init_state, run
+from .dynamics import (InitialDataError, StepControl, StepFailure,
+                       init_state, run)
 from .grid import GridError, GridSpec, ScalarField
+from .stationary import PartitionError
 
 MODELS = ("ESVM", "VM", "L-ESVM", "L-VM", "STATIONARY", "STATIONARY-1SPECIES")
 DYNAMIC_MODELS = ("ESVM", "VM")
@@ -551,7 +553,8 @@ def _check_battery(seed: int):
 def run_cli(argv) -> int:
     """Entry point; returns the process exit code.
 
-    0 success, 1 config error (an invalid grid included), 2 solver
+    0 success, 1 config error (an invalid grid, initial densities with
+    n1+n2 >= 1 and a q file on another grid included), 2 solver
     failure (a non-finite field included), 3 invariant violation in
     `check`.
     """
@@ -602,7 +605,7 @@ def run_cli(argv) -> int:
             final = run_limit_model(cfg, out)
         else:
             final = run_dynamic(cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, InitialDataError, PartitionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (SolverFailure, StepFailure, GridError, RuntimeError) as exc:

@@ -2,13 +2,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from tissueflow.constitutive import ModelParams, pressure_congestion
 from tissueflow.dynamics import (InitialDataError, StepControl, StepFailure,
-                                 init_state, pressure_cap, run, step_esvm,
-                                 step_vm)
+                                 _implicit_fourth_order, init_state,
+                                 pressure_cap, run, step_esvm, step_vm)
 from tissueflow.grid import GridSpec, ScalarField
 from tissueflow.harness import PRESETS, initial_densities
+from tissueflow.operators import (cell_laplacian_neumann,
+                                  weighted_cell_flux_divergence)
 
 
 def band_data(spec, value=0.9):
@@ -203,3 +207,22 @@ def test_fig3_vm_reaches_t_end_without_clamping():
     assert state.counters.congestion == 0
     assert min(dt for dt, _ in records) >= 1e-6
     assert max(p for _, p in records) < pressure_cap(params)
+
+
+@pytest.mark.parametrize("tau", [1e-7, 1e-2])
+def test_fourth_order_stage_matches_sparse_solve_on_anisotropic_grid(tau):
+    spec = GridSpec(-1.0, 1.0, 0.0, 3.0, 20, 24)     # hx = 0.1, hy = 0.125
+    xx, yy = spec.cell_center_mesh()
+    # zero region, a ramp and a 0.9 plateau, as around an ESVM band edge
+    n_old = np.clip(0.9 * (1.5 - yy) / 0.5, 0.0, 0.9) * (np.abs(xx) < 0.7)
+    rng = np.random.default_rng(5)
+    n_star = n_old + 0.05 * rng.random(n_old.shape)
+
+    n_new = _implicit_fourth_order(n_star, n_old, spec, 1.0, tau)
+
+    B = weighted_cell_flux_divergence(spec, n_old)
+    lap = -cell_laplacian_neumann(spec)
+    A = sp.identity(spec.nx * spec.ny) + tau * (B @ lap)
+    ref = spla.spsolve(A.tocsc(), n_star.ravel()).reshape(n_old.shape)
+    assert np.abs(n_new - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert abs(n_new.sum() - n_star.sum()) <= 1e-13 * n_star.sum()

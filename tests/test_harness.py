@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tissueflow import harness
+from tissueflow import fieldio, harness
 from tissueflow.harness import (PRESETS, ConfigError, Rect, config_hash,
                                 initial_densities, initial_partition,
                                 parse_config, run_cli, serialize_config)
-from tissueflow.grid import GridError, GridSpec
+from tissueflow.grid import GridError, GridSpec, ScalarField
 
 
 def test_preset_catalog():
@@ -259,3 +259,50 @@ t_end = 0.01
     assert rows[0] == ["t", "area1", "area2", "overlap_cells"]
     assert all(r[3] == "0" for r in rows[1:])
     assert (out / "partition.csv").exists()
+
+
+def test_cli_overlapping_initial_rects_are_a_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "overlap.ini"
+    cfgfile.write_text("""
+[run]
+preset = fig3-vm
+[grid]
+nx = 16
+ny = 16
+[initial]
+n1 = 0.6 -0.5 0.5 -0.5 0.5
+n2 = 0.6 -0.5 0.5 -0.5 0.5
+""")
+    out = tmp_path / "overlap"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "n1+n2 >= 1" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_q_file_on_another_grid_is_a_config_error(tmp_path, capsys):
+    q_path = tmp_path / "q.csv"
+    fieldio.write_scalar_csv(ScalarField.zeros(GridSpec(-1.0, 1.0, -1.0, 1.0,
+                                                        16, 16)), q_path)
+    cfgfile = tmp_path / "stat.ini"
+    cfgfile.write_text(f"""
+[run]
+model = STATIONARY
+[grid]
+nx = 24
+ny = 24
+[params]
+beta1 = 1.0
+beta2 = 1.0
+[initial]
+n1 = 1.0 -0.4 0.4 -0.4 0.4
+n2 = 1.0 0.45 0.8 -0.4 0.4
+[q]
+source = file
+path = {q_path}
+""")
+    out = tmp_path / "stat"
+    assert run_cli(["stationary", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "different grid" in err
+    assert len(err.strip().splitlines()) == 1
