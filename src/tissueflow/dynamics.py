@@ -1,14 +1,17 @@
 """Semi-implicit finite-volume time stepping for the two-tissue models.
 
 One step: pressures from the current densities, Brinkman solves for the
-velocities (pressure lagged), explicit donor-cell advection, explicit
-growth with a nonnegativity cutoff, and an implicit (Picard-linearized)
-treatment of the fourth-order interface-penalty flux so the time step is
-CFL-limited by the face velocities.  A step whose total density would push
-the congestion pressure past a cap tied to the homeostatic pressures is
-rejected and retried with half the time step.  The model without repulsion
-runs through the same kernel with the repulsion pressure and the
-fourth-order stage switched off, so the two models agree bitwise on
+velocities (pressure lagged), explicit advection and growth, then the
+fourth-order interface-penalty flux by a linearly stabilised stage: the
+constant-coefficient biharmonic part is implicit (one cosine-transform
+solve), the variable-weight remainder explicit, and the resulting face
+fluxes are limited face by face so the densities stay nonnegative and
+their sum stays under the step's ceiling.  The time step is CFL-limited
+by the face velocities.  A step whose total density would push the
+congestion pressure past a cap tied to the homeostatic pressures is
+rejected and retried with half the time step.  The model without
+repulsion runs through the same kernel with the repulsion pressure and
+the fourth-order stage switched off, so the two models agree bitwise on
 inputs where the repulsion vanishes.
 """
 
@@ -18,14 +21,14 @@ import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .brinkman import SolverConfig, solve_brinkman, solve_brinkman_gradient_form
+from .brinkman import (SolverConfig, neumann_cell_inverse, solve_brinkman,
+                       solve_brinkman_gradient_form)
 from .constitutive import (DELTA_CLAMP, ClampCounter, ModelParams, growth,
                            pressure_congestion, total_pressures)
-from .grid import GridSpec, ScalarField, VectorField, laplacian
-from .operators import cell_laplacian_neumann, weighted_cell_flux_divergence
+from .grid import GridSpec, ScalarField, VectorField, gradient, laplacian
+# unused here; perfbench/spans.py rebinds both names in this module
+from .operators import cell_laplacian_neumann, weighted_cell_flux_divergence  # noqa: F401
 
 VELOCITY_FLOOR = 1e-12
 PRESSURE_CAP_FACTOR = 10.0   # pressure cap in units of max(p1*, p2*)
@@ -75,8 +78,6 @@ class SimState:
     v2: VectorField
     p1: ScalarField
     p2: ScalarField
-    w1: ScalarField   # discrete Laplacian of n1 (relaxation variable)
-    w2: ScalarField
     counters: ClampCounter
     dt_last: float = 0.0
 
@@ -165,52 +166,69 @@ def _neighborhood_max(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _limit_fluxes(n_lo, fluxes, dt: float, spec: GridSpec, upper):
+    """Zalesak's face-by-face flux limiter for the two species at once.
+
+    ``fluxes`` holds each species' antidiffusive face fluxes (fu, fv), full
+    face arrays with zero wall faces, that would take the low-order
+    densities ``n_lo`` to ``n_lo - dt*div(f)``.  Returns the fluxes scaled
+    face by face so that each species stays >= 0 and n1 + n2 stays <=
+    ``upper`` (a scalar or a cell field) wherever ``n_lo`` does.  The
+    lower bound limits each species' own outflow; the joint upper bound
+    limits the sum of both species' inflows.
+    """
+    cx, cy = dt / spec.hx, dt / spec.hy
+
+    def inflow(fu, fv):   # the outflow is the inflow of -f
+        return (cx * (np.maximum(fu[:-1, :], 0.0) - np.minimum(fu[1:, :], 0.0))
+                + cy * (np.maximum(fv[:, :-1], 0.0) - np.minimum(fv[:, 1:], 0.0)))
+
+    def ratio(room, flow):
+        r = np.ones_like(flow)
+        np.divide(room, flow, out=r, where=flow > 0.0)
+        return np.clip(r, 0.0, 1.0)
+
+    r_in = ratio(upper - (n_lo[0] + n_lo[1]),
+                 inflow(*fluxes[0]) + inflow(*fluxes[1]))
+    out = []
+    for n, (fu, fv) in zip(n_lo, fluxes):
+        r_out = ratio(n, inflow(-fu, -fv))
+        # f > 0 on a face flows from the lower-index cell to the higher one
+        cu = np.ones_like(fu)
+        cu[1:-1, :] = np.where(fu[1:-1, :] > 0.0,
+                               np.minimum(r_out[:-1, :], r_in[1:, :]),
+                               np.minimum(r_out[1:, :], r_in[:-1, :]))
+        cv = np.ones_like(fv)
+        cv[:, 1:-1] = np.where(fv[:, 1:-1] > 0.0,
+                               np.minimum(r_out[:, :-1], r_in[:, 1:]),
+                               np.minimum(r_out[:, 1:], r_in[:, :-1]))
+        out.append((cu * fu, cv * fv))
+    return out
+
+
 def sharp_flux_divergences(n1: np.ndarray, n2: np.ndarray,
                            v1: VectorField, v2: VectorField, dt: float):
     """Flux-corrected anti-diffusive div(n_i*v_i) for both species at once.
 
-    Donor-cell fluxes are corrected toward the limited-downwind fluxes,
-    but the joint correction on each face is scaled back so the updated
-    total density cannot exceed the local 3x3 maximum of the donor-cell
+    Donor-cell fluxes are corrected toward the limited-downwind fluxes
+    through ``_limit_fluxes``, with the donor-cell prediction as the
+    low-order solution: each species stays nonnegative, and the total
+    density cannot exceed the local 3x3 maximum of the donor-cell
     prediction; the two species would otherwise each satisfy their own
     maximum principle while their sum compresses past the congestion
     ceiling at a shared interface.
     """
     spec = v1.spec
-    hx, hy = spec.hx, spec.hy
     flo = [_upwind_fluxes(n1, v1), _upwind_fluxes(n2, v2)]
     fhi = [_limited_downwind_fluxes(n1, v1, dt),
            _limited_downwind_fluxes(n2, v2, dt)]
-    au = [fhi[k][0] - flo[k][0] for k in (0, 1)]
-    av = [fhi[k][1] - flo[k][1] for k in (0, 1)]
-
-    n_lo = [n1 - dt * _flux_divergence(*flo[0], spec),
-            n2 - dt * _flux_divergence(*flo[1], spec)]
-    tot_lo = n_lo[0] + n_lo[1]
-    q_plus = np.maximum(_neighborhood_max(tot_lo), _neighborhood_max(n1 + n2))
-
-    au_t = au[0] + au[1]
-    av_t = av[0] + av[1]
-    incoming = (dt / hx) * (np.maximum(au_t[:-1, :], 0.0)
-                            - np.minimum(au_t[1:, :], 0.0)) \
-        + (dt / hy) * (np.maximum(av_t[:, :-1], 0.0)
-                       - np.minimum(av_t[:, 1:], 0.0))
-    headroom = np.maximum(q_plus - tot_lo, 0.0)
-    r_plus = np.ones_like(incoming)
-    active = incoming > 0.0
-    np.divide(headroom, incoming, out=r_plus, where=active)
-    r_plus = np.clip(r_plus, 0.0, 1.0)
-
-    cu = np.ones_like(au_t)
-    cu[1:-1, :] = np.where(au_t[1:-1, :] > 0.0, r_plus[1:, :], r_plus[:-1, :])
-    cv = np.ones_like(av_t)
-    cv[:, 1:-1] = np.where(av_t[:, 1:-1] > 0.0, r_plus[:, 1:], r_plus[:, :-1])
-
-    out = []
-    for k in (0, 1):
-        fu = flo[k][0] + cu * au[k]
-        fv = flo[k][1] + cv * av[k]
-        out.append(_flux_divergence(fu, fv, spec))
+    n_lo = [n - dt * _flux_divergence(*f, spec) for n, f in zip((n1, n2), flo)]
+    upper = np.maximum(_neighborhood_max(n_lo[0] + n_lo[1]),
+                       _neighborhood_max(n1 + n2))
+    anti = [(hu - lu, hv - lv) for (lu, lv), (hu, hv) in zip(flo, fhi)]
+    limited = _limit_fluxes(n_lo, anti, dt, spec, upper)
+    out = [_flux_divergence(lu + au, lv + av, spec)
+           for (lu, lv), (au, av) in zip(flo, limited)]
     return out[0], out[1]
 
 
@@ -245,7 +263,7 @@ def init_state(n1_0: ScalarField, n2_0: ScalarField, params: ModelParams,
     v1 = _solve_velocity(p1, params.beta1, ctrl)
     v2 = _solve_velocity(p2, params.beta2, ctrl)
     return SimState(t=0.0, n1=n1_0, n2=n2_0, v1=v1, v2=v2, p1=p1, p2=p2,
-                    w1=laplacian(n1_0), w2=laplacian(n2_0), counters=counter)
+                    counters=counter)
 
 
 def _cfl_dt(ctrl: StepControl, spec: GridSpec, vmax: float) -> float:
@@ -262,18 +280,47 @@ def _cfl_dt(ctrl: StepControl, spec: GridSpec, vmax: float) -> float:
     return dt
 
 
-def _implicit_fourth_order(n_star: np.ndarray, n_old: np.ndarray,
-                           spec: GridSpec, alpha: float, dt: float) -> np.ndarray:
-    # (I + dt*alpha*B*Lap) n_new = n_star, B = div(n_old grad .), Lap zero-flux.
-    # A is structurally symmetric (13-point stencil): minimum degree on
-    # A + A^T fills about a third less than COLAMD, which orders for A^T A,
-    # at 64^2 and 128^2 (but twice as much at 256^2; see ROADMAP).
-    B = weighted_cell_flux_divergence(spec, n_old)
-    lap = -cell_laplacian_neumann(spec)
-    A = (sp.identity(spec.nx * spec.ny) + (dt * alpha) * (B @ lap)).tocsc()
-    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                   options=dict(SymmetricMode=True))
-    return lu.solve(n_star.ravel()).reshape(spec.nx, spec.ny)
+def _fourth_order_fluxes(n_star: np.ndarray, n_old: np.ndarray,
+                         spec: GridSpec, alpha: float, dt: float):
+    """Unlimited stabilised fourth-order stage of one species.
+
+    With W the arithmetic face means of ``n_old``, S = max(W) and
+    B = div(W grad .), the increment delta = n_new - n_star solves
+    (I + dt*alpha*S*Lap^2) delta = -dt*alpha*B*Lap n_star (zero-flux
+    walls): the constant-weight biharmonic part is implicit, the
+    variable-weight remainder explicit.  Returns (delta, (fu, fv)) with
+    the face fluxes f = alpha*(W grad Lap n_star + S grad Lap delta), so
+    that delta = -dt*div(f).
+    """
+    wu = np.zeros((spec.nx + 1, spec.ny))
+    wu[1:-1, :] = 0.5 * (n_old[1:, :] + n_old[:-1, :])
+    wv = np.zeros((spec.nx, spec.ny + 1))
+    wv[:, 1:-1] = 0.5 * (n_old[:, 1:] + n_old[:, :-1])
+    s = max(wu.max(), wv.max())
+    g = gradient(laplacian(ScalarField(spec, n_star)))
+    fu, fv = alpha * wu * g.u, alpha * wv * g.v
+    delta = neumann_cell_inverse(-dt * _flux_divergence(fu, fv, spec),
+                                 dt * alpha * s, spec, power=2)
+    g = gradient(laplacian(ScalarField(spec, delta)))
+    fu += (alpha * s) * g.u
+    fv += (alpha * s) * g.v
+    return delta, (fu, fv)
+
+
+def _implicit_fourth_order(n_star, n_old, spec: GridSpec, alpha: float,
+                           dt: float, ceiling: float):
+    """Fourth-order stage of both species, limited face by face.
+
+    ``n_star`` and ``n_old`` are pairs of density arrays.  The stage's
+    face fluxes (``_fourth_order_fluxes``) are limited against n_star, so
+    mass is conserved, each species stays >= 0 and n1 + n2 stays <=
+    ``ceiling`` wherever n_star does.
+    """
+    fluxes = [_fourth_order_fluxes(ns, no, spec, alpha, dt)[1]
+              for ns, no in zip(n_star, n_old)]
+    limited = _limit_fluxes(n_star, fluxes, dt, spec, ceiling)
+    return [ns - dt * _flux_divergence(fu, fv, spec)
+            for ns, (fu, fv) in zip(n_star, limited)]
 
 
 def pressure_cap(params: ModelParams) -> float:
@@ -283,8 +330,8 @@ def pressure_cap(params: ModelParams) -> float:
 
 def _tentative_densities(state: SimState, v1: VectorField, v2: VectorField,
                          p1: ScalarField, p2: ScalarField, params: ModelParams,
-                         scheme: str, alpha: float, dt: float):
-    """Explicit transport and growth, then the implicit fourth-order stage.
+                         scheme: str, alpha: float, dt: float, ceiling: float):
+    """Explicit transport and growth, then the fourth-order stage.
 
     Returns (n1, n2, number of cells cut to zero).
     """
@@ -296,20 +343,20 @@ def _tentative_densities(state: SimState, v1: VectorField, v2: VectorField,
         adv1 = upwind_flux_divergence(state.n1.values, v1)
         adv2 = upwind_flux_divergence(state.n2.values, v2)
 
+    old = (state.n1.values, state.n2.values)
     new_densities = []
+    for n, adv, p, which in ((old[0], adv1, p1, 1), (old[1], adv2, p2, 2)):
+        reac = np.maximum(n, 0.0) * growth(p, which, params).values
+        new_densities.append(n - dt * adv + dt * reac)
+    if alpha > 0.0:
+        new_densities = _implicit_fourth_order(new_densities, old, spec,
+                                               alpha, dt, ceiling)
     cut = 0
-    for n, adv, p, which in ((state.n1, adv1, p1, 1), (state.n2, adv2, p2, 2)):
-        reac = np.maximum(n.values, 0.0) * growth(p, which, params).values
-        n_star = n.values - dt * adv + dt * reac
-        if alpha > 0.0:
-            n_new = _implicit_fourth_order(n_star, n.values, spec, alpha, dt)
-        else:
-            n_new = n_star
+    for k, n_new in enumerate(new_densities):
         neg = n_new < 0.0
         if neg.any():
             cut += int(neg.sum())
-            n_new = np.where(neg, 0.0, n_new)
-        new_densities.append(n_new)
+            new_densities[k] = np.where(neg, 0.0, n_new)
     return new_densities[0], new_densities[1], cut
 
 
@@ -321,9 +368,10 @@ def _advance(state: SimState, ctrl: StepControl, params: ModelParams,
     trial whose n1+n2 would raise the congestion pressure above
     ``pressure_cap`` (or above the current maximum, if that is higher) is
     rejected and retried at half the dt; the retries share the
-    ``max_halvings`` budget below ``ctrl.dt``.  The negativity cut does
-    not reject: the implicit fourth-order stage undershoots zero slightly
-    at every dt.
+    ``max_halvings`` budget below ``ctrl.dt``.  The fourth-order stage is
+    limited to the same ceiling and to zero, so beyond roundoff only
+    transport and growth can cross either.  The negativity cut does not
+    reject.
     """
     spec = state.n1.spec
     counter = copy.copy(state.counters)
@@ -346,7 +394,7 @@ def _advance(state: SimState, ctrl: StepControl, params: ModelParams,
     dt_min = ctrl.dt * 0.5 ** ctrl.max_halvings
     while True:
         n1_new, n2_new, cut = _tentative_densities(
-            state, v1, v2, p1, p2, params, ctrl.scheme, alpha, dt)
+            state, v1, v2, p1, p2, params, ctrl.scheme, alpha, dt, ceiling)
         total = n1_new + n2_new
         if total.max() <= ceiling:
             break
@@ -370,8 +418,7 @@ def _advance(state: SimState, ctrl: StepControl, params: ModelParams,
     n1f = ScalarField(spec, n1_new)
     n2f = ScalarField(spec, n2_new)
     return SimState(t=state.t + dt, n1=n1f, n2=n2f, v1=v1, v2=v2,
-                    p1=p1, p2=p2, w1=laplacian(n1f), w2=laplacian(n2f),
-                    counters=counter, dt_last=dt)
+                    p1=p1, p2=p2, counters=counter, dt_last=dt)
 
 
 def step_esvm(state: SimState, ctrl: StepControl, params: ModelParams,

@@ -5,10 +5,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from tissueflow import dynamics
 from tissueflow.constitutive import ModelParams, pressure_congestion
 from tissueflow.dynamics import (InitialDataError, StepControl, StepFailure,
-                                 _implicit_fourth_order, init_state,
-                                 pressure_cap, run, step_esvm, step_vm)
+                                 _fourth_order_fluxes, _implicit_fourth_order,
+                                 init_state, pressure_cap, run, step_esvm,
+                                 step_vm)
 from tissueflow.grid import GridSpec, ScalarField
 from tissueflow.harness import PRESETS, initial_densities
 from tissueflow.operators import (cell_laplacian_neumann,
@@ -106,8 +108,8 @@ def test_mass_balance_matches_reaction_integral():
                 growth(p1, 1, params).values).sum() * spec.cell_area
         before = state.mass1
         state = step_esvm(state, ctrl, params)
-        # advection is conservative with zero wall fluxes, the clamp and
-        # fourth-order stage contribute O(dt^2)-size corrections
+        # advection and the fourth-order stage are conservative with zero
+        # wall fluxes; the negativity cut contributes O(dt^2)-size corrections
         assert abs(state.mass1 - before - dt * reac) < 5e-3 * abs(before)
 
 
@@ -187,14 +189,14 @@ def test_state_above_the_cap_may_relax():
     assert new.n1.values.max() < 0.5
 
 
-def test_fig3_vm_reaches_t_end_without_clamping():
-    # the preset used to rescale densities onto the congestion ceiling
-    # and crawl at dt ~ 1e-9; step acceptance keeps it below the cap
-    cfg = replace(PRESETS["fig3-vm"], grid=GridSpec(-1.0, 1.0, -1.0, 1.0,
-                                                     64, 64))
+def _fig3_run(preset, n, t_end, **ctrl_kwargs):
+    """Run a preset on an n x n grid to t_end; returns the final state and
+    (dt, largest congestion pressure) of every step."""
+    cfg = replace(PRESETS[preset], grid=GridSpec(-1.0, 1.0, -1.0, 1.0, n, n))
     params = cfg.params
     n1, n2 = initial_densities(cfg)
-    ctrl = StepControl(dt=cfg.dt, cfl_number=cfg.cfl, t_end=0.1, model="VM")
+    ctrl = StepControl(dt=cfg.dt, cfl_number=cfg.cfl, t_end=t_end,
+                       model=cfg.model, **ctrl_kwargs)
     state = init_state(n1, n2, params, ctrl)
 
     def observer(s, _):
@@ -202,11 +204,45 @@ def test_fig3_vm_reaches_t_end_without_clamping():
         return s.dt_last, pressure_congestion(total, params.eps).values.max()
 
     records, state = run(state, ctrl, params, observers=[observer])
+    return state, records
+
+
+def test_fig3_vm_reaches_t_end_without_clamping():
+    # the preset used to rescale densities onto the congestion ceiling
+    # and crawl at dt ~ 1e-9; step acceptance keeps it below the cap
+    state, records = _fig3_run("fig3-vm", 64, 0.1)
     assert state.t == pytest.approx(0.1)
     assert state.counters.sum_rescale == 0
     assert state.counters.congestion == 0
     assert min(dt for dt, _ in records) >= 1e-6
-    assert max(p for _, p in records) < pressure_cap(params)
+    assert max(p for _, p in records) < pressure_cap(PRESETS["fig3-vm"].params)
+
+
+def test_fig3_esvm_128_reaches_t_end_without_clamping():
+    # the unlimited stage lifted a cell at the ceiling at a dt-independent
+    # rate, and the run stopped with StepFailure at t = 5.3e-4
+    state, records = _fig3_run("fig3-esvm", 128, 0.1)
+    assert state.t == pytest.approx(0.1)
+    assert state.counters.sum_rescale == 0
+    assert state.counters.congestion == 0
+    assert max(p for _, p in records) < pressure_cap(PRESETS["fig3-esvm"].params)
+
+
+def test_sharp_transport_keeps_each_species_nonnegative(monkeypatch):
+    # the joint flux limiter bounds each species' outflow by its own
+    # donor-cell mass; the transport-only update used to reach -0.035
+    lowest = []
+    sharp = dynamics.sharp_flux_divergences
+
+    def recording(n1, n2, v1, v2, dt):
+        adv1, adv2 = sharp(n1, n2, v1, v2, dt)
+        lowest.append(min((n1 - dt * adv1).min(), (n2 - dt * adv2).min()))
+        return adv1, adv2
+
+    monkeypatch.setattr(dynamics, "sharp_flux_divergences", recording)
+    state, _ = _fig3_run("fig3-vm", 64, 0.1, scheme="sharp")
+    assert state.t == pytest.approx(0.1)
+    assert min(lowest) >= -1e-14
 
 
 @pytest.mark.parametrize("tau", [1e-7, 1e-2])
@@ -218,11 +254,50 @@ def test_fourth_order_stage_matches_sparse_solve_on_anisotropic_grid(tau):
     rng = np.random.default_rng(5)
     n_star = n_old + 0.05 * rng.random(n_old.shape)
 
-    n_new = _implicit_fourth_order(n_star, n_old, spec, 1.0, tau)
+    delta, (fu, fv) = _fourth_order_fluxes(n_star, n_old, spec, 1.0, tau)
 
+    # (I + tau*S*Lap^2) delta = -tau*B*Lap n_star, S the largest face weight
     B = weighted_cell_flux_divergence(spec, n_old)
     lap = -cell_laplacian_neumann(spec)
-    A = sp.identity(spec.nx * spec.ny) + tau * (B @ lap)
-    ref = spla.spsolve(A.tocsc(), n_star.ravel()).reshape(n_old.shape)
+    s = max(0.5 * (n_old[1:, :] + n_old[:-1, :]).max(),
+            0.5 * (n_old[:, 1:] + n_old[:, :-1]).max())
+    rhs = -tau * (B @ (lap @ n_star.ravel()))
+    A = sp.identity(spec.nx * spec.ny) + (tau * s) * (lap @ lap)
+    ref = n_star + spla.spsolve(A.tocsc(), rhs).reshape(n_old.shape)
+    n_new = n_star + delta
     assert np.abs(n_new - ref).max() <= 1e-12 * np.abs(ref).max()
     assert abs(n_new.sum() - n_star.sum()) <= 1e-13 * n_star.sum()
+    # flux form: the two flux terms cancel from |rhs| down to |delta|, so
+    # the identity holds to roundoff of the right-hand side
+    flux_delta = -tau * (fu[1:, :] - fu[:-1, :]) / spec.hx \
+        - tau * (fv[:, 1:] - fv[:, :-1]) / spec.hy
+    assert np.abs(flux_delta - delta).max() <= 1e-13 * np.abs(rhs).max()
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_fourth_order_stage_keeps_bounds_at_a_congested_front(mixed):
+    # a curved front with n1+n2 at the ceiling on its left: tissue 1 alone
+    # against tissue 2 at 0.5, or both tissues on both sides, where each
+    # species' own inflow fits under the ceiling but their sum does not
+    spec = GridSpec(-1.0, 1.0, 0.0, 3.0, 20, 24)
+    xx, yy = spec.cell_center_mesh()
+    ceiling = 0.999
+    left = xx < 0.3 * np.sin(2.0 * yy)
+    if mixed:
+        n_old = (0.6 * ceiling * left + 0.2 * ~left,
+                 0.4 * ceiling * left + 0.7 * ~left)
+    else:
+        n_old = (ceiling * left, 0.5 * ~left)
+    n_star = (n_old[0].copy(), n_old[1].copy())
+    tau = 1e-3
+
+    unlimited = [ns + _fourth_order_fluxes(ns, no, spec, 1.0, tau)[0]
+                 for ns, no in zip(n_star, n_old)]
+    assert (unlimited[0] + unlimited[1]).max() > ceiling + 1e-2
+
+    n_new = _implicit_fourth_order(n_star, n_old, spec, 1.0, tau, ceiling)
+    assert min(n.min() for n in n_new) >= -1e-15
+    assert (n_new[0] + n_new[1]).max() <= ceiling + 1e-15
+    for n, ns in zip(n_new, n_star):
+        assert np.abs(n - ns).max() > 1e-2
+        assert abs(n.sum() - ns.sum()) <= 1e-13 * ns.sum()
