@@ -13,8 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from tissueflow.brinkman import (SolverConfig, solve_brinkman,
-                                 solve_brinkman_gradient_form)
+from tissueflow.brinkman import solve_brinkman, solve_brinkman_gradient_form
 from tissueflow.dynamics import StepControl, init_state, run
 from tissueflow.fieldio import write_scalar_vtk, write_vector_vtk
 from tissueflow.grid import GridSpec, curl2d
@@ -30,10 +29,8 @@ def main(outdir="demo_out/curl_dichotomy", n=48):
     state = init_state(n1_0, n2_0, cfg.params, ctrl)
     _, state = run(state, ctrl, cfg.params)
 
-    solver = SolverConfig(method="direct")
-    v_wall = solve_brinkman(state.p2, cfg.params.beta2, solver)
-    v_laminar = solve_brinkman_gradient_form(state.p2, cfg.params.beta2,
-                                             solver)
+    v_wall = solve_brinkman(state.p2, cfg.params.beta2)
+    v_laminar = solve_brinkman_gradient_form(state.p2, cfg.params.beta2)
     for name, v in (("wall", v_wall), ("laminar", v_laminar)):
         write_vector_vtk(v, out / f"v2_{name}.vtk")
         write_scalar_vtk(curl2d(v), out / f"curl_{name}.vtk", name="curl")

@@ -31,7 +31,7 @@ def main(outdir="demo_out/free_boundary", n=64):
 
     rows = [(state.t, *state.areas(), overlap_cells(state.part))]
     while state.t < ctrl.t_end - 1e-14:
-        state = step_limit(state, ctrl, cfg.params, with_q=False)
+        state = step_limit(state, ctrl, cfg.params)
         rows.append((state.t, *state.areas(), overlap_cells(state.part)))
 
     with open(out / "areas.csv", "w", newline="") as fh:

@@ -18,11 +18,11 @@ inputs where the repulsion vanishes.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .brinkman import (SolverConfig, neumann_cell_inverse, solve_brinkman,
+from .brinkman import (neumann_cell_inverse, solve_brinkman,
                        solve_brinkman_gradient_form)
 from .constitutive import (DELTA_CLAMP, ClampCounter, ModelParams, growth,
                            pressure_congestion, total_pressures)
@@ -53,7 +53,6 @@ class StepControl:
     model: str = "ESVM"                 # "ESVM" | "VM"
     velocity_law: str = "dirichlet"     # "dirichlet" | "gradient"
     scheme: str = "upwind"              # "upwind" | "sharp"
-    solver: SolverConfig = field(default_factory=lambda: SolverConfig(method="direct"))
     max_halvings: int = 20
 
     def __post_init__(self):
@@ -92,8 +91,8 @@ class SimState:
 
 def _solve_velocity(p: ScalarField, beta: float, ctrl: StepControl) -> VectorField:
     if ctrl.velocity_law == "gradient":
-        return solve_brinkman_gradient_form(p, beta, ctrl.solver)
-    return solve_brinkman(p, beta, ctrl.solver)
+        return solve_brinkman_gradient_form(p, beta)
+    return solve_brinkman(p, beta)
 
 
 def _upwind_fluxes(n: np.ndarray, vel: VectorField):
@@ -433,11 +432,14 @@ def step_vm(state: SimState, ctrl: StepControl, params: ModelParams) -> SimState
     return _advance(state, ctrl, params, with_repulsion=False, alpha=0.0)
 
 
-def run(state: SimState, ctrl: StepControl, params: ModelParams,
-        observers=(), observe_every: int = 1):
+def run(state, ctrl: StepControl, params: ModelParams,
+        observers=(), observe_every: int = 1, step=None):
     """Step to ctrl.t_end; returns (records, final state).
 
-    Observers are callables (state, params) -> record; they fire every
+    ``step(state, ctrl, params)`` advances one step; by default it is
+    ``step_esvm`` or ``step_vm`` as ``ctrl.model`` says, and the
+    sharp-interface limit passes ``freeboundary.step_limit``.  Observers
+    are callables (state, params) -> record; they fire every
     ``observe_every`` steps and once on the final state.
     """
     if ctrl.t_end < state.t:
@@ -448,10 +450,11 @@ def run(state: SimState, ctrl: StepControl, params: ModelParams,
         for obs in observers:
             records.append(obs(s, params))
 
-    stepper = step_esvm if ctrl.model == "ESVM" else step_vm
+    if step is None:
+        step = step_esvm if ctrl.model == "ESVM" else step_vm
     k = 0
     while state.t < ctrl.t_end - 1e-14:
-        state = stepper(state, ctrl, params)
+        state = step(state, ctrl, params)
         k += 1
         if k % observe_every == 0:
             notify(state)

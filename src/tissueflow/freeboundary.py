@@ -11,13 +11,12 @@ substitution s = log(q + 1), which keeps q >= 0 structurally.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constitutive import ModelParams
-from .dynamics import StepControl, VELOCITY_FLOOR, _cfl_dt, upwind_flux_divergence
+from .dynamics import StepControl, _cfl_dt, run, upwind_flux_divergence
 from .grid import GridSpec, ScalarField, VectorField, divergence
 from .stationary import (DomainPartition, StationarySolution, solve_stationary)
 
@@ -119,13 +118,13 @@ def transport_q(state: LimitState, dt: float) -> ScalarField:
     return ScalarField(spec, q)
 
 
-def step_limit(state: LimitState, ctrl: StepControl, params: ModelParams,
-               with_q: bool = True) -> LimitState:
+def step_limit(state: LimitState, ctrl: StepControl,
+               params: ModelParams) -> LimitState:
     """One sharp-interface step: stationary solve, advect, rethreshold.
 
-    With ``with_q=False`` (or q identically zero) the step is the limit
-    model without repulsion memory; both variants share this kernel, so
-    they are bitwise identical whenever q stays zero.
+    q is transported unless ``ctrl.model`` is ``"VM"``, the limit model
+    without repulsion memory.  Both models share this kernel, so they are
+    bitwise identical whenever q stays zero.
     """
     sol = state.sol
     vmax = max(sol.v1.max_face_speed(), sol.v2.max_face_speed())
@@ -148,10 +147,7 @@ def step_limit(state: LimitState, ctrl: StepControl, params: ModelParams,
                            ScalarField(state.spec, chi2),
                            allow_wall_contact=state.part.allow_wall_contact)
 
-    if with_q:
-        q = transport_q(state, dt)
-    else:
-        q = state.q
+    q = state.q if ctrl.model == "VM" else transport_q(state, dt)
     q = ScalarField(state.spec, q.values * (chi1 + chi2))
     sol_new = solve_stationary(part, params, q)
     return LimitState(t_new, part, ScalarField(state.spec, l1),
@@ -160,25 +156,8 @@ def step_limit(state: LimitState, ctrl: StepControl, params: ModelParams,
 
 def run_limit(state: LimitState, ctrl: StepControl, params: ModelParams,
               observers=(), observe_every: int = 1):
-    """Step to ctrl.t_end; mirrors the dynamic run loop."""
-    if ctrl.t_end < state.t:
-        raise ValueError("t_end precedes current state time")
-    records = []
-
-    def notify(s):
-        for obs in observers:
-            records.append(obs(s, params))
-
-    with_q = ctrl.model != "VM"
-    k = 0
-    while state.t < ctrl.t_end - 1e-14:
-        state = step_limit(state, ctrl, params, with_q=with_q)
-        k += 1
-        if k % observe_every == 0:
-            notify(state)
-    if k % observe_every != 0 or k == 0:
-        notify(state)
-    return records, state
+    """Step to ctrl.t_end with ``step_limit`` through the dynamic run loop."""
+    return run(state, ctrl, params, observers, observe_every, step=step_limit)
 
 
 def complementarity_closure(part: DomainPartition, params: ModelParams,

@@ -33,18 +33,17 @@ from .grid import GridError, GridSpec, ScalarField
 from .stationary import PartitionError
 
 MODELS = ("ESVM", "VM", "L-ESVM", "L-VM", "STATIONARY", "STATIONARY-1SPECIES")
-DYNAMIC_MODELS = ("ESVM", "VM")
 LIMIT_MODELS = ("L-ESVM", "L-VM")
 STATIONARY_MODELS = ("STATIONARY", "STATIONARY-1SPECIES")
 
+# the ModelParams keys in serialisation order, on which config hashes depend
 _PARAM_ORDER = ("beta1", "beta2", "eps", "m", "alpha",
                 "g1", "g2", "p1_star", "p2_star")
 
 _KNOWN_KEYS = {
     "run": {"model", "preset", "out", "observe_every"},
     "grid": {"nx", "ny", "x_min", "x_max", "y_min", "y_max"},
-    "params": {"beta1", "beta2", "eps", "m", "alpha",
-               "g1", "g2", "p1_star", "p2_star"},
+    "params": set(_PARAM_ORDER),
     "control": {"dt", "cfl", "t_end", "velocity_law", "scheme"},
     "initial": {"n1", "n2"},
     "q": {"source", "value", "path"},
@@ -259,9 +258,8 @@ def parse_config(text: str) -> RunConfig:
 
     bp = base.params if base else ModelParams()
     try:
-        params = ModelParams(*(number("params", k, getattr(bp, k))
-                               for k in ("beta1", "beta2", "eps", "m", "alpha",
-                                         "g1", "g2", "p1_star", "p2_star")))
+        params = ModelParams(**{k: number("params", k, getattr(bp, k))
+                                for k in _PARAM_ORDER})
     except ValueError as exc:
         violations.append(f"params: {exc}")
         params = ModelParams()
@@ -565,8 +563,8 @@ def run_cli(argv) -> int:
         p.add_argument("config", help="config file path or preset name")
         p.add_argument("--out", default=None)
         p.add_argument("--grid", default=None, help="override, e.g. 64x64")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1)
     p = sub.add_parser("check")
     p.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)

@@ -262,9 +262,8 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
     """Velocities and pressure of the coupled system, via the cell equation.
 
     ``cfg.rel_tol`` bounds the relative residual of the full coupled
-    system and ``cfg.iterations_for`` the GMRES inner iterations;
-    ``cfg.method`` plays no part.  Raises SolverFailure when the
-    residual is missed.
+    system and ``cfg.iterations_for`` the GMRES inner iterations.
+    Raises SolverFailure when the residual is missed.
     """
     cfg = cfg or SolverConfig()
     spec = part.spec

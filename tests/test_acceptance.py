@@ -50,8 +50,7 @@ from tissueflow.stationary import (assemble_weak_form, concentric_partition,
                                    interface_force_residuals, measure_jump,
                                    quadratic_form, solve_stationary)
 
-DIRECT = SolverConfig(method="direct")
-REL_TOL = DIRECT.rel_tol
+REL_TOL = SolverConfig().rel_tol
 
 STATIONARY_PARAMS = ModelParams(beta1=1.0, beta2=1.0, g1=1.0, g2=1.0,
                                 p1_star=5.0, p2_star=10.0)
@@ -100,7 +99,7 @@ _stationary_cache: dict = {}
 def _concentric_solution(n: int):
     if n not in _stationary_cache:
         part = concentric_partition(_square(n))
-        sol = solve_stationary(part, STATIONARY_PARAMS, cfg=DIRECT)
+        sol = solve_stationary(part, STATIONARY_PARAMS)
         _stationary_cache[n] = (part, sol)
     return _stationary_cache[n]
 
@@ -129,8 +128,7 @@ def _limit_run(n: int = 128, t_end: float = 0.1):
             r1, r2 = freeboundary.complementarity_closure(
                 state.part, cfg.params, state.sol)
             closure = max(closure, r1.max_norm(), r2.max_norm())
-            state = freeboundary.step_limit(state, ctrl, cfg.params,
-                                            with_q=False)
+            state = freeboundary.step_limit(state, ctrl, cfg.params)
             overlaps.append(freeboundary.overlap_cells(state.part))
         r1, r2 = freeboundary.complementarity_closure(
             state.part, cfg.params, state.sol)
@@ -158,7 +156,7 @@ def test_criterion_01_brinkman_manufactured_convergence():
             return (2.0 * beta * np.pi ** 2 + 1.0) * vstar(x, y)
 
         v = solve_brinkman_rhs(VectorField.from_functions(spec, rhs, rhs),
-                               beta, DIRECT)
+                               beta)
         exact = VectorField.from_functions(spec, vstar, vstar)
         return VectorField(spec, v.u - exact.u, v.v - exact.v).l2_norm()
 
@@ -173,10 +171,9 @@ def test_criterion_02_curl_dichotomy():
     # velocity computed from the same pressure.
     cfg, state, _ = _final_state("fig3-esvm", 64, 0.05)
     p2 = state.p2
-    curl_dirichlet = curl2d(solve_brinkman(p2, cfg.params.beta2,
-                                           DIRECT)).l2_norm()
+    curl_dirichlet = curl2d(solve_brinkman(p2, cfg.params.beta2)).l2_norm()
     curl_gradient = curl2d(solve_brinkman_gradient_form(
-        p2, cfg.params.beta2, DIRECT)).l2_norm()
+        p2, cfg.params.beta2)).l2_norm()
     ratio = curl_dirichlet / curl_gradient
     _report(2, ratio >= 10.0,
             f"curl ratio wall-vortex/laminar = {ratio:.1f}, required >= 10")

@@ -1,5 +1,8 @@
 import csv
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,17 @@ def test_preset_catalog():
     assert PRESETS["fig3-vm"].params.alpha == 0.0
     assert PRESETS["fig3-gradient-form"].velocity_law == "gradient"
     assert PRESETS["fig3-lesvm"].model == "L-ESVM"
+
+
+def test_preset_config_hashes_are_stable():
+    # the hashes in every manifest written so far; serialisation order
+    # and number formatting must not drift
+    assert {name: config_hash(cfg) for name, cfg in PRESETS.items()} == {
+        "fig3-esvm": "5dbd3143024025a4",
+        "fig3-vm": "0663b17f0775de86",
+        "fig3-lesvm": "51474c3ac7c0520c",
+        "fig3-gradient-form": "4d8f7dbb739ef496",
+    }
 
 
 def test_band_initial_data_covers_lower_half():
@@ -137,6 +151,16 @@ def test_initial_partition_is_disjoint():
 
 def test_cli_check_passes():
     assert run_cli(["check"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["run", "fig3-vm", "--seed", "1"],
+                                  ["run", "fig3-vm", "--jobs", "2"],
+                                  ["stationary", "fig3-lesvm", "--jobs", "2"],
+                                  ["sweep", "fig3-vm", "--seed", "1"]])
+def test_cli_rejects_flags_nothing_reads(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
@@ -306,3 +330,30 @@ path = {q_path}
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "different grid" in err
     assert len(err.strip().splitlines()) == 1
+
+
+_TRACED_RUNS = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+from tissueflow import freeboundary, harness
+assert callable(harness.run) and callable(freeboundary.run_limit)
+for preset, span in (("fig3-vm", "dynamics.step"),
+                     ("fig3-lesvm", "freeboundary.step")):
+    out = sys.argv[3] + "/" + preset
+    assert harness.run_cli(["run", preset, "--grid", "16x16",
+                            "--out", out]) == 0
+    assert span in tracer.layers(), (span, sorted(tracer.layers()))
+"""
+
+
+def test_benchmark_tracer_finds_the_names_it_rebinds(tmp_path):
+    # perfbench/spans.py and perfbench/worker.py look these names up in
+    # the program's modules; a step looked up once, at import, would
+    # escape the tracer and no step span would fire
+    root = Path(__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", _TRACED_RUNS,
+                    str(root / "src"), str(root / "perfbench"), str(tmp_path)],
+                   check=True, timeout=300)
