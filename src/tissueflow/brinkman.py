@@ -37,9 +37,10 @@ _NEUMANN = (fft.dct, fft.idct, 2, 0)   # n cells, zero-flux walls
 class SolverFailure(RuntimeError):
     """Linear solve did not reach the requested tolerance."""
 
-    def __init__(self, what: str, residual: float, tol: float, iterations: int):
-        super().__init__(f"{what}: residual {residual:.3e} > tol {tol:.3e} "
-                         f"after {iterations} iterations")
+    def __init__(self, what: str, residual: float, tol: float,
+                 iterations: int | None = None):
+        after = "" if iterations is None else f" after {iterations} iterations"
+        super().__init__(f"{what}: residual {residual:.3e} > tol {tol:.3e}{after}")
         self.residual = residual
         self.tol = tol
         self.iterations = iterations
@@ -121,7 +122,7 @@ def _solve(b: np.ndarray, beta: float, blocks: tuple, inverse,
         scale = np.linalg.norm(bf[rows])
         res = np.linalg.norm(xf[rows] + beta * (K @ xf[rows]) - bf[rows])
         if res > cfg.rel_tol * scale:
-            raise SolverFailure(what, res / scale, cfg.rel_tol, 0)
+            raise SolverFailure(what, res / scale, cfg.rel_tol)
     return x
 
 

@@ -1,8 +1,14 @@
-"""CSV and legacy-VTK serialization for grid fields.
+"""CSV and binary legacy-VTK serialization for grid fields.
 
-CSV layout: one comment header line ``# nx ny hx hy x_min y_min`` followed
-by nx rows of ny values (row-major over the x index).  Values are written
-with 17 significant digits so the round trip is bit-exact for float64.
+CSV layout: a two-line comment header ``# nx ny hx hy x_min y_min`` and
+``# <values>`` followed by one row per x index (``n0 n1`` for the face
+components of a vector field).  Values are written with 17 significant
+digits, so the round trip through ``read_scalar_csv`` is bit-exact for
+float64; this is the format ``[q] source = file`` reads.
+
+VTK layout: legacy ``STRUCTURED_POINTS`` with the cell centres as points
+and a ``BINARY`` payload of big-endian float64, x varying fastest;
+vectors are cell-centred (u, v, 0) triples.  ParaView reads it as is.
 """
 
 from __future__ import annotations
@@ -14,78 +20,56 @@ from .grid import GridSpec, ScalarField, VectorField
 _FMT = "%.17g"
 
 
+def _write_csv(arr: np.ndarray, spec: GridSpec, path, names: str) -> None:
+    n0, n1 = arr.shape
+    geometry = " ".join(_FMT % v for v in (spec.hx, spec.hy, spec.x_min, spec.y_min))
+    np.savetxt(path, arr, fmt=_FMT, delimiter=",", comments="# ",
+               header=f"{names} hx hy x_min y_min\n{n0} {n1} {geometry}")
+
+
+def _write_vtk(data: np.ndarray, spec: GridSpec, path, name: str,
+               attribute: str) -> None:
+    """Header lines, then ``data`` (x fastest) as big-endian float64."""
+    header = ("# vtk DataFile Version 3.0", name, "BINARY",
+              "DATASET STRUCTURED_POINTS", f"DIMENSIONS {spec.nx} {spec.ny} 1",
+              f"ORIGIN {spec.x_min + 0.5 * spec.hx} {spec.y_min + 0.5 * spec.hy} 0",
+              f"SPACING {spec.hx} {spec.hy} 1", f"POINT_DATA {spec.nx * spec.ny}",
+              attribute)
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
+        fh.write(np.ascontiguousarray(data, dtype=">f8").tobytes())
+
+
 def write_scalar_csv(field: ScalarField, path) -> None:
-    spec = field.spec
-    header = f"# nx ny hx hy x_min y_min\n# {spec.nx} {spec.ny} " \
-             f"{_FMT % spec.hx} {_FMT % spec.hy} {_FMT % spec.x_min} {_FMT % spec.y_min}"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(spec.nx):
-            fh.write(",".join(_FMT % v for v in field.values[i, :]) + "\n")
+    _write_csv(field.values, field.spec, path, "nx ny")
+
+
+def write_vector_csv(field: VectorField, path_u, path_v) -> None:
+    """Face components as two scalar-style CSVs (shapes differ from cells)."""
+    _write_csv(field.u, field.spec, path_u, "n0 n1")
+    _write_csv(field.v, field.spec, path_v, "n0 n1")
 
 
 def read_scalar_csv(path) -> ScalarField:
     with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            raise ValueError(f"{path}: missing CSV header")
-        meta = fh.readline().lstrip("#").split()
+        first, meta = fh.readline(), fh.readline().lstrip("#").split()
+        if not first.startswith("#") or len(meta) != 6:
+            raise ValueError(f"{path}: missing or malformed CSV header")
         nx, ny = int(meta[0]), int(meta[1])
-        hx, hy = float(meta[2]), float(meta[3])
-        x_min, y_min = float(meta[4]), float(meta[5])
-        rows = [list(map(float, line.split(","))) for line in fh if line.strip()]
-    values = np.array(rows)
+        hx, hy, x_min, y_min = map(float, meta[2:])
+        values = np.loadtxt(fh, delimiter=",", ndmin=2)
     if values.shape != (nx, ny):
         raise ValueError(f"{path}: data shape {values.shape} != ({nx}, {ny})")
     spec = GridSpec(x_min, x_min + nx * hx, y_min, y_min + ny * hy, nx, ny)
     return ScalarField(spec, values)
 
 
-def write_vector_csv(field: VectorField, path_u, path_v) -> None:
-    """Face components as two scalar-style CSVs (shapes differ from cells)."""
-    spec = field.spec
-    for arr, path in ((field.u, path_u), (field.v, path_v)):
-        with open(path, "w") as fh:
-            fh.write("# n0 n1 hx hy x_min y_min\n")
-            fh.write(f"# {arr.shape[0]} {arr.shape[1]} "
-                     f"{_FMT % spec.hx} {_FMT % spec.hy} "
-                     f"{_FMT % spec.x_min} {_FMT % spec.y_min}\n")
-            for i in range(arr.shape[0]):
-                fh.write(",".join(_FMT % v for v in arr[i, :]) + "\n")
-
-
 def write_scalar_vtk(field: ScalarField, path, name: str = "field") -> None:
-    """Legacy-VTK structured points, cell data at cell centers as points."""
-    spec = field.spec
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{name}\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET STRUCTURED_POINTS\n")
-        fh.write(f"DIMENSIONS {spec.nx} {spec.ny} 1\n")
-        fh.write(f"ORIGIN {spec.x_min + 0.5 * spec.hx} {spec.y_min + 0.5 * spec.hy} 0\n")
-        fh.write(f"SPACING {spec.hx} {spec.hy} 1\n")
-        fh.write(f"POINT_DATA {spec.nx * spec.ny}\n")
-        fh.write(f"SCALARS {name} double 1\n")
-        fh.write("LOOKUP_TABLE default\n")
-        # VTK expects x fastest
-        for j in range(spec.ny):
-            fh.write(" ".join(_FMT % v for v in field.values[:, j]) + "\n")
+    _write_vtk(field.values.T, field.spec, path, name,
+               f"SCALARS {name} double 1\nLOOKUP_TABLE default")
 
 
 def write_vector_vtk(field: VectorField, path, name: str = "velocity") -> None:
-    spec = field.spec
     uc, vc = field.cell_centered()
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"{name}\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET STRUCTURED_POINTS\n")
-        fh.write(f"DIMENSIONS {spec.nx} {spec.ny} 1\n")
-        fh.write(f"ORIGIN {spec.x_min + 0.5 * spec.hx} {spec.y_min + 0.5 * spec.hy} 0\n")
-        fh.write(f"SPACING {spec.hx} {spec.hy} 1\n")
-        fh.write(f"POINT_DATA {spec.nx * spec.ny}\n")
-        fh.write(f"VECTORS {name} double\n")
-        for j in range(spec.ny):
-            for i in range(spec.nx):
-                fh.write(f"{_FMT % uc[i, j]} {_FMT % vc[i, j]} 0\n")
+    _write_vtk(np.stack([uc.T, vc.T, np.zeros_like(uc.T)], axis=-1), field.spec,
+               path, name, f"VECTORS {name} double")

@@ -18,7 +18,6 @@ import hashlib
 import io
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -364,7 +363,10 @@ def q_field(cfg: RunConfig) -> ScalarField:
         return ScalarField(cfg.grid, np.full((cfg.grid.nx, cfg.grid.ny),
                                              cfg.q_value))
     if cfg.q_source == "file":
-        return fieldio.read_scalar_csv(cfg.q_path)
+        try:
+            return fieldio.read_scalar_csv(cfg.q_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"[q] path {cfg.q_path}: {exc}"]) from exc
     return ScalarField.zeros(cfg.grid)
 
 
@@ -463,7 +465,7 @@ def run_stationary(cfg: RunConfig, out: Path) -> dict:
             "max_transmission_residual": report.max_residual()}
 
 
-def run_sweep(cfg: RunConfig, out: Path, jobs: int = 1) -> dict:
+def run_sweep(cfg: RunConfig, out: Path) -> dict:
     sequence = list(zip(cfg.sweep_eps, cfg.sweep_m, cfg.sweep_alpha))
     if not sequence:
         raise ConfigError(["sweep requires non-empty lists in [sweep]"])
@@ -473,16 +475,8 @@ def run_sweep(cfg: RunConfig, out: Path, jobs: int = 1) -> dict:
 
     ctrl_kwargs = {"dt": cfg.dt, "cfl_number": cfg.cfl,
                    "velocity_law": cfg.velocity_law, "scheme": cfg.scheme}
-
-    def one(tup):
-        return diagnostics.limit_sweep(make_initial, cfg.grid, cfg.params,
-                                       [tup], cfg.t_end, ctrl_kwargs)[0]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, sequence))
-    else:
-        rows = [one(tup) for tup in sequence]
+    rows = diagnostics.limit_sweep(make_initial, cfg.grid, cfg.params,
+                                   sequence, cfg.t_end, ctrl_kwargs)
     diagnostics.write_sweep_csv(rows, out / "sweep.csv")
     ok = [r for r in rows if "error" not in r]
     return {"rows": float(len(rows)), "failed": float(len(rows) - len(ok))}
@@ -539,10 +533,10 @@ def _check_battery(seed: int):
 
     import tempfile
     field = ScalarField(spec, rng.standard_normal((spec.nx, spec.ny)))
-    with tempfile.NamedTemporaryFile(suffix=".csv", delete=False) as fh:
-        path = fh.name
-    fieldio.write_scalar_csv(field, path)
-    back = fieldio.read_scalar_csv(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.csv"
+        fieldio.write_scalar_csv(field, path)
+        back = fieldio.read_scalar_csv(path)
     results.append(("CSV round trip bit-exact",
                     np.array_equal(field.values, back.values)))
     return results
@@ -552,9 +546,9 @@ def run_cli(argv) -> int:
     """Entry point; returns the process exit code.
 
     0 success, 1 config error (an invalid grid, initial densities with
-    n1+n2 >= 1 and a q file on another grid included), 2 solver
-    failure (a non-finite field included), 3 invariant violation in
-    `check`.
+    n1+n2 >= 1 and a q file that is missing, malformed or on another grid
+    included), 2 solver failure (a non-finite field included), 3
+    invariant violation in `check`.
     """
     parser = argparse.ArgumentParser(prog="tissueflow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -563,8 +557,6 @@ def run_cli(argv) -> int:
         p.add_argument("config", help="config file path or preset name")
         p.add_argument("--out", default=None)
         p.add_argument("--grid", default=None, help="override, e.g. 64x64")
-        if name == "sweep":
-            p.add_argument("--jobs", type=int, default=1)
     p = sub.add_parser("check")
     p.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -596,7 +588,7 @@ def run_cli(argv) -> int:
     t0 = time.perf_counter()
     try:
         if args.command == "sweep":
-            final = run_sweep(cfg, out, jobs=args.jobs)
+            final = run_sweep(cfg, out)
         elif args.command == "stationary" or cfg.model in STATIONARY_MODELS:
             final = run_stationary(cfg, out)
         elif cfg.model in LIMIT_MODELS:

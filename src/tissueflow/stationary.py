@@ -317,8 +317,8 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
 # ---------------------------------------------------------------------------
 # one-sided traces and interface jumps
 
-def _side_cells(face: InterfaceFace, sign: int, depth: int):
-    """Cell indices on one side of a face, nearest first.
+def _side_cells(face: InterfaceFace, sign: int):
+    """The two cells nearest a face on one side, nearest first.
 
     ``sign`` +1 walks along the face normal, -1 against it.
     """
@@ -329,39 +329,32 @@ def _side_cells(face: InterfaceFace, sign: int, depth: int):
         base_j = face.fj
         if dx == 0:
             raise ValueError("u-face normal must be along x")
-        return [(base_i + k * dx, base_j) for k in range(depth)]
+        return [(base_i + k * dx, base_j) for k in range(2)]
     base_i = face.fi
     base_j = face.fj if dy > 0 else face.fj - 1
     if dy == 0:
         raise ValueError("v-face normal must be along y")
-    return [(base_i, base_j + k * dy) for k in range(depth)]
+    return [(base_i, base_j + k * dy) for k in range(2)]
 
 
 def _trace(values: np.ndarray, labels: np.ndarray, face: InterfaceFace,
-           sign: int, region: int, spec: GridSpec, quadratic: bool = False):
+           sign: int, region: int, spec: GridSpec):
     """One-sided (trace, normal derivative) of a cell field at a face.
 
-    Returns (trace, d/d_nu, ok); ok is False when fewer than the needed
-    cells of the requested region lie on that side ("untraceable").
+    Linear extrapolation from the two nearest cells on side ``sign``.
+    Returns (trace, d/d_nu, ok); ok is False when fewer than two cells of
+    the requested region lie on that side ("untraceable").
     """
-    depth = 3 if quadratic else 2
-    cells = _side_cells(face, sign, depth)
     nx, ny = values.shape
     samples = []
-    for i, j in cells:
+    for i, j in _side_cells(face, sign):
         if not (0 <= i < nx and 0 <= j < ny) or labels[i, j] != region:
             return np.nan, np.nan, False
         samples.append(values[i, j])
+    a, b = samples
     h = spec.hx if face.orientation == "u" else spec.hy
-    if quadratic:
-        a, b, c = samples
-        tr = (15.0 * a - 10.0 * b + 3.0 * c) / 8.0
-    else:
-        a, b = samples[0], samples[1]
-        tr = 1.5 * a - 0.5 * b
     # derivative along +nu: cells sit at distances (k+1/2)h on side `sign`
-    d_nu = -sign * (samples[0] - samples[1]) / h
-    return tr, d_nu, True
+    return 1.5 * a - 0.5 * b, -sign * (a - b) / h, True
 
 
 _INTERFACES = ("gamma", "gamma1", "gamma2")
@@ -412,7 +405,7 @@ class JumpTable:
 
 
 def measure_jump(sol: StationarySolution, part: DomainPartition,
-                 quantity: str, quadratic: bool = False) -> JumpTable:
+                 quantity: str) -> JumpTable:
     """Per-face one-sided traces and jumps of a solution quantity.
 
     ``pressure`` uses the reconstructed pressure field (0 outside the
@@ -438,8 +431,7 @@ def measure_jump(sol: StationarySolution, part: DomainPartition,
         left_region, right_region = _REGIONS[name]
         for k, face in enumerate(getattr(part, name)):
             def tr(field_vals, sign, region):
-                return _trace(field_vals, labels, face, sign, region, spec,
-                              quadratic)
+                return _trace(field_vals, labels, face, sign, region, spec)
 
             # left = first-named region (against the normal), right = other
             aux = {}

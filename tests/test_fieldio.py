@@ -35,6 +35,10 @@ def test_read_rejects_malformed_files(tmp_path):
     bad.write_text("1,2\n3,4\n")
     with pytest.raises(ValueError):
         read_scalar_csv(bad)
+    two_tokens = tmp_path / "meta.csv"
+    two_tokens.write_text("# nx ny\n# 3 3\n1,2,3\n")
+    with pytest.raises(ValueError):
+        read_scalar_csv(two_tokens)
     truncated = tmp_path / "short.csv"
     truncated.write_text("# nx ny hx hy x_min y_min\n# 3 3 0.5 0.5 0 0\n1,2,3\n")
     with pytest.raises(ValueError):
@@ -55,19 +59,27 @@ def test_vector_csv_shapes(tmp_path):
     assert len(u_lines) == 2 + 7 and len(v_lines) == 2 + 6
 
 
+def _read_vtk(path, n_header):
+    """The first ``n_header`` lines and the big-endian float64 payload."""
+    *header, payload = path.read_bytes().split(b"\n", n_header)
+    return [ln.decode() for ln in header], np.frombuffer(payload, ">f8")
+
+
 def test_scalar_vtk_structure(tmp_path):
     spec = GridSpec(nx=4, ny=4)
     vals = np.arange(16.0).reshape(4, 4)
     path = tmp_path / "f.vtk"
     write_scalar_vtk(ScalarField(spec, vals), path, name="density")
-    lines = path.read_text().splitlines()
+    lines, data = _read_vtk(path, 10)
     assert lines[0].startswith("# vtk DataFile")
+    assert lines[1:3] == ["density", "BINARY"]
     assert "STRUCTURED_POINTS" in lines[3]
     assert lines[4] == "DIMENSIONS 4 4 1"
     assert lines[7] == "POINT_DATA 16"
-    assert lines[8] == "SCALARS density double 1"
-    # x varies fastest: first data row is values[:, 0]
-    assert [float(v) for v in lines[10].split()] == [0.0, 4.0, 8.0, 12.0]
+    assert lines[8:] == ["SCALARS density double 1", "LOOKUP_TABLE default"]
+    # x varies fastest: the first four values are values[:, 0]
+    assert data[:4].tolist() == [0.0, 4.0, 8.0, 12.0]
+    assert data.tobytes() == vals.T.astype(">f8").tobytes()
 
 
 def test_vector_vtk_structure(tmp_path):
@@ -75,10 +87,14 @@ def test_vector_vtk_structure(tmp_path):
     vec = VectorField.from_functions(spec, lambda x, y: x, lambda x, y: y)
     path = tmp_path / "v.vtk"
     write_vector_vtk(vec, path)
-    lines = path.read_text().splitlines()
-    assert "VECTORS velocity double" in lines
-    data = [ln for ln in lines[lines.index("VECTORS velocity double") + 1:]
-            if ln.strip()]
-    assert len(data) == 16
-    # every tuple carries a zero z component
-    assert all(ln.split()[2] == "0" for ln in data)
+    lines, data = _read_vtk(path, 9)
+    assert lines[1:3] == ["velocity", "BINARY"]
+    assert lines[4] == "DIMENSIONS 4 4 1"
+    assert lines[7] == "POINT_DATA 16"
+    assert lines[8] == "VECTORS velocity double"
+    tuples = data.reshape(16, 3)
+    # every tuple carries a zero z component; x varies fastest
+    assert (tuples[:, 2] == 0.0).all()
+    uc, vc = vec.cell_centered()
+    expected = np.stack([uc.T, vc.T], axis=-1).reshape(16, 2)
+    assert tuples[:, :2].tobytes() == expected.astype(">f8").tobytes()

@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -153,10 +154,17 @@ def test_cli_check_passes():
     assert run_cli(["check"]) == 0
 
 
+def test_cli_check_leaves_no_temp_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert run_cli(["check"]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [["run", "fig3-vm", "--seed", "1"],
                                   ["run", "fig3-vm", "--jobs", "2"],
                                   ["stationary", "fig3-lesvm", "--jobs", "2"],
-                                  ["sweep", "fig3-vm", "--seed", "1"]])
+                                  ["sweep", "fig3-vm", "--seed", "1"],
+                                  ["sweep", "fig3-vm", "--jobs", "2"]])
 def test_cli_rejects_flags_nothing_reads(argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
@@ -257,8 +265,7 @@ m = 30, 60
 alpha = 1e-3, 5e-4
 """)
     out = tmp_path / "sweep"
-    assert run_cli(["sweep", str(cfgfile), "--out", str(out),
-                    "--jobs", "2"]) == 0
+    assert run_cli(["sweep", str(cfgfile), "--out", str(out)]) == 0
     with open(out / "sweep.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "eps" and len(rows) == 3
@@ -304,12 +311,7 @@ n2 = 0.6 -0.5 0.5 -0.5 0.5
     assert len(err.strip().splitlines()) == 1
 
 
-def test_cli_q_file_on_another_grid_is_a_config_error(tmp_path, capsys):
-    q_path = tmp_path / "q.csv"
-    fieldio.write_scalar_csv(ScalarField.zeros(GridSpec(-1.0, 1.0, -1.0, 1.0,
-                                                        16, 16)), q_path)
-    cfgfile = tmp_path / "stat.ini"
-    cfgfile.write_text(f"""
+_Q_FILE_CONFIG = """
 [run]
 model = STATIONARY
 [grid]
@@ -324,12 +326,35 @@ n2 = 1.0 0.45 0.8 -0.4 0.4
 [q]
 source = file
 path = {q_path}
-""")
-    out = tmp_path / "stat"
-    assert run_cli(["stationary", str(cfgfile), "--out", str(out)]) == 1
+"""
+
+
+def _run_with_q_file(tmp_path, q_path):
+    cfgfile = tmp_path / "stat.ini"
+    cfgfile.write_text(_Q_FILE_CONFIG.format(q_path=q_path))
+    return run_cli(["stationary", str(cfgfile), "--out", str(tmp_path / "stat")])
+
+
+def test_cli_q_file_on_another_grid_is_a_config_error(tmp_path, capsys):
+    q_path = tmp_path / "q.csv"
+    fieldio.write_scalar_csv(ScalarField.zeros(GridSpec(-1.0, 1.0, -1.0, 1.0,
+                                                        16, 16)), q_path)
+    assert _run_with_q_file(tmp_path, q_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "different grid" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("content", [None, "# nx ny\n# 24 24\n"],
+                         ids=["missing", "two-token header"])
+def test_cli_bad_q_path_is_a_config_error(tmp_path, capsys, content):
+    q_path = tmp_path / "q.csv"
+    if content is not None:
+        q_path.write_text(content)
+    assert _run_with_q_file(tmp_path, q_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(q_path) in err
+    assert "Traceback" not in err
 
 
 _TRACED_RUNS = """
