@@ -11,6 +11,9 @@ three-point stencils on the uniform box, so every solve is an exact
 transform solve: sine and cosine transforms diagonalise K, with no
 factorisation and nothing cached.  The assembled K serves only to check
 each solution's relative residual against ``SolverConfig.rel_tol``.
+``cell_pressure_operator`` applies D (I + beta*K)^-1 D^T, the Dirichlet
+solve between a cell divergence and its transpose, in the same way
+without leaving the cells; the stationary pressure equation uses it.
 """
 
 from __future__ import annotations
@@ -54,22 +57,25 @@ class SolverConfig:
     def __post_init__(self):
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
     def iterations_for(self, spec: GridSpec) -> int:
         return self.max_iter if self.max_iter is not None else 10 * (spec.nx + spec.ny)
+
+
+def _eigenvalues(k0: int, m: int, n: int, h: float) -> np.ndarray:
+    """Eigenvalues k = k0, ..., k0+m-1 of one axis of n cells (see _FACES)."""
+    # 4 sin^2(theta/2) == 2 - 2cos(theta), without the cancellation
+    return (2.0 * np.sin(np.arange(k0, k0 + m) * np.pi / (2 * n)) / h) ** 2
 
 
 def _transform_solve(b: np.ndarray, beta: float, spec: GridSpec,
                      walls: tuple, power: int = 1) -> np.ndarray:
     """Solve (I + beta*K^power) x = b exactly, with b on its 2-D unknown grid."""
     (fx, ix, tx, kx), (fy, iy, ty, ky) = walls
-
-    def eigenvalues(k0, m, n, h):
-        # 4 sin^2(theta/2) == 2 - 2cos(theta), without the cancellation
-        return (2.0 * np.sin(np.arange(k0, k0 + m) * np.pi / (2 * n)) / h) ** 2
-
-    lx = eigenvalues(kx, b.shape[0], spec.nx, spec.hx)
-    ly = eigenvalues(ky, b.shape[1], spec.ny, spec.hy)
+    lx = _eigenvalues(kx, b.shape[0], spec.nx, spec.hx)
+    ly = _eigenvalues(ky, b.shape[1], spec.ny, spec.hy)
     y = fy(fx(b, type=tx, axis=0), type=ty, axis=1)
     y /= 1.0 + beta * (lx[:, None] + ly[None, :]) ** power
     return ix(iy(y, type=ty, axis=1), type=tx, axis=0)
@@ -89,6 +95,37 @@ def face_brinkman_inverse(b: np.ndarray, beta: float,
     v = _transform_solve(b[nu:].reshape(spec.nx, spec.ny - 1), beta, spec,
                          (_CELLS, _FACES))
     return np.concatenate([u.ravel(), v.ravel()])
+
+
+def cell_pressure_operator(betas: tuple, spec: GridSpec):
+    """The map p -> stack of D (I + beta_i*K)^-1 D^T p over ``betas``.
+
+    D is the cell divergence and K the Dirichlet face stiffness, as in
+    ``face_brinkman_inverse``; p and each slice of the result are cell
+    fields of shape (nx, ny).  D maps the sine modes of the faces onto
+    the cosine modes of the cells with singular values sqrt(lambda), so
+    the u part is diagonal in DCT-II along x times DST-II along y with
+    symbol lx/(1 + beta*(lx + ly)), and the v part in the transposed
+    bases with symbol ly/(1 + beta*(lx + ly)).  The symbols are computed
+    here, once; each call transforms p forward once per basis and
+    transforms the whole stack back.
+    """
+    beta = np.asarray(betas, dtype=float)[:, None, None]
+    parts = []
+    for walls, along in (((_NEUMANN, _CELLS), 0), ((_CELLS, _NEUMANN), 1)):
+        (_, _, _, kx), (_, _, _, ky) = walls
+        lx = _eigenvalues(kx, spec.nx, spec.nx, spec.hx)[:, None]
+        ly = _eigenvalues(ky, spec.ny, spec.ny, spec.hy)[None, :]
+        parts.append((walls, (lx, ly)[along] / (1.0 + beta * (lx + ly))))
+
+    def apply(p: np.ndarray) -> np.ndarray:
+        m = 0.0
+        for ((fx, ix, tx, _), (fy, iy, ty, _)), symbol in parts:
+            y = fy(fx(p, type=tx, axis=0), type=ty, axis=1) * symbol
+            m = m + ix(iy(y, type=ty, axis=2), type=tx, axis=1)
+        return m
+
+    return apply
 
 
 def neumann_cell_inverse(b: np.ndarray, beta: float, spec: GridSpec,

@@ -284,6 +284,8 @@ def parse_config(text: str) -> RunConfig:
     if q_source not in ("zero", "uniform", "file"):
         violations.append(f"q source must be zero|uniform|file, got {q_source!r}")
     q_value = number("q", "value", base.q_value if base else 0.0)
+    if not q_value >= 0.0:
+        violations.append(f"[q] value must be nonnegative, got {q_value!r}")
     q_path = get("q", "path", base.q_path if base else None)
     if q_source == "file" and q_path is None:
         violations.append("q source 'file' requires key 'path' in [q]")
@@ -313,17 +315,27 @@ def parse_config(text: str) -> RunConfig:
     if len({len(sweep_eps), len(sweep_m), len(sweep_alpha)}) > 1:
         violations.append("sweep lists eps, m, alpha must have equal length")
 
+    dt = number("control", "dt", base.dt if base else 1e-3)
+    cfl = number("control", "cfl", base.cfl if base else 0.4)
+    t_end = number("control", "t_end", base.t_end if base else 0.1)
+    observe_every = number("run", "observe_every",
+                           base.observe_every if base else 1, int)
+    for ok, rule, val in ((dt > 0.0, "dt must be positive", dt),
+                          (0.0 < cfl <= 1.0, "cfl must lie in (0, 1]", cfl),
+                          (t_end >= 0.0, "t_end must be nonnegative", t_end),
+                          (observe_every >= 1, "observe_every must be at least 1",
+                           observe_every)):
+        if not ok:
+            violations.append(f"{rule}, got {val!r}")
+
     if violations:
         raise ConfigError(violations)
     return RunConfig(
         model=model, grid=grid, params=params,
-        dt=number("control", "dt", base.dt if base else 1e-3),
-        cfl=number("control", "cfl", base.cfl if base else 0.4),
-        t_end=number("control", "t_end", base.t_end if base else 0.1),
+        dt=dt, cfl=cfl, t_end=t_end,
         velocity_law=velocity_law,
         scheme=scheme,
-        observe_every=number("run", "observe_every",
-                             base.observe_every if base else 1, int),
+        observe_every=observe_every,
         rects1=rects1, rects2=rects2,
         q_source=q_source, q_value=q_value, q_path=q_path,
         out=get("run", "out", base.out if base else None),
@@ -364,9 +376,13 @@ def q_field(cfg: RunConfig) -> ScalarField:
                                              cfg.q_value))
     if cfg.q_source == "file":
         try:
-            return fieldio.read_scalar_csv(cfg.q_path)
+            q = fieldio.read_scalar_csv(cfg.q_path)
         except (OSError, ValueError) as exc:
             raise ConfigError([f"[q] path {cfg.q_path}: {exc}"]) from exc
+        if not (q.values >= 0.0).all():
+            raise ConfigError([f"[q] path {cfg.q_path}: limit repulsion "
+                               "pressure must be nonnegative"])
+        return q
     return ScalarField.zeros(cfg.grid)
 
 
@@ -545,10 +561,11 @@ def _check_battery(seed: int):
 def run_cli(argv) -> int:
     """Entry point; returns the process exit code.
 
-    0 success, 1 config error (an invalid grid, initial densities with
-    n1+n2 >= 1 and a q file that is missing, malformed or on another grid
-    included), 2 solver failure (a non-finite field included), 3
-    invariant violation in `check`.
+    0 success, 1 config error (an invalid grid, a step setting out of
+    range, initial densities with n1+n2 >= 1, a negative q and a q file
+    that is missing, malformed or on another grid included), 2 solver
+    failure (a non-finite field included), 3 invariant violation in
+    `check`.
     """
     parser = argparse.ArgumentParser(prog="tissueflow")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -19,10 +19,15 @@ Pi = f - (C1 D x1 + C2 D x2),
     (I + C1 D A1^-1 D^T + C2 D A2^-1 D^T) Pi = f,    x_i = A_i^-1 D^T Pi,
 
 whose operator is bounded independently of h because D A_i^-1 D^T acts
-like -Lap (I - beta_i Lap)^-1 <= 1/beta_i.  GMRES solves it matrix-free:
-each product applies every A_i^-1 once, as an exact sine transform solve
-(``brinkman.face_brinkman_inverse``), so nothing is assembled or
-factorised.  The residual of the full coupled system is then checked.
+like -Lap (I - beta_i Lap)^-1 <= 1/beta_i.  GMRES solves it matrix-free
+and never leaves the cells: on the uniform box each D A_i^-1 D^T is
+diagonal in mixed cosine/sine bases of the cells, so a product is one
+forward transform of Pi per velocity component and one inverse transform
+of the stack for both tissues (``brinkman.cell_pressure_operator``).
+Nothing is assembled or factorised.  The face velocities x_i are formed
+once, from the converged Pi by exact sine transform solves
+(``brinkman.face_brinkman_inverse``), and the residual of the full
+coupled system is then checked.
 
 The pressure is reconstructed from the velocity divergences,
 
@@ -41,7 +46,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .brinkman import SolverConfig, SolverFailure, face_brinkman_inverse
+from .brinkman import (SolverConfig, SolverFailure, cell_pressure_operator,
+                       face_brinkman_inverse)
 from .constitutive import CoercivityReport, ModelParams, coercivity_check
 from .grid import GridSpec, ScalarField, VectorField, divergence
 from .operators import (divergence_matrix, face_stiffness_u, face_stiffness_v,
@@ -289,8 +295,13 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
         rel = 0.0
     else:
         n = f.size
-        schur = spla.LinearOperator(
-            (n, n), lambda pi: pi + coupling(*velocities(pi)), dtype=float)
+        products = cell_pressure_operator((params.beta1, params.beta2), spec)
+
+        def schur_product(pi):
+            m = products(pi.reshape(spec.nx, spec.ny)).reshape(2, n)
+            return pi + (c1 * m[0] + c2 * m[1])     # grouped as in coupling
+
+        schur = spla.LinearOperator((n, n), schur_product, dtype=float)
         # scipy counts maxiter in restart cycles; bound the inner iterations.
         # D^T amplifies the cell residual in the coupled one, hence 0.01.
         budget = cfg.iterations_for(spec)

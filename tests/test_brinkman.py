@@ -3,13 +3,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from tissueflow.brinkman import (SolverConfig, SolverFailure, solve_brinkman,
+from tissueflow.brinkman import (SolverConfig, SolverFailure,
+                                 cell_pressure_operator, solve_brinkman,
                                  solve_brinkman_gradient_form,
                                  solve_brinkman_rhs, solve_screened_potential)
 from tissueflow.grid import (GridSpec, ScalarField, VectorField, curl2d,
                              gradient, laplacian)
-from tissueflow.operators import (cell_laplacian_neumann, face_stiffness_u,
-                                  face_stiffness_v)
+from tissueflow.operators import (cell_laplacian_neumann, divergence_matrix,
+                                  face_stiffness_u, face_stiffness_v)
 
 
 def assembled(K, beta):
@@ -121,6 +122,27 @@ def test_transform_solves_match_sparse_solve_on_anisotropic_grid():
         assert err < 1e-12
 
 
+def test_cell_pressure_operator_matches_sparse_solve_on_anisotropic_grid():
+    # hx = 0.1 != hy = 0.125 and unequal viscosities: swapping the axes'
+    # spacings or the u/v bases would fail
+    spec = GridSpec(-1.0, 1.0, 0.0, 3.0, nx=20, ny=24)
+    betas = (1.0, 0.3)
+    D = divergence_matrix(spec)
+    K = sp.block_diag([face_stiffness_u(spec), face_stiffness_v(spec)])
+    apply = cell_pressure_operator(betas, spec)
+    rng = np.random.default_rng(11)
+    xx, yy = spec.cell_center_mesh()
+    # a field with a small mean and one with a large mean (the symbol's
+    # zero mode)
+    for p in (rng.standard_normal((20, 24)),
+              3.0 + np.cos(2.0 * xx) * yy + 0.1 * rng.standard_normal((20, 24))):
+        m = apply(p)
+        assert m.shape == (2, 20, 24)
+        for got, beta in zip(m, betas):
+            ref = D @ spla.spsolve(assembled(K, beta).tocsc(), D.T @ p.ravel())
+            assert np.linalg.norm(got.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_gradient_form_constant_pressure():
     spec = GridSpec(nx=16, ny=16)
     p = ScalarField(spec, np.full((16, 16), 2.0))
@@ -162,6 +184,13 @@ def test_gradient_form_curl_vanishes_under_refinement():
     spec = GridSpec(nx=64, ny=64)
     vd = solve_brinkman(ScalarField.from_function(spec, pfun), 0.5)
     assert curl2d(vd).l2_norm() > 10.0 * norms[1]
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_iteration_budget_must_be_positive(max_iter):
+    with pytest.raises(ValueError, match="max_iter"):
+        SolverConfig(max_iter=max_iter)
+    assert SolverConfig(max_iter=1).iterations_for(GridSpec(nx=8, ny=8)) == 1
 
 
 def test_nonconvergence_is_explicit():

@@ -1,4 +1,5 @@
 import csv
+import json
 import subprocess
 import sys
 import tempfile
@@ -311,6 +312,42 @@ n2 = 0.6 -0.5 0.5 -0.5 0.5
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("key,value", [("dt", "abc"), ("t_end", "nope"),
+                                       ("cfl", "2.0"), ("cfl", "0"),
+                                       ("dt", "-1"), ("t_end", "-0.1"),
+                                       ("observe_every", "0")])
+def test_cli_bad_step_numbers_are_config_errors(tmp_path, capsys, key, value):
+    line = f"{key} = {value}"
+    in_run = key == "observe_every"
+    cfgfile = tmp_path / "bad.ini"
+    cfgfile.write_text("[run]\npreset = fig3-vm\n" + (line if in_run else "") +
+                       "\n[control]\n" + ("" if in_run else line) + "\n")
+    assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("source", ["value", "file"])
+@pytest.mark.parametrize("command", ["run", "stationary"])
+def test_cli_negative_q_is_a_config_error(tmp_path, capsys, command, source):
+    q_path = tmp_path / "q.csv"
+    q = np.zeros((24, 24))
+    q[5, 7] = -1e-3
+    fieldio.write_scalar_csv(ScalarField(GridSpec(-1.0, 1.0, -1.0, 1.0,
+                                                  24, 24), q), q_path)
+    q_lines = ("source = uniform\nvalue = -1" if source == "value"
+               else f"source = file\npath = {q_path}")
+    cfgfile = tmp_path / "neg.ini"
+    cfgfile.write_text("[run]\npreset = fig3-lesvm\n[grid]\nnx = 24\nny = 24\n"
+                       f"[control]\nt_end = 0.01\n[q]\n{q_lines}\n")
+    assert run_cli([command, str(cfgfile), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "nonnegative" in err
+    assert source == "value" or str(q_path) in err
+    assert len(err.strip().splitlines()) == 1
+
+
 _Q_FILE_CONFIG = """
 [run]
 model = STATIONARY
@@ -382,3 +419,23 @@ def test_benchmark_tracer_finds_the_names_it_rebinds(tmp_path):
     subprocess.run([sys.executable, "-c", _TRACED_RUNS,
                     str(root / "src"), str(root / "perfbench"), str(tmp_path)],
                    check=True, timeout=300)
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_WORKLOADS = [w["name"] for w in
+              json.loads((_ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", _WORKLOADS)
+def test_benchmark_worker_runs_clean(tmp_path, workload):
+    # one traced member of each benchmark workload, as perfbench/run.py
+    # starts it: a run failure or a lost span shows here, not only there
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "perfbench" / "worker.py"),
+         "--workload", workload, "--seed", "1", "--member", "0",
+         "--trace", "1", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, cwd=_ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failures"] == []
+    assert result["coverage"] >= 0.9
