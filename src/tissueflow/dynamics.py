@@ -6,10 +6,14 @@ fourth-order interface-penalty flux by a linearly stabilised stage: the
 constant-coefficient biharmonic part is implicit (one cosine-transform
 solve), the variable-weight remainder explicit, and the resulting face
 fluxes are limited face by face so the densities stay nonnegative and
-their sum stays under the step's ceiling.  The time step is CFL-limited
-by the face velocities.  A step whose total density would push the
-congestion pressure past a cap tied to the homeostatic pressures is
-rejected and retried with half the time step.  The model without
+their sum stays under the step's ceiling.  The sharp advection scheme
+corrects donor-cell fluxes toward limited-downwind ones, building only the
+bound on the downwind value's side, under the same limiter and a 3x3
+maximum taken in two separable passes; both work in one set of scratch
+arrays per grid shape.  The time step is CFL-limited by the face
+velocities.  A step whose total density would push the congestion
+pressure past a cap tied to the homeostatic pressures (beyond roundoff)
+is rejected and retried with half the time step.  The model without
 repulsion runs through the same kernel with the repulsion pressure and
 the fourth-order stage switched off, so the two models agree bitwise on
 inputs where the repulsion vanishes.
@@ -18,6 +22,7 @@ inputs where the repulsion vanishes.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +37,7 @@ from .operators import cell_laplacian_neumann, weighted_cell_flux_divergence  # 
 
 VELOCITY_FLOOR = 1e-12
 PRESSURE_CAP_FACTOR = 10.0   # pressure cap in units of max(p1*, p2*)
+CEILING_ROUNDOFF = 1e-15     # n1+n2 a limited stage may leave over its ceiling
 
 
 class StepFailure(RuntimeError):
@@ -106,8 +112,15 @@ def _upwind_fluxes(n: np.ndarray, vel: VectorField):
     return fu, fv
 
 
-def _flux_divergence(fu: np.ndarray, fv: np.ndarray, spec: GridSpec) -> np.ndarray:
-    return (fu[1:, :] - fu[:-1, :]) / spec.hx + (fv[:, 1:] - fv[:, :-1]) / spec.hy
+def _flux_divergence(fu: np.ndarray, fv: np.ndarray, spec: GridSpec,
+                     out=None, tmp=None) -> np.ndarray:
+    """div(f) of full face arrays; ``out`` and ``tmp`` take the x and y parts."""
+    out = np.subtract(fu[1:, :], fu[:-1, :], out=out)
+    out /= spec.hx
+    tmp = np.subtract(fv[:, 1:], fv[:, :-1], out=tmp)
+    tmp /= spec.hy
+    out += tmp
+    return out
 
 
 def upwind_flux_divergence(n: np.ndarray, vel: VectorField) -> np.ndarray:
@@ -116,119 +129,171 @@ def upwind_flux_divergence(n: np.ndarray, vel: VectorField) -> np.ndarray:
     return _flux_divergence(fu, fv, vel.spec)
 
 
-def _limited_downwind_face_values(arr, u, h, dt, axis):
-    """Anti-diffusive face reconstruction for one direction.
+def _part(a: np.ndarray, axis: int, start=None, stop=None) -> np.ndarray:
+    """``a[start:stop]`` along ``axis``."""
+    return a[start:stop] if axis == 0 else a[:, start:stop]
 
-    Picks the face value closest to the downwind cell value within the
-    interval that keeps the donor cell inside the range spanned by its
-    upwind neighbourhood, so material contacts stay a cell or two wide
-    instead of smearing diffusively.
+
+def _select(out, cond, a, b):
+    """``np.where(cond, a, b)`` into ``out``."""
+    np.copyto(out, b)
+    np.copyto(out, a, where=cond)
+
+
+class _Scratch:
+    """Working arrays of the sharp transport and the flux limiter on one
+    grid shape.  Each species' donor-cell (``low``) and antidiffusive
+    (``anti``) fluxes span all faces of an axis and keep zero walls.
+    Every call on the shape shares them, so a call must end before the
+    next one starts; the package steps one state at a time."""
+
+    def __init__(self, nx: int, ny: int):
+        faces, inner = ((nx + 1, ny), (nx, ny + 1)), ((nx - 1, ny), (nx, ny - 1))
+
+        def cells():
+            return [np.empty((nx, ny)) for _ in range(2)]
+
+        self.pad = np.empty((nx + 2, ny + 2))
+        self.low = [[np.zeros(f) for f in faces] for _ in range(2)]
+        self.anti = [[np.zeros(f) for f in faces] for _ in range(2)]
+        self.parts = [[np.empty(f) for _ in range(2)] for f in faces]
+        self.face = [[np.empty(f) for _ in range(5)] for f in inner]
+        self.mask = [[np.empty(f, bool) for _ in range(2)] for f in inner]
+        self.n_lo, self.inflow, self.r_out = cells(), cells(), cells()
+        self.total, self.upper = cells()
+        self.flow, self.work = cells()
+        self.cell_mask = np.empty((nx, ny), bool)
+
+
+_scratch = functools.lru_cache(maxsize=8)(_Scratch)   # one set per grid shape
+
+
+def _sharp_face_fluxes(n, vel: VectorField, dt: float, low, anti, sc):
+    """Donor-cell fluxes into ``low`` and limited-downwind minus donor-cell
+    fluxes into ``anti``, on the interior faces of each axis.
+
+    The face value is the one closest to the downwind value that keeps
+    the donor cell inside the range of its upwind neighbourhood, so
+    contacts stay a cell or two wide.  With nu = |u| dt/h <= 1 the donor
+    value lies between the two bounds, so only the one on the downwind
+    value's side can bind.  With nu > 1 they swap sides and the interval
+    falls back to the donor value, as at nu = 1; so nu is capped at 1.
     """
-    if axis == 1:
-        arr = arr.T
-        u = u.T
-    n_donor = np.where(u > 0.0, arr[:-1, :], arr[1:, :])
-    n_down = np.where(u > 0.0, arr[1:, :], arr[:-1, :])
-    pad = np.concatenate([arr[:1], arr, arr[-1:]], axis=0)
-    n_up = np.where(u > 0.0, pad[0:-3, :], pad[3:, :])
-    nu = np.maximum(np.abs(u) * dt / h, 1e-12)
-    lo_env = np.minimum(n_up, n_donor)
-    hi_env = np.maximum(n_up, n_donor)
-    b_lo = n_donor + (n_donor - hi_env) * (1.0 - nu) / nu
-    b_hi = n_donor + (n_donor - lo_env) * (1.0 - nu) / nu
-    lo = np.maximum(np.minimum(n_donor, n_down), b_lo)
-    hi = np.minimum(np.maximum(n_donor, n_down), b_hi)
-    face = np.where(lo > hi, n_donor, np.clip(n_down, lo, hi))
-    if axis == 1:
-        face = face.T
-    return face
-
-
-def _limited_downwind_fluxes(n: np.ndarray, vel: VectorField, dt: float):
-    spec = vel.spec
-    fu = np.zeros_like(vel.u)
-    ui = vel.u[1:-1, :]
-    fu[1:-1, :] = ui * _limited_downwind_face_values(n, ui, spec.hx, dt, axis=0)
-    fv = np.zeros_like(vel.v)
-    vi = vel.v[:, 1:-1]
-    fv[:, 1:-1] = vi * _limited_downwind_face_values(n, vi, spec.hy, dt, axis=1)
-    return fu, fv
+    pad = sc.pad
+    pad[1:-1, 1:-1] = n
+    pad[0, 1:-1], pad[-1, 1:-1], pad[1:-1, 0], pad[1:-1, -1] = (
+        n[0], n[-1], n[:, 0], n[:, -1])
+    for axis, (vf, h) in enumerate(((vel.u, vel.spec.hx), (vel.v, vel.spec.hy))):
+        line = pad[:, 1:-1] if axis == 0 else pad[1:-1, :]
+        left, right, far_left, far_right = (_part(line, axis, a, b) for a, b in
+                                            ((1, -2), (2, -1), (None, -3), (3, None)))
+        u, lo, an = (_part(a, axis, 1, -1) for a in (vf, low[axis], anti[axis]))
+        donor, down, bound, nu, w = sc.face[axis]
+        pos, rise = sc.mask[axis]
+        np.greater(u, 0.0, out=pos)
+        _select(donor, pos, left, right)
+        _select(down, pos, right, left)
+        _select(bound, pos, far_left, far_right)      # upwind of the donor
+        np.divide(np.multiply(np.abs(u, out=nu), dt, out=nu), h, out=nu)
+        np.clip(nu, 1e-12, 1.0, out=nu)
+        np.logical_not(np.greater_equal(down, donor, out=rise), out=pos)
+        # the envelope's low end where the downwind value rises, else its top
+        np.minimum(bound, donor, out=bound, where=rise)
+        np.maximum(bound, donor, out=bound, where=pos)
+        np.subtract(donor, bound, out=bound)
+        bound *= np.subtract(1.0, nu, out=w)
+        bound /= nu
+        np.add(donor, bound, out=bound)               # upper bound where rise
+        np.minimum(down, bound, out=down, where=rise)
+        np.maximum(down, bound, out=down, where=pos)
+        lo[...] = np.multiply(u, donor, out=donor)
+        np.subtract(np.multiply(u, down, out=down), donor, out=an)
 
 
 def _neighborhood_max(a: np.ndarray) -> np.ndarray:
-    p = np.pad(a, 1, mode="edge")
-    out = a.copy()
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            out = np.maximum(out, p[1 + dx:p.shape[0] - 1 + dx,
-                                    1 + dy:p.shape[1] - 1 + dy])
-    return out
+    """Overwrites ``a`` with the maximum over each cell's 3x3
+    neighbourhood, edges replicated, in two separable 3-point passes."""
+    t = _scratch(*a.shape).work
+    for src, dst, axis in ((a, t, 0), (t, a, 1)):
+        np.maximum(_part(src, axis, None, -1), _part(src, axis, 1),
+                   out=_part(dst, axis, None, -1))
+        _part(dst, axis, -1)[...] = _part(src, axis, -1)
+        np.maximum(_part(dst, axis, 1), _part(src, axis, None, -1),
+                   out=_part(dst, axis, 1))
+    return a
 
 
-def _limit_fluxes(n_lo, fluxes, dt: float, spec: GridSpec, upper):
+def _limit_fluxes(n_lo, fluxes, room, dt: float, spec: GridSpec):
     """Zalesak's face-by-face flux limiter for the two species at once.
 
     ``fluxes`` holds each species' antidiffusive face fluxes (fu, fv), full
     face arrays with zero wall faces, that would take the low-order
-    densities ``n_lo`` to ``n_lo - dt*div(f)``.  Returns the fluxes scaled
-    face by face so that each species stays >= 0 and n1 + n2 stays <=
-    ``upper`` (a scalar or a cell field) wherever ``n_lo`` does.  The
-    lower bound limits each species' own outflow; the joint upper bound
-    limits the sum of both species' inflows.
+    densities ``n_lo`` to ``n_lo - dt*div(f)``.  Scales them in place, face
+    by face, so that each species stays >= 0 and n1 + n2 rises by at most
+    ``room`` (a cell array) wherever ``n_lo`` does.  The lower bound
+    limits each species' own outflow; the joint upper bound limits the
+    sum of both species' inflows.
     """
+    sc = _scratch(spec.nx, spec.ny)
     cx, cy = dt / spec.hx, dt / spec.hy
+    (pu, mu), (pv, mv) = sc.parts
 
-    def inflow(fu, fv):   # the outflow is the inflow of -f
-        return (cx * (np.maximum(fu[:-1, :], 0.0) - np.minimum(fu[1:, :], 0.0))
-                + cy * (np.maximum(fv[:, :-1], 0.0) - np.minimum(fv[:, 1:], 0.0)))
+    def net(out, a, b, c, d):    # cx*(a - b) + cy*(c - d)
+        np.multiply(np.subtract(a, b, out=out), cx, out=out)
+        out += np.multiply(np.subtract(c, d, out=sc.work), cy, out=sc.work)
 
-    def ratio(room, flow):
-        r = np.ones_like(flow)
-        np.divide(room, flow, out=r, where=flow > 0.0)
-        return np.clip(r, 0.0, 1.0)
+    def ratio(limit, flow, out):  # clip(limit/flow, 0, 1) where flow > 0, else 1
+        out.fill(1.0)
+        np.divide(limit, flow, out=out, where=np.greater(flow, 0.0, out=sc.cell_mask))
+        np.clip(out, 0.0, 1.0, out=out)
 
-    r_in = ratio(upper - (n_lo[0] + n_lo[1]),
-                 inflow(*fluxes[0]) + inflow(*fluxes[1]))
-    out = []
-    for n, (fu, fv) in zip(n_lo, fluxes):
-        r_out = ratio(n, inflow(-fu, -fv))
-        # f > 0 on a face flows from the lower-index cell to the higher one
-        cu = np.ones_like(fu)
-        cu[1:-1, :] = np.where(fu[1:-1, :] > 0.0,
-                               np.minimum(r_out[:-1, :], r_in[1:, :]),
-                               np.minimum(r_out[1:, :], r_in[:-1, :]))
-        cv = np.ones_like(fv)
-        cv[:, 1:-1] = np.where(fv[:, 1:-1] > 0.0,
-                               np.minimum(r_out[:, :-1], r_in[:, 1:]),
-                               np.minimum(r_out[:, 1:], r_in[:, :-1]))
-        out.append((cu * fu, cv * fv))
-    return out
+    for n, (fu, fv), inflow, r_out in zip(n_lo, fluxes, sc.inflow, sc.r_out):
+        for f, p, m in ((fu, pu, mu), (fv, pv, mv)):
+            np.maximum(f, 0.0, out=p)
+            np.minimum(f, 0.0, out=m)
+        net(inflow, pu[:-1], mu[1:], pv[:, :-1], mv[:, 1:])
+        net(sc.flow, pu[1:], mu[:-1], pv[:, 1:], mv[:, :-1])   # outflow
+        ratio(n, sc.flow, r_out)
+    r_in = sc.inflow[0]
+    ratio(room, np.add(*sc.inflow, out=sc.flow), r_in)
+    for f, r_out in zip(fluxes, sc.r_out):
+        for axis in (0, 1):
+            f_in = _part(f[axis], axis, 1, -1)
+            fwd, back = sc.face[axis][:2]
+            # f > 0 on a face flows from the lower-index cell to the higher one
+            np.minimum(_part(r_out, axis, None, -1), _part(r_in, axis, 1), out=fwd)
+            np.minimum(_part(r_out, axis, 1), _part(r_in, axis, None, -1), out=back)
+            np.copyto(back, fwd, where=np.greater(f_in, 0.0, out=sc.mask[axis][0]))
+            f_in *= back
 
 
 def sharp_flux_divergences(n1: np.ndarray, n2: np.ndarray,
                            v1: VectorField, v2: VectorField, dt: float):
     """Flux-corrected anti-diffusive div(n_i*v_i) for both species at once.
 
-    Donor-cell fluxes are corrected toward the limited-downwind fluxes
-    through ``_limit_fluxes``, with the donor-cell prediction as the
-    low-order solution: each species stays nonnegative, and the total
-    density cannot exceed the local 3x3 maximum of the donor-cell
-    prediction; the two species would otherwise each satisfy their own
-    maximum principle while their sum compresses past the congestion
-    ceiling at a shared interface.
+    Donor-cell fluxes are corrected toward the limited-downwind fluxes by
+    ``_limit_fluxes`` against the donor-cell prediction: each species
+    stays nonnegative, and the total density stays under the 3x3 maximum
+    of the prediction and of n1 + n2, which a per-species maximum
+    principle would not give at a shared interface.  Only the two
+    returned arrays are new.
     """
     spec = v1.spec
-    flo = [_upwind_fluxes(n1, v1), _upwind_fluxes(n2, v2)]
-    fhi = [_limited_downwind_fluxes(n1, v1, dt),
-           _limited_downwind_fluxes(n2, v2, dt)]
-    n_lo = [n - dt * _flux_divergence(*f, spec) for n, f in zip((n1, n2), flo)]
-    upper = np.maximum(_neighborhood_max(n_lo[0] + n_lo[1]),
-                       _neighborhood_max(n1 + n2))
-    anti = [(hu - lu, hv - lv) for (lu, lv), (hu, hv) in zip(flo, fhi)]
-    limited = _limit_fluxes(n_lo, anti, dt, spec, upper)
-    out = [_flux_divergence(lu + au, lv + av, spec)
-           for (lu, lv), (au, av) in zip(flo, limited)]
-    return out[0], out[1]
+    sc = _scratch(spec.nx, spec.ny)
+    for n, vel, low, anti, n_lo in zip((n1, n2), (v1, v2), sc.low, sc.anti,
+                                       sc.n_lo):
+        _sharp_face_fluxes(n, vel, dt, low, anti, sc)
+        _flux_divergence(*low, spec, out=n_lo, tmp=sc.work)
+        np.subtract(n, np.multiply(n_lo, dt, out=n_lo), out=n_lo)
+    np.add(*sc.n_lo, out=sc.total)
+    # the 3x3 maximum M has max(M(a), M(b)) = M(max(a, b))
+    np.maximum(sc.total, np.add(n1, n2, out=sc.upper), out=sc.upper)
+    room = np.subtract(_neighborhood_max(sc.upper), sc.total, out=sc.upper)
+    _limit_fluxes(sc.n_lo, sc.anti, room, dt, spec)
+    for low, anti in zip(sc.low, sc.anti):
+        for lo, an in zip(low, anti):
+            np.add(lo, an, out=an)
+    return tuple(_flux_divergence(*anti, spec, tmp=sc.work) for anti in sc.anti)
 
 
 def _pressures(n1: ScalarField, n2: ScalarField, params: ModelParams,
@@ -317,9 +382,9 @@ def _implicit_fourth_order(n_star, n_old, spec: GridSpec, alpha: float,
     """
     fluxes = [_fourth_order_fluxes(ns, no, spec, alpha, dt)[1]
               for ns, no in zip(n_star, n_old)]
-    limited = _limit_fluxes(n_star, fluxes, dt, spec, ceiling)
+    _limit_fluxes(n_star, fluxes, ceiling - (n_star[0] + n_star[1]), dt, spec)
     return [ns - dt * _flux_divergence(fu, fv, spec)
-            for ns, (fu, fv) in zip(n_star, limited)]
+            for ns, (fu, fv) in zip(n_star, fluxes)]
 
 
 def pressure_cap(params: ModelParams) -> float:
@@ -364,13 +429,13 @@ def _advance(state: SimState, ctrl: StepControl, params: ModelParams,
     """One accepted step.
 
     The trial dt is the CFL step, at most twice the last accepted one.  A
-    trial whose n1+n2 would raise the congestion pressure above
-    ``pressure_cap`` (or above the current maximum, if that is higher) is
-    rejected and retried at half the dt; the retries share the
-    ``max_halvings`` budget below ``ctrl.dt``.  The fourth-order stage is
-    limited to the same ceiling and to zero, so beyond roundoff only
-    transport and growth can cross either.  The negativity cut does not
-    reject.
+    trial whose n1+n2 would pass the ceiling where the congestion pressure
+    reaches ``pressure_cap`` (or the current maximum, if that is higher)
+    by more than ``CEILING_ROUNDOFF`` is rejected and retried at half the
+    dt; the retries share the ``max_halvings`` budget below ``ctrl.dt``.
+    The fourth-order stage is limited to the same ceiling and to zero, so
+    beyond roundoff only transport and growth can cross either.  The
+    negativity cut does not reject.
     """
     spec = state.n1.spec
     counter = copy.copy(state.counters)
@@ -395,7 +460,7 @@ def _advance(state: SimState, ctrl: StepControl, params: ModelParams,
         n1_new, n2_new, cut = _tentative_densities(
             state, v1, v2, p1, p2, params, ctrl.scheme, alpha, dt, ceiling)
         total = n1_new + n2_new
-        if total.max() <= ceiling:
+        if total.max() <= ceiling + CEILING_ROUNDOFF:
             break
         dt *= 0.5
         if dt < dt_min:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from tissueflow.dynamics import (InitialDataError, StepControl, StepFailure,
                                  _fourth_order_fluxes, _implicit_fourth_order,
                                  init_state, pressure_cap, run, step_esvm,
                                  step_vm)
-from tissueflow.grid import GridSpec, ScalarField
+from tissueflow.grid import GridSpec, ScalarField, VectorField
 from tissueflow.harness import PRESETS, initial_densities
 from tissueflow.operators import (cell_laplacian_neumann,
                                   weighted_cell_flux_divergence)
@@ -301,3 +302,227 @@ def test_fourth_order_stage_keeps_bounds_at_a_congested_front(mixed):
     for n, ns in zip(n_new, n_star):
         assert np.abs(n - ns).max() > 1e-2
         assert abs(n.sum() - ns.sum()) <= 1e-13 * ns.sum()
+
+
+def _sharp_reference(n1, n2, v1, v2, dt):
+    """The flux-corrected sharp transport face by face in plain Python.
+
+    Returns (div1, div2, number of faces that fell back to the donor value).
+    """
+    spec = v1.spec
+    nx, ny, hx, hy = spec.nx, spec.ny, spec.hx, spec.hy
+    fallbacks = 0
+
+    def clamp(k, m):
+        return min(max(k, 0), m - 1)
+
+    def face_fluxes(n, vel):
+        # donor-cell and limited-downwind fluxes on every face; walls carry 0
+        nonlocal fallbacks
+        low = [np.zeros((nx + 1, ny)), np.zeros((nx, ny + 1))]
+        high = [np.zeros((nx + 1, ny)), np.zeros((nx, ny + 1))]
+        for axis, (vf, h, m) in enumerate(((vel.u, hx, nx), (vel.v, hy, ny))):
+            for i, j in np.ndindex(vf.shape):
+                f = (i, j)[axis]            # face f lies between cells f-1 and f
+                if f in (0, m):
+                    continue
+
+                def cell(k):
+                    k = clamp(k, m)
+                    return float(n[k, j] if axis == 0 else n[i, k])
+
+                u = float(vf[i, j])
+                if u > 0.0:
+                    donor, down, up = cell(f - 1), cell(f), cell(f - 2)
+                else:
+                    donor, down, up = cell(f), cell(f - 1), cell(f + 1)
+                nu = max(abs(u) * dt / h, 1e-12)
+                lo_env, hi_env = min(up, donor), max(up, donor)
+                b_lo = donor + (donor - hi_env) * (1.0 - nu) / nu
+                b_hi = donor + (donor - lo_env) * (1.0 - nu) / nu
+                lo = max(min(donor, down), b_lo)
+                hi = min(max(donor, down), b_hi)
+                if lo > hi:
+                    fallbacks += 1
+                    face = donor
+                else:
+                    face = min(max(down, lo), hi)
+                low[axis][i, j] = u * donor
+                high[axis][i, j] = u * face
+        return low, high
+
+    def div(fu, fv, i, j):
+        return (fu[i + 1, j] - fu[i, j]) / hx + (fv[i, j + 1] - fv[i, j]) / hy
+
+    def nbmax(a, i, j):
+        return max(a[clamp(i + di, nx), clamp(j + dj, ny)]
+                   for di in (-1, 0, 1) for dj in (-1, 0, 1))
+
+    cells = list(np.ndindex(nx, ny))
+    low, high = zip(*(face_fluxes(n, v) for n, v in ((n1, v1), (n2, v2))))
+    n_lo = [np.zeros((nx, ny)), np.zeros((nx, ny))]
+    for s, n in enumerate((n1, n2)):
+        for i, j in cells:
+            n_lo[s][i, j] = n[i, j] - dt * div(*low[s], i, j)
+    total_lo = n_lo[0] + n_lo[1]
+    total = n1 + n2
+    anti = [[h - lo for h, lo in zip(high[s], low[s])] for s in (0, 1)]
+
+    def inflow(fu, fv, i, j, sign):
+        a, b = sign * fu[i, j], sign * fu[i + 1, j]
+        c, d = sign * fv[i, j], sign * fv[i, j + 1]
+        return (dt / hx * (max(a, 0.0) - min(b, 0.0))
+                + dt / hy * (max(c, 0.0) - min(d, 0.0)))
+
+    def ratio(room, flow):
+        return min(max(room / flow, 0.0), 1.0) if flow > 0.0 else 1.0
+
+    r_in = np.zeros((nx, ny))
+    r_out = [np.zeros((nx, ny)), np.zeros((nx, ny))]
+    for i, j in cells:
+        upper = max(nbmax(total_lo, i, j), nbmax(total, i, j))
+        r_in[i, j] = ratio(upper - total_lo[i, j],
+                           inflow(*anti[0], i, j, 1.0) + inflow(*anti[1], i, j, 1.0))
+        for s in (0, 1):
+            r_out[s][i, j] = ratio(n_lo[s][i, j], inflow(*anti[s], i, j, -1.0))
+
+    out = []
+    for s in (0, 1):
+        flux = [lo.copy() for lo in low[s]]
+        for axis, a in enumerate(anti[s]):
+            for i, j in np.ndindex(a.shape):
+                f = (i, j)[axis]
+                if f in (0, (nx, ny)[axis]):
+                    c = 1.0
+                else:
+                    left = (f - 1, j) if axis == 0 else (i, f - 1)
+                    if a[i, j] > 0.0:
+                        c = min(r_out[s][left], r_in[i, j])
+                    else:
+                        c = min(r_out[s][i, j], r_in[left])
+                flux[axis][i, j] = low[s][axis][i, j] + c * a[i, j]
+        d = np.zeros((nx, ny))
+        for i, j in cells:
+            d[i, j] = div(*flux, i, j)
+        out.append(d)
+    return out[0], out[1], fallbacks
+
+
+def _sharp_case(seed):
+    """Densities with exact zeros and ties, velocities of both signs with
+    exactly-zero faces and three faces just past nu = 1, on an anisotropic
+    grid."""
+    spec = GridSpec(-1.0, 1.0, 0.0, 3.0, 7, 9)      # hx = 2/7, hy = 1/3
+    rng = np.random.default_rng(seed)
+    dt = 0.05
+
+    def density():
+        n = np.where(rng.random((7, 9)) < 0.5,
+                     rng.choice([0.0, 0.45, 0.9], (7, 9)),
+                     0.9 * rng.random((7, 9)))
+        return n * (rng.random((7, 9)) > 0.2)
+
+    def velocity():
+        u = rng.uniform(-1.0, 1.0, (8, 9)) * spec.hx / dt
+        v = rng.uniform(-1.0, 1.0, (7, 10)) * spec.hy / dt
+        u[rng.random(u.shape) < 0.15] = 0.0
+        v[rng.random(v.shape) < 0.15] = 0.0
+        return u, v
+
+    (u1, w1), (u2, w2) = velocity(), velocity()
+    # the smallest speeds past nu = 1: cfl_number = 1 reaches them by rounding
+    u1[3, 4] = np.nextafter(spec.hx / dt, np.inf)
+    w1[2, 5] = -np.nextafter(spec.hy / dt, np.inf)
+    u2[5, 2] = -(1.0 + 1e-9) * spec.hx / dt
+    for speed, h in ((u1[3, 4], spec.hx), (w1[2, 5], spec.hy), (u2[5, 2], spec.hx)):
+        assert abs(speed) * dt / h > 1.0
+    v1, v2 = VectorField(spec, u1, w1), VectorField(spec, u2, w2)
+    return density(), density(), v1, v2, dt
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sharp_transport_matches_the_per_face_formulas(seed):
+    n1, n2, v1, v2, dt = _sharp_case(seed)
+    ref1, ref2, fallbacks = _sharp_reference(n1, n2, v1, v2, dt)
+    assert fallbacks > 0
+    adv1, adv2 = dynamics.sharp_flux_divergences(n1, n2, v1, v2, dt)
+    assert np.array_equal(adv1, ref1)
+    assert np.array_equal(adv2, ref2)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (5, 7), (9, 6)])
+def test_neighborhood_max_is_the_3x3_maximum(shape):
+    a = np.random.default_rng(sum(shape)).integers(0, 3, shape) * 0.5
+    nx, ny = shape
+    ref = np.array([[max(a[min(max(i + di, 0), nx - 1), min(max(j + dj, 0), ny - 1)]
+                         for di in (-1, 0, 1) for dj in (-1, 0, 1))
+                     for j in range(ny)] for i in range(nx)])
+    assert np.array_equal(dynamics._neighborhood_max(a.copy()), ref)
+
+
+def _sharp_inputs(n, seed):
+    """Band-like densities and smooth velocities of both signs on an n x n grid."""
+    spec = GridSpec(nx=n, ny=n)
+    xx, yy = spec.cell_center_mesh()
+    rng = np.random.default_rng(seed)
+    n1 = 0.9 * ((np.abs(xx) < 0.5) & (yy < 0.2)) * (1.0 - 0.1 * rng.random((n, n)))
+    n2 = 0.9 * ((np.abs(xx) >= 0.5) & (yy < 0.2)) * (1.0 - 0.1 * rng.random((n, n)))
+    v1 = VectorField.from_functions(spec, lambda x, y: np.sin(3 * x + y),
+                                    lambda x, y: np.cos(2 * y - x))
+    v2 = VectorField.from_functions(spec, lambda x, y: -np.cos(x * y),
+                                    lambda x, y: np.sin(x - 2 * y))
+    return n1, n2, v1, v2, 0.2 * spec.hx
+
+
+def test_sharp_transport_results_survive_other_grids_and_callers():
+    args = _sharp_inputs(128, 0)
+    first = [a.copy() for a in dynamics.sharp_flux_divergences(*args)]
+    dynamics.sharp_flux_divergences(*_sharp_inputs(48, 1))
+    out = dynamics.sharp_flux_divergences(*args)
+    for a, b in zip(out, first):
+        assert np.array_equal(a, b)
+    # the caller owns what it gets back
+    for a in out:
+        a[...] = np.nan
+    again = dynamics.sharp_flux_divergences(*args)
+    for a, b in zip(again, first):
+        assert np.array_equal(a, b)
+        assert not any(np.shares_memory(a, c) for c in out)
+
+
+def test_warm_sharp_transport_allocates_only_its_results():
+    # the per-call temporaries of 128^2 arrays used to peak at 3.4 MB and
+    # churned the heap; a warm call now holds its two results and little
+    # else (each result is 128 KB)
+    args = _sharp_inputs(128, 2)
+    dynamics.sharp_flux_divergences(*args)
+    tracemalloc.start()
+    try:
+        dynamics.sharp_flux_divergences(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.4e6 / 3
+
+
+def test_trial_one_ulp_over_the_ceiling_is_accepted(monkeypatch):
+    # the limited stages bound n1+n2 only up to roundoff; a trial that
+    # lands one ulp over the ceiling must not halve dt
+    spec = GridSpec(nx=8, ny=8)
+    params = ModelParams(alpha=0.0)
+    ctrl = StepControl(dt=1e-3, t_end=1.0)
+    state = init_state(ScalarField(spec, np.full((8, 8), 0.5)),
+                       ScalarField.zeros(spec), params, ctrl)
+    trials = []
+
+    def tentative(state, v1, v2, p1, p2, params, scheme, alpha, dt, ceiling):
+        trials.append(dt)
+        n1 = np.full((8, 8), 0.5)
+        n1[3, 4] = np.nextafter(ceiling, 1.0)
+        return n1, np.zeros((8, 8)), 0
+
+    monkeypatch.setattr(dynamics, "_tentative_densities", tentative)
+    new = step_vm(state, ctrl, params)
+    cap = pressure_cap(params)
+    assert new.n1.values.max() > cap / (cap + params.eps)
+    assert trials == [1e-3] and new.dt_last == 1e-3
