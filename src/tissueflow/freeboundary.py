@@ -190,6 +190,4 @@ def write_partition_csv(part: DomainPartition, path) -> None:
 def interface_polyline(part: DomainPartition, interface: str = "gamma"):
     """Face midpoints of an interface as an (N, 2) array for plotting."""
     faces = getattr(part, interface)
-    if not faces:
-        return np.zeros((0, 2))
-    return np.array([[f.x, f.y] for f in faces])
+    return np.column_stack([faces.x, faces.y])

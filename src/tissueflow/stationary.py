@@ -35,12 +35,20 @@ The pressure is reconstructed from the velocity divergences,
         (p2* - (1/g2) div v2) on the second, 0 outside,
 
 which closes the divergence law div v_i = g_i*(p_i* - p) identically.
+
+Each interface of a partition (``gamma``: tissue 1 | tissue 2,
+``gamma1``/``gamma2``: tissue | exterior) is one ``InterfaceFaces``
+record of arrays, built on first read: face indices, midpoints and
+normals, and the flat indices of the two nearest cells on each side.
+Every one-sided trace is one gather from those indices, so the jump
+tables of ``measure_jump`` and the residuals of ``verify_transmission``
+come from the same arrays and the same masked faces.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,43 +76,68 @@ class PartitionError(ValueError):
     """Raised when indicator fields do not form a valid partition."""
 
 
-@dataclass(frozen=True)
-class InterfaceFace:
-    """One grid face on an interface, with its axis-aligned unit normal.
+@dataclass(frozen=True, eq=False)
+class InterfaceFaces:
+    """The grid faces of one interface as arrays, u-faces first.
 
-    ``orientation`` is "u" (vertical face, normal along x) or "v"
-    (horizontal face, normal along y); (fi, fj) are face indices.  The
-    normal points from the first-named region into the second (tissue 1
-    into tissue 2 on the mutual interface; tissue into exterior on the
-    wall interfaces).
+    Faces are ordered by (orientation, fi, fj): u-faces (vertical, normal
+    along x) before v-faces (horizontal, normal along y), each by face
+    index.  (x, y) are face midpoints.  The unit normal (nux, nuy) points
+    from the first-named region into the second (tissue 1 into tissue 2
+    on the mutual interface; tissue into exterior on the wall interfaces).
+
+    ``near`` and ``far`` are the flat cell indices of the two cells
+    nearest each face, row 0 on the left side (the first-named region,
+    against the normal) and row 1 on the right.  A face is ``traceable``
+    when both cells of each side lie in the box and in that side's
+    region.  Where a far cell would leave the box, ``far`` repeats
+    ``near`` so that every gather stays in the box.
     """
 
-    orientation: str
-    fi: int
-    fj: int
-    x: float
-    y: float
-    nux: float
-    nuy: float
+    fi: np.ndarray
+    fj: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    nux: np.ndarray
+    nuy: np.ndarray
+    is_u: np.ndarray
+    near: np.ndarray
+    far: np.ndarray
+    traceable: np.ndarray
+
+    def __len__(self) -> int:
+        return self.fi.size
 
 
-def _interface_faces(labels: np.ndarray, spec: GridSpec, a: int, b: int):
+def _interface_faces(labels: np.ndarray, spec: GridSpec, a: int,
+                     b: int) -> InterfaceFaces:
     """Faces separating label-a cells from label-b cells, normal a -> b."""
-    faces = []
-    xf, yc = spec.x_faces(), spec.y_centers()
-    xc, yf = spec.x_centers(), spec.y_faces()
-    lm, lp = labels[:-1, :], labels[1:, :]
-    for fi, j in np.argwhere((lm == a) & (lp == b)):
-        faces.append(InterfaceFace("u", fi + 1, j, xf[fi + 1], yc[j], 1.0, 0.0))
-    for fi, j in np.argwhere((lm == b) & (lp == a)):
-        faces.append(InterfaceFace("u", fi + 1, j, xf[fi + 1], yc[j], -1.0, 0.0))
-    lm, lp = labels[:, :-1], labels[:, 1:]
-    for i, fj in np.argwhere((lm == a) & (lp == b)):
-        faces.append(InterfaceFace("v", i, fj + 1, xc[i], yf[fj + 1], 0.0, 1.0))
-    for i, fj in np.argwhere((lm == b) & (lp == a)):
-        faces.append(InterfaceFace("v", i, fj + 1, xc[i], yf[fj + 1], 0.0, -1.0))
-    faces.sort(key=lambda f: (f.orientation, f.fi, f.fj))
-    return tuple(faces)
+    ny = labels.shape[1]
+    centers = (spec.x_centers(), spec.y_centers())
+    edges = (spec.x_faces(), spec.y_faces())
+    cols = []
+    for axis, (lm, lp) in enumerate(((labels[:-1, :], labels[1:, :]),
+                                     (labels[:, :-1], labels[:, 1:]))):
+        lo = np.argwhere((lm == a) & (lp == b) | (lm == b) & (lp == a)).T
+        s = np.where(lm[lo[0], lo[1]] == a, 1, -1)   # normal sign on the axis
+        face = lo.copy()
+        face[axis] += 1
+        along = lo[axis]
+        near = np.stack([along + (s < 0), along + (s > 0)])
+        far = near + np.stack([-s, s])
+        inside = (far >= 0) & (far < labels.shape[axis])
+        far = np.where(inside, far, near)
+        stride, base = (ny, lo[1]) if axis == 0 else (1, lo[0] * ny)
+        near, far = near * stride + base, far * stride + base
+        side = np.array([[a], [b]])
+        traceable = (inside & (labels.ravel()[far] == side)).all(axis=0)
+        normal = [np.zeros(s.size), np.zeros(s.size)]
+        normal[axis] = s.astype(float)
+        x, y = [edges[k][face[k]] if k == axis else centers[k][face[k]]
+                for k in (0, 1)]
+        cols.append((face[0], face[1], x, y, *normal,
+                     np.full(s.size, axis == 0), near, far, traceable))
+    return InterfaceFaces(*(np.concatenate(c, axis=-1) for c in zip(*cols)))
 
 
 @dataclass(frozen=True)
@@ -112,15 +145,15 @@ class DomainPartition:
     """Disjoint 0/1 indicators of the two tissue subdomains inside the box.
 
     Both supports must stay at least two cells clear of the outer walls
-    so that one-sided traces have room on the exterior side.
+    so that one-sided traces have room on the exterior side.  The
+    interface face records ``gamma`` (tissue1 | tissue2), ``gamma1``
+    (tissue1 | exterior) and ``gamma2`` (tissue2 | exterior) are built
+    on first read.
     """
 
     chi1: ScalarField
     chi2: ScalarField
     allow_wall_contact: bool = False
-    gamma: tuple = field(init=False)    # tissue1 | tissue2 faces
-    gamma1: tuple = field(init=False)   # tissue1 | exterior faces
-    gamma2: tuple = field(init=False)   # tissue2 | exterior faces
 
     def __post_init__(self):
         if self.chi1.spec != self.chi2.spec:
@@ -140,11 +173,18 @@ class DomainPartition:
                 raise PartitionError(
                     f"supports must keep a {m}-cell margin from the outer "
                     "walls (pass allow_wall_contact=True to override)")
-        labels = self.labels
-        spec = self.spec
-        object.__setattr__(self, "gamma", _interface_faces(labels, spec, 1, 2))
-        object.__setattr__(self, "gamma1", _interface_faces(labels, spec, 1, 0))
-        object.__setattr__(self, "gamma2", _interface_faces(labels, spec, 2, 0))
+
+    @functools.cached_property
+    def gamma(self) -> InterfaceFaces:
+        return _interface_faces(self.labels, self.spec, 1, 2)
+
+    @functools.cached_property
+    def gamma1(self) -> InterfaceFaces:
+        return _interface_faces(self.labels, self.spec, 1, 0)
+
+    @functools.cached_property
+    def gamma2(self) -> InterfaceFaces:
+        return _interface_faces(self.labels, self.spec, 2, 0)
 
     @property
     def spec(self) -> GridSpec:
@@ -328,81 +368,79 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
 # ---------------------------------------------------------------------------
 # one-sided traces and interface jumps
 
-def _side_cells(face: InterfaceFace, sign: int):
-    """The two cells nearest a face on one side, nearest first.
-
-    ``sign`` +1 walks along the face normal, -1 against it.
-    """
-    dx = int(round(face.nux)) * sign
-    dy = int(round(face.nuy)) * sign
-    if face.orientation == "u":
-        base_i = face.fi if dx > 0 else face.fi - 1
-        base_j = face.fj
-        if dx == 0:
-            raise ValueError("u-face normal must be along x")
-        return [(base_i + k * dx, base_j) for k in range(2)]
-    base_i = face.fi
-    base_j = face.fj if dy > 0 else face.fj - 1
-    if dy == 0:
-        raise ValueError("v-face normal must be along y")
-    return [(base_i, base_j + k * dy) for k in range(2)]
-
-
-def _trace(values: np.ndarray, labels: np.ndarray, face: InterfaceFace,
-           sign: int, region: int, spec: GridSpec):
-    """One-sided (trace, normal derivative) of a cell field at a face.
-
-    Linear extrapolation from the two nearest cells on side ``sign``.
-    Returns (trace, d/d_nu, ok); ok is False when fewer than two cells of
-    the requested region lie on that side ("untraceable").
-    """
-    nx, ny = values.shape
-    samples = []
-    for i, j in _side_cells(face, sign):
-        if not (0 <= i < nx and 0 <= j < ny) or labels[i, j] != region:
-            return np.nan, np.nan, False
-        samples.append(values[i, j])
-    a, b = samples
-    h = spec.hx if face.orientation == "u" else spec.hy
-    # derivative along +nu: cells sit at distances (k+1/2)h on side `sign`
-    return 1.5 * a - 0.5 * b, -sign * (a - b) / h, True
-
-
 _INTERFACES = ("gamma", "gamma1", "gamma2")
 _REGIONS = {"gamma": (1, 2), "gamma1": (1, 0), "gamma2": (2, 0)}
 
 JUMP_QUANTITIES = ("pressure", "v1", "v2", "grad_v1_normal", "grad_v2_normal")
 
-
-def _predicted_pressure_jump(name, params, d1_left, d2_left):
-    if name == "gamma1":
-        return params.p1_star - d1_left / params.g1
-    if name == "gamma2":
-        return params.p2_star - d2_left / params.g2
-    return ((params.p1_star - d1_left / params.g1) -
-            (params.p2_star - d2_left / params.g2))
+# -sign of each side: the left side walks against the normal, the right along
+_AGAINST_SIDE = np.array([[1.0], [-1.0]])
 
 
-def _predicted_grad_jump(which, name, params, d1_l, d2_l, d1_r, d2_r,
-                         q_l, q_r):
-    """Bracket of the interface force balance, divided by the viscosity.
+def _traces(values: np.ndarray, faces: InterfaceFaces, spec: GridSpec):
+    """One-sided (trace, derivative along +nu) of a cell field, each (2, n).
+
+    Row 0 is the left side, row 1 the right side of every face: linear
+    extrapolation from the near and far cell, which sit at h/2 and 3h/2
+    from the face.  Values at untraceable faces are meaningless.
+    """
+    flat = values.ravel()
+    a, b = flat[faces.near], flat[faces.far]
+    h = np.where(faces.is_u, spec.hx, spec.hy)
+    return 1.5 * a - 0.5 * b, _AGAINST_SIDE * (a - b) / h
+
+
+def _cell_fields(sol: StationarySolution) -> dict:
+    """The cell fields whose traces the interface laws compare."""
+    return {"d1": divergence(sol.v1).values, "d2": divergence(sol.v2).values,
+            "q": sol.q.values, "p": sol.p.values,
+            "v1": sol.v1.cell_centered(), "v2": sol.v2.cell_centered()}
+
+
+def _jumps(sol: StationarySolution, name: str, faces: InterfaceFaces,
+           quantity: str, cells: dict):
+    """(left, right, jump, predicted) of a quantity on every face.
 
     Left/right are the first/second-named regions; on the mutual
-    interface left is tissue 1 and right is tissue 2.
+    interface left is tissue 1 and right is tissue 2.  The predicted
+    pressure jump is the difference of the tissues' pressure laws; the
+    predicted jump of ``grad_v*_normal`` is the bracket of the interface
+    force balance divided by the viscosity.  Untraceable faces are NaN.
     """
-    p1s, p2s = params.p1_star, params.p2_star
-    g1, g2 = params.g1, params.g2
-    if name == "gamma1":
-        bracket = (p1s - d1_l / g1) if which == 1 else (p1s + q_l - d1_l / g1)
-        beta = params.beta1 if which == 1 else params.beta2
-    elif name == "gamma2":
-        bracket = (p2s + q_l - d2_l / g2) if which == 1 else (p2s - d2_l / g2)
-        beta = params.beta1 if which == 1 else params.beta2
-    else:  # mutual interface: tissue 1 traces on the left, tissue 2 right
-        common = (p1s - p2s) + d2_r / g2 - d1_l / g1
-        bracket = common - q_r if which == 1 else common + q_l
-        beta = params.beta1 if which == 1 else params.beta2
-    return bracket / beta
+    prm, spec = sol.params, sol.p.spec
+    d1 = _traces(cells["d1"], faces, spec)[0]
+    d2 = _traces(cells["d2"], faces, spec)[0]
+    p1 = prm.p1_star - d1[0] / prm.g1
+    p2 = prm.p2_star - d2[0] / prm.g2
+    if quantity == "pressure":
+        left, right = _traces(cells["p"], faces, spec)[0]
+        if name != "gamma":
+            right = np.zeros_like(left)     # exterior pressure is exactly 0
+        jump = left - right
+        predicted = {"gamma": p1 - p2, "gamma1": p1, "gamma2": p2}[name]
+    elif quantity in ("v1", "v2"):
+        (ul, ur), (vl, vr) = (_traces(c, faces, spec)[0]
+                              for c in cells[quantity])
+        left, right = np.hypot(ul, vl), np.hypot(ur, vr)
+        jump = np.hypot(ul - ur, vl - vr)
+        predicted = np.zeros_like(jump)
+    else:
+        which = 1 if quantity == "grad_v1_normal" else 2
+        du, dv = (_traces(c, faces, spec)[1] for c in cells[f"v{which}"])
+        left, right = np.where(faces.is_u, du, dv) * (faces.nux + faces.nuy)
+        jump = left - right
+        q = _traces(cells["q"], faces, spec)[0]
+        if name == "gamma1":
+            bracket = p1 if which == 1 else prm.p1_star + q[0] - d1[0] / prm.g1
+        elif name == "gamma2":
+            bracket = prm.p2_star + q[0] - d2[0] / prm.g2 if which == 1 else p2
+        else:
+            common = ((prm.p1_star - prm.p2_star) + d2[1] / prm.g2
+                      - d1[0] / prm.g1)
+            bracket = common - q[1] if which == 1 else common + q[0]
+        predicted = bracket / (prm.beta1 if which == 1 else prm.beta2)
+    return tuple(np.where(faces.traceable, v, np.nan)
+                 for v in (left, right, jump, predicted))
 
 
 @dataclass(frozen=True)
@@ -427,81 +465,29 @@ def measure_jump(sol: StationarySolution, part: DomainPartition,
     """
     if quantity not in JUMP_QUANTITIES:
         raise ValueError(f"unknown jump quantity {quantity!r}")
-    spec = part.spec
-    labels = part.labels
-    d1 = divergence(sol.v1).values
-    d2 = divergence(sol.v2).values
-    qv = sol.q.values
-    u1c, v1c = sol.v1.cell_centered()
-    u2c, v2c = sol.v2.cell_centered()
-    pv = sol.p.values
-
+    cells = _cell_fields(sol)
     rows = []
-    sums = {name: [0.0, 0] for name in _INTERFACES}
+    averages = {}
     for name in _INTERFACES:
-        left_region, right_region = _REGIONS[name]
-        for k, face in enumerate(getattr(part, name)):
-            def tr(field_vals, sign, region):
-                return _trace(field_vals, labels, face, sign, region, spec)
-
-            # left = first-named region (against the normal), right = other
-            aux = {}
-            ok = True
-            for tag, vals in (("d1", d1), ("d2", d2), ("q", qv)):
-                tl, _, okl = tr(vals, -1, left_region)
-                trr, _, okr = tr(vals, +1, right_region)
-                aux[tag] = (tl, trr)
-                ok = ok and okl and okr
-
-            if quantity == "pressure":
-                left, _, okl = tr(pv, -1, left_region)
-                right, _, okr = tr(pv, +1, right_region)
-                if right_region == 0:
-                    right, okr = 0.0, okr  # exterior pressure is exactly 0
-                jump = left - right
-                predicted = _predicted_pressure_jump(
-                    name, sol.params, aux["d1"][0], aux["d2"][0])
-            elif quantity in ("v1", "v2"):
-                uc, vc = (u1c, v1c) if quantity == "v1" else (u2c, v2c)
-                ul, _, oku = tr(uc, -1, left_region)
-                vl, _, okv = tr(vc, -1, left_region)
-                ur, _, oku2 = tr(uc, +1, right_region)
-                vr, _, okv2 = tr(vc, +1, right_region)
-                okl, okr = oku and okv, oku2 and okv2
-                left = float(np.hypot(ul, vl))
-                right = float(np.hypot(ur, vr))
-                jump = float(np.hypot(ul - ur, vl - vr))
-                predicted = 0.0
-            else:
-                which = 1 if quantity == "grad_v1_normal" else 2
-                uc, vc = (u1c, v1c) if which == 1 else (u2c, v2c)
-                comp = uc if abs(face.nux) > 0.5 else vc
-                _, dl, okl = tr(comp, -1, left_region)
-                _, dr, okr = tr(comp, +1, right_region)
-                nu_sign = face.nux + face.nuy
-                left, right = dl * nu_sign, dr * nu_sign
-                jump = left - right
-                predicted = _predicted_grad_jump(
-                    which, name, sol.params, aux["d1"][0], aux["d2"][0],
-                    aux["d1"][1], aux["d2"][1], aux["q"][0], aux["q"][1])
-
-            traceable = ok and okl and okr
-            if not traceable:
-                left = right = jump = predicted = residual = np.nan
-                marker = "untraceable"
-            else:
-                residual = jump - predicted
-                marker = ""
-                sums[name][0] += abs(jump)
-                sums[name][1] += 1
+        faces = getattr(part, name)
+        left, right, jump, predicted = _jumps(sol, name, faces, quantity,
+                                              cells)
+        residual = jump - predicted
+        for k, (x, y, nux, nuy, lt, rt, jp, pj, res, ok) in enumerate(zip(*(
+                v.tolist() for v in (faces.x, faces.y, faces.nux, faces.nuy,
+                                     left, right, jump, predicted, residual,
+                                     faces.traceable)))):
             rows.append({
-                "interface": name, "face_index": k, "x": face.x, "y": face.y,
-                "nx": face.nux, "ny": face.nuy, "quantity": quantity,
-                "left_trace": left, "right_trace": right, "jump": jump,
-                "predicted_jump": predicted, "residual": residual,
-                "marker": marker,
+                "interface": name, "face_index": k, "x": x, "y": y,
+                "nx": nux, "ny": nuy, "quantity": quantity,
+                "left_trace": lt, "right_trace": rt, "jump": jp,
+                "predicted_jump": pj, "residual": res,
+                "marker": "" if ok else "untraceable",
             })
-    averages = {name: (s / c if c else np.nan) for name, (s, c) in sums.items()}
+        # summed in face order, one face at a time
+        magnitudes = np.abs(jump[faces.traceable]).tolist()
+        total = functools.reduce(float.__add__, magnitudes, 0.0)
+        averages[name] = total / len(magnitudes) if magnitudes else np.nan
     return JumpTable(quantity, tuple(rows), averages)
 
 
@@ -529,53 +515,51 @@ class TransmissionReport:
     viscous-stress jumps of v1 and v2 against their pressure brackets
     (nu-component); 'cont1'/'cont2' are the velocity-vector jumps;
     'normal_match' (mutual interface only) is |v1.nu - v2.nu| read
-    directly off the shared face.
+    directly off the shared face.  An entry is NaN when its interface
+    has no traceable face.  ``n_untraceable`` counts the untraceable
+    faces of all interfaces, each face once.
     """
 
     residuals: dict
     n_untraceable: int
 
     def max_residual(self) -> float:
+        """Largest entry, skipping NaN ones: NaN if all are, 0.0 if none."""
         vals = [v for d in self.residuals.values() for v in d.values()]
-        return max(vals) if vals else 0.0
+        known = [v for v in vals if not np.isnan(v)]
+        if known:
+            return max(known)
+        return np.nan if vals else 0.0
+
+
+def _largest(values: np.ndarray) -> float:
+    return values.max() if values.size else np.nan
 
 
 def verify_transmission(sol: StationarySolution, part: DomainPartition) -> TransmissionReport:
+    cells = _cell_fields(sol)
     residuals = {}
     untraceable = 0
-    tables = {}
-    for quantity in ("grad_v1_normal", "grad_v2_normal", "v1", "v2"):
-        tables[quantity] = measure_jump(sol, part, quantity)
     for name in _INTERFACES:
         faces = getattr(part, name)
         if not faces:
             continue
+        ok = faces.traceable
+        untraceable += len(faces) - int(ok.sum())
         entry = {}
         for key, quantity, beta in (
                 ("force1", "grad_v1_normal", sol.params.beta1),
                 ("force2", "grad_v2_normal", sol.params.beta2)):
-            vals = []
-            for r in tables[quantity].interface_rows(name):
-                if r["marker"]:
-                    untraceable += 1
-                else:
-                    vals.append(beta * abs(r["residual"]))
-            entry[key] = max(vals) if vals else np.nan
+            _, _, jump, predicted = _jumps(sol, name, faces, quantity, cells)
+            entry[key] = _largest(beta * np.abs(jump[ok] - predicted[ok]))
         for key, quantity in (("cont1", "v1"), ("cont2", "v2")):
-            vals = [r["jump"] for r in tables[quantity].interface_rows(name)
-                    if not r["marker"]]
-            entry[key] = max(vals) if vals else np.nan
+            jump = _jumps(sol, name, faces, quantity, cells)[2]
+            entry[key] = _largest(jump[ok])
         if name == "gamma":
-            vals = []
-            for face in faces:
-                if face.orientation == "u":
-                    a = sol.v1.u[face.fi, face.fj]
-                    b = sol.v2.u[face.fi, face.fj]
-                else:
-                    a = sol.v1.v[face.fi, face.fj]
-                    b = sol.v2.v[face.fi, face.fj]
-                vals.append(abs(a - b))
-            entry["normal_match"] = max(vals) if vals else np.nan
+            du, dv = sol.v1.u - sol.v2.u, sol.v1.v - sol.v2.v
+            u, v = faces.is_u, ~faces.is_u
+            entry["normal_match"] = _largest(np.abs(np.concatenate(
+                [du[faces.fi[u], faces.fj[u]], dv[faces.fi[v], faces.fj[v]]])))
         residuals[name] = entry
     return TransmissionReport(residuals, untraceable)
 
@@ -631,12 +615,12 @@ def interface_force_residuals(sol: StationarySolution, part: DomainPartition,
     xx, yy = spec.cell_center_mesh()
     radius = radius_cells * spec.hx
     res = []
-    for face in getattr(part, interface):
-        x0, y0 = face.x, face.y
-        ci = min(int((x0 - spec.x_min) / spec.hx
-                     - 0.5 * (face.orientation == "u")), spec.nx - 1)
-        cj = min(int((y0 - spec.y_min) / spec.hy
-                     - 0.5 * (face.orientation == "v")), spec.ny - 1)
+    faces = getattr(part, interface)
+    for x0, y0, is_u in zip(faces.x.tolist(), faces.y.tolist(),
+                            faces.is_u.tolist()):
+        ci = min(int((x0 - spec.x_min) / spec.hx - 0.5 * is_u), spec.nx - 1)
+        cj = min(int((y0 - spec.y_min) / spec.hy - 0.5 * (not is_u)),
+                 spec.ny - 1)
         norm = np.hypot(gx[ci, cj], gy[ci, cj])
         if norm < 1e-12:
             continue

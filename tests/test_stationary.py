@@ -7,7 +7,8 @@ from tissueflow.constitutive import ModelParams
 from tissueflow.grid import GridSpec, ScalarField, VectorField, divergence
 from tissueflow.operators import stack_faces
 from tissueflow.stationary import (DomainPartition, PartitionError,
-                                   assemble_weak_form, concentric_partition,
+                                   TransmissionReport, assemble_weak_form,
+                                   concentric_partition,
                                    interface_force_residuals, measure_jump,
                                    quadratic_form, solve_stationary,
                                    verify_transmission)
@@ -223,3 +224,245 @@ def test_iteration_budget_bounds_inner_iterations():
     with pytest.raises(SolverFailure) as err:
         solve_stationary(part, PARAMS, cfg=SolverConfig(max_iter=1))
     assert err.value.iterations == 1
+
+
+# ---------------------------------------------------------------------------
+# interface faces and jumps against a plain per-face reference
+
+def _reference_faces(labels, spec, a, b):
+    """(orientation, fi, fj, x, y, nux, nuy) of every a|b face, normal a -> b."""
+    nx, ny = labels.shape
+    xf, yc = spec.x_faces(), spec.y_centers()
+    xc, yf = spec.x_centers(), spec.y_faces()
+    faces = []
+    for fi in range(1, nx):
+        for j in range(ny):
+            lo, hi = labels[fi - 1, j], labels[fi, j]
+            if (lo, hi) in ((a, b), (b, a)):
+                faces.append(("u", fi, j, xf[fi], yc[j],
+                              1.0 if lo == a else -1.0, 0.0))
+    for i in range(nx):
+        for fj in range(1, ny):
+            lo, hi = labels[i, fj - 1], labels[i, fj]
+            if (lo, hi) in ((a, b), (b, a)):
+                faces.append(("v", i, fj, xc[i], yf[fj],
+                              0.0, 1.0 if lo == a else -1.0))
+    return faces
+
+
+def _reference_trace(values, labels, face, sign, region, spec):
+    """Two-cell linear extrapolation on side ``sign`` of a face."""
+    orientation, fi, fj, _, _, nux, nuy = face
+    nx, ny = values.shape
+    if orientation == "u":
+        d = int(nux) * sign
+        cells = [(fi if d > 0 else fi - 1) + k * d for k in range(2)]
+        cells = [(i, fj) for i in cells]
+        h = spec.hx
+    else:
+        d = int(nuy) * sign
+        cells = [(fi, (fj if d > 0 else fj - 1) + k * d) for k in range(2)]
+        h = spec.hy
+    samples = []
+    for i, j in cells:
+        if not (0 <= i < nx and 0 <= j < ny) or labels[i, j] != region:
+            return np.nan, np.nan, False
+        samples.append(values[i, j])
+    a, b = samples
+    return 1.5 * a - 0.5 * b, -sign * (a - b) / h, True
+
+
+def _reference_rows(sol, part, quantity):
+    """Rows and averages of ``measure_jump``, one face at a time."""
+    regions = {"gamma": (1, 2), "gamma1": (1, 0), "gamma2": (2, 0)}
+    spec, labels, prm = part.spec, part.labels, sol.params
+    d1, d2 = divergence(sol.v1).values, divergence(sol.v2).values
+    u1c, v1c = sol.v1.cell_centered()
+    u2c, v2c = sol.v2.cell_centered()
+    rows, averages = [], {}
+    for name, (ra, rb) in regions.items():
+        total, count = 0.0, 0
+        for k, face in enumerate(_reference_faces(labels, spec, ra, rb)):
+            def tr(vals, sign, region):
+                return _reference_trace(vals, labels, face, sign, region, spec)
+            (d1l, _, ok1), (d1r, _, ok2) = tr(d1, -1, ra), tr(d1, 1, rb)
+            (d2l, _, ok3), (d2r, _, ok4) = tr(d2, -1, ra), tr(d2, 1, rb)
+            (ql, _, ok5), (qr, _, ok6) = (tr(sol.q.values, -1, ra),
+                                          tr(sol.q.values, 1, rb))
+            ok = ok1 and ok2 and ok3 and ok4 and ok5 and ok6
+            p1 = prm.p1_star - d1l / prm.g1
+            p2 = prm.p2_star - d2l / prm.g2
+            if quantity == "pressure":
+                left = tr(sol.p.values, -1, ra)[0]
+                right = tr(sol.p.values, 1, rb)[0] if rb else 0.0
+                predicted = {"gamma": p1 - p2, "gamma1": p1, "gamma2": p2}[name]
+            elif quantity in ("v1", "v2"):
+                uc, vc = (u1c, v1c) if quantity == "v1" else (u2c, v2c)
+                ul, vl = tr(uc, -1, ra)[0], tr(vc, -1, ra)[0]
+                ur, vr = tr(uc, 1, rb)[0], tr(vc, 1, rb)[0]
+                left, right = float(np.hypot(ul, vl)), float(np.hypot(ur, vr))
+                predicted = 0.0
+            else:
+                which = 1 if quantity == "grad_v1_normal" else 2
+                uc, vc = (u1c, v1c) if which == 1 else (u2c, v2c)
+                comp = uc if face[0] == "u" else vc
+                nu_sign = face[5] + face[6]
+                left = tr(comp, -1, ra)[1] * nu_sign
+                right = tr(comp, 1, rb)[1] * nu_sign
+                if name == "gamma1":
+                    bracket = (prm.p1_star - d1l / prm.g1 if which == 1 else
+                               prm.p1_star + ql - d1l / prm.g1)
+                elif name == "gamma2":
+                    bracket = (prm.p2_star + ql - d2l / prm.g2 if which == 1
+                               else prm.p2_star - d2l / prm.g2)
+                else:
+                    common = ((prm.p1_star - prm.p2_star) + d2r / prm.g2
+                              - d1l / prm.g1)
+                    bracket = common - qr if which == 1 else common + ql
+                predicted = bracket / (prm.beta1 if which == 1 else prm.beta2)
+            if quantity in ("v1", "v2"):
+                jump = float(np.hypot(ul - ur, vl - vr))
+            else:
+                jump = left - right
+            if ok:
+                residual, marker = jump - predicted, ""
+                total += abs(jump)
+                count += 1
+            else:
+                left = right = jump = predicted = residual = np.nan
+                marker = "untraceable"
+            rows.append({"interface": name, "face_index": k, "x": face[3],
+                         "y": face[4], "nx": face[5], "ny": face[6],
+                         "quantity": quantity, "left_trace": left,
+                         "right_trace": right, "jump": jump,
+                         "predicted_jump": predicted, "residual": residual,
+                         "marker": marker})
+        averages[name] = total / count if count else np.nan
+    return rows, averages
+
+
+def _wall_and_strip_partition():
+    """Anisotropic 20x24 box: tissue 1 one cell off the left wall, tissue 2
+    one cell off the bottom wall, and one-cell strips of both tissues."""
+    spec = GridSpec(-1.0, 1.0, 0.0, 3.0, 20, 24)
+    labels = np.zeros((20, 24), dtype=int)
+    labels[1:7, 3:11] = 1       # block one cell off the left wall
+    labels[7:15, 1:13] = 2      # block one cell off the bottom wall
+    labels[8:13, 13] = 1        # one-cell strip of tissue 1 on tissue 2
+    labels[16, 5:16] = 2        # free one-cell strip of tissue 2
+    return DomainPartition(ScalarField(spec, (labels == 1).astype(float)),
+                           ScalarField(spec, (labels == 2).astype(float)),
+                           allow_wall_contact=True)
+
+
+@pytest.mark.parametrize("quantity", ["pressure", "v1", "v2",
+                                      "grad_v1_normal", "grad_v2_normal"])
+def test_measure_jump_matches_the_per_face_reference(quantity):
+    part = _wall_and_strip_partition()
+    assert part.gamma and part.gamma1 and part.gamma2
+    spec = part.spec
+    xx, yy = spec.cell_center_mesh()
+    q = ScalarField(spec, 1.0 + 0.5 * np.sin(3.0 * xx) * np.cos(2.0 * yy))
+    params = ModelParams(beta1=1.0, beta2=0.3, g1=1.0, g2=2.0,
+                         p1_star=5.0, p2_star=10.0)
+    sol = solve_stationary(part, params, q)
+    ref_rows, ref_avg = _reference_rows(sol, part, quantity)
+    table = measure_jump(sol, part, quantity)
+    assert len(table.rows) == len(ref_rows)
+    markers = [r["marker"] for r in ref_rows]
+    assert "untraceable" in markers and "" in markers
+    for key in ("interface", "quantity", "marker", "face_index"):
+        assert [r[key] for r in table.rows] == [r[key] for r in ref_rows]
+    for key in ("x", "y", "nx", "ny", "left_trace", "right_trace", "jump",
+                "predicted_jump", "residual"):
+        got = np.array([r[key] for r in table.rows], dtype=float)
+        ref = np.array([r[key] for r in ref_rows], dtype=float)
+        assert np.array_equal(got, ref, equal_nan=True), key
+    assert table.averages.keys() == ref_avg.keys()
+    for name, value in ref_avg.items():
+        assert np.array_equal(table.averages[name], value, equal_nan=True)
+
+
+def test_face_records_of_a_hand_built_partition():
+    spec = GridSpec(0.0, 1.0, 0.0, 3.0, 5, 6)      # hx = 0.2, hy = 0.5
+    labels = np.array([[0, 0, 0, 0, 0, 0],
+                       [0, 1, 1, 2, 0, 0],
+                       [0, 1, 2, 2, 0, 0],
+                       [0, 0, 2, 1, 0, 0],
+                       [0, 0, 0, 0, 0, 0]])
+    part = DomainPartition(ScalarField(spec, (labels == 1).astype(float)),
+                           ScalarField(spec, (labels == 2).astype(float)),
+                           allow_wall_contact=True)
+    assert "gamma" not in vars(part)          # built on first read
+    gamma = part.gamma
+    assert "gamma" in vars(part) and part.gamma is gamma
+    # (orientation, fi, fj, nux, nuy), normal from tissue 1 into tissue 2
+    expected = [("u", 2, 2, 1.0, 0.0), ("u", 3, 3, -1.0, 0.0),
+                ("v", 1, 3, 0.0, 1.0), ("v", 2, 2, 0.0, 1.0),
+                ("v", 3, 3, 0.0, -1.0)]
+    assert len(gamma) == 5
+    assert gamma.is_u.tolist() == [e[0] == "u" for e in expected]
+    assert gamma.fi.tolist() == [e[1] for e in expected]
+    assert gamma.fj.tolist() == [e[2] for e in expected]
+    assert gamma.nux.tolist() == [e[3] for e in expected]
+    assert gamma.nuy.tolist() == [e[4] for e in expected]
+    assert np.allclose(gamma.x, [0.4, 0.6, 0.3, 0.5, 0.7])
+    assert np.allclose(gamma.y, [1.25, 1.75, 1.5, 1.0, 1.5])
+    # flat cell indices i*ny + j: left (tissue 1) side, then right side
+    assert gamma.near[:, 0].tolist() == [8, 14]
+    assert gamma.far[:, 0].tolist() == [2, 20]
+    # every face here has a far cell of the wrong tissue on some side
+    assert not gamma.traceable.any()
+    # a far cell beyond the wall repeats the near one and is untraceable
+    wall = part.gamma1.is_u & (part.gamma1.fi == 1) & (part.gamma1.fj == 1)
+    assert part.gamma1.nux[wall].tolist() == [-1.0]
+    assert part.gamma1.near[:, wall].ravel().tolist() == [7, 1]
+    assert part.gamma1.far[:, wall].ravel().tolist() == [13, 1]
+    assert not part.gamma1.traceable[wall].any()
+    for name in ("gamma", "gamma1", "gamma2"):
+        ref = _reference_faces(labels, spec, *{"gamma": (1, 2),
+                                              "gamma1": (1, 0),
+                                              "gamma2": (2, 0)}[name])
+        faces = getattr(part, name)
+        got = list(zip(np.where(faces.is_u, "u", "v").tolist(),
+                       faces.fi.tolist(), faces.fj.tolist(), faces.x.tolist(),
+                       faces.y.tolist(), faces.nux.tolist(),
+                       faces.nuy.tolist()))
+        assert got == ref
+    empty = concentric_partition(GridSpec(nx=16, ny=16))
+    assert len(empty.gamma1) == 0 and not empty.gamma1
+
+
+def _strip_partition():
+    """24x24 box: tissue 1 as a one-cell strip at i = 6 on a tissue 2 block,
+    so that no tissue 1 | tissue 2 face is traceable."""
+    spec = GridSpec(nx=24, ny=24)
+    labels = np.zeros((24, 24), dtype=int)
+    labels[6, 4:20] = 1
+    labels[7:18, 4:20] = 2
+    return DomainPartition(ScalarField(spec, (labels == 1).astype(float)),
+                           ScalarField(spec, (labels == 2).astype(float)))
+
+
+def test_transmission_report_skips_nan_entries_and_counts_faces_once():
+    part = _strip_partition()
+    sol = solve_stationary(part, PARAMS)
+    report = verify_transmission(sol, part)
+    gamma = report.residuals["gamma"]
+    assert all(np.isnan(gamma[k]) for k in ("force1", "force2", "cont1",
+                                             "cont2"))
+    entries = [v for d in report.residuals.values() for v in d.values()]
+    assert report.max_residual() == np.nanmax(entries) > 1.0
+    # 16 tissue faces of the strip on each side, each counted once
+    table = measure_jump(sol, part, "pressure")
+    marked = sum(1 for r in table.rows if r["marker"])
+    assert report.n_untraceable == marked == 32
+
+
+def test_max_residual_edge_cases():
+    assert TransmissionReport({}, 0).max_residual() == 0.0
+    assert np.isnan(TransmissionReport({"gamma": {"a": np.nan}},
+                                       1).max_residual())
+    mixed = TransmissionReport({"gamma": {"a": np.nan, "b": 2.0},
+                                "gamma1": {"a": 1.0}}, 1)
+    assert mixed.max_residual() == 2.0
