@@ -10,15 +10,13 @@ All three operators are I + beta*K with K a sum of constant-coefficient
 three-point stencils on the uniform box, so every solve is an exact
 transform solve: sine and cosine transforms diagonalise K, with no
 factorisation and nothing cached.  The assembled K serves only to check
-each solution's relative residual against ``SolverConfig.rel_tol``.
+each solution's relative residual against ``REL_TOL``.
 ``cell_pressure_operator`` applies D (I + beta*K)^-1 D^T, the Dirichlet
 solve between a cell divergence and its transpose, in the same way
 without leaving the cells; the stationary pressure equation uses it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as fft
@@ -36,6 +34,10 @@ _FACES = (fft.dst, fft.idst, 1, 1)     # n-1 face unknowns, walls on the end fac
 _CELLS = (fft.dst, fft.idst, 2, 1)     # n unknowns, Dirichlet wall half a spacing out
 _NEUMANN = (fft.dct, fft.idct, 2, 0)   # n cells, zero-flux walls
 
+# Relative residual every solve must reach, the stationary one included;
+# read at call time.
+REL_TOL = 1e-10
+
 
 class SolverFailure(RuntimeError):
     """Linear solve did not reach the requested tolerance."""
@@ -47,21 +49,6 @@ class SolverFailure(RuntimeError):
         self.residual = residual
         self.tol = tol
         self.iterations = iterations
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    rel_tol: float = 1e-10
-    max_iter: int | None = None   # stationary GMRES; defaults to 10*(nx+ny)
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-    def iterations_for(self, spec: GridSpec) -> int:
-        return self.max_iter if self.max_iter is not None else 10 * (spec.nx + spec.ny)
 
 
 def _eigenvalues(k0: int, m: int, n: int, h: float) -> np.ndarray:
@@ -140,12 +127,12 @@ def neumann_cell_inverse(b: np.ndarray, beta: float, spec: GridSpec,
 
 
 def _solve(b: np.ndarray, beta: float, blocks: tuple, inverse,
-           spec: GridSpec, cfg: SolverConfig) -> np.ndarray:
+           spec: GridSpec) -> np.ndarray:
     """Solve (I + beta*K) x = b with K = blockdiag of ``blocks``' matrices.
 
     ``inverse(b, beta, spec)`` is the exact transform solve, on b's shape.
     Every block ``(K_k, what)`` is checked on its own rows of the
-    flattened x: a relative residual above ``cfg.rel_tol`` raises
+    flattened x: a relative residual above ``REL_TOL`` raises
     SolverFailure.
     """
     if beta <= 0:
@@ -158,43 +145,37 @@ def _solve(b: np.ndarray, beta: float, blocks: tuple, inverse,
         stop = rows.stop
         scale = np.linalg.norm(bf[rows])
         res = np.linalg.norm(xf[rows] + beta * (K @ xf[rows]) - bf[rows])
-        if res > cfg.rel_tol * scale:
-            raise SolverFailure(what, res / scale, cfg.rel_tol)
+        if res > REL_TOL * scale:
+            raise SolverFailure(what, res / scale, REL_TOL)
     return x
 
 
-def solve_brinkman_rhs(f: VectorField, beta: float,
-                       cfg: SolverConfig | None = None) -> VectorField:
+def solve_brinkman_rhs(f: VectorField, beta: float) -> VectorField:
     """Solve -beta*Lap(v) + v = f; boundary faces of f are ignored."""
-    cfg = cfg or SolverConfig()
     spec = f.spec
     blocks = ((face_stiffness_u(spec), "brinkman u-component"),
               (face_stiffness_v(spec), "brinkman v-component"))
-    x = _solve(stack_faces(f), beta, blocks, face_brinkman_inverse, spec, cfg)
+    x = _solve(stack_faces(f), beta, blocks, face_brinkman_inverse, spec)
     return unstack_faces(spec, x)
 
 
-def solve_brinkman(p: ScalarField, beta: float,
-                   cfg: SolverConfig | None = None) -> VectorField:
+def solve_brinkman(p: ScalarField, beta: float) -> VectorField:
     """Dirichlet Brinkman velocity from a cell-centered pressure."""
     g = gradient(p)
-    return solve_brinkman_rhs(VectorField(p.spec, -g.u, -g.v), beta, cfg)
+    return solve_brinkman_rhs(VectorField(p.spec, -g.u, -g.v), beta)
 
 
-def solve_screened_potential(p: ScalarField, beta: float,
-                             cfg: SolverConfig | None = None) -> ScalarField:
+def solve_screened_potential(p: ScalarField, beta: float) -> ScalarField:
     """Scalar -beta*Lap(K) + K = p with zero-flux walls."""
-    cfg = cfg or SolverConfig()
     spec = p.spec
     x = _solve(p.values, beta,
                ((cell_laplacian_neumann(spec), "screened potential"),),
-               neumann_cell_inverse, spec, cfg)
+               neumann_cell_inverse, spec)
     return ScalarField(spec, x)
 
 
-def solve_brinkman_gradient_form(p: ScalarField, beta: float,
-                                 cfg: SolverConfig | None = None) -> VectorField:
+def solve_brinkman_gradient_form(p: ScalarField, beta: float) -> VectorField:
     """Gradient-form velocity v = -grad K; laminar (curl-free) by construction."""
-    K = solve_screened_potential(p, beta, cfg)
+    K = solve_screened_potential(p, beta)
     g = gradient(K)
     return VectorField(p.spec, -g.u, -g.v)

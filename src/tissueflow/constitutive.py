@@ -8,7 +8,7 @@ log space so exponents up to m ~ 1e6 stay representable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

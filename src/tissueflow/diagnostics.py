@@ -92,29 +92,24 @@ class CurlSignature:
     anterior_sign_changes: int
 
 
-def curl_signature(v2: VectorField, sign_threshold: float = 0.0,
-                   posterior_is_lower: bool = True,
+def curl_signature(v2: VectorField,
                    mask: np.ndarray | None = None) -> CurlSignature:
     """Wall-vortex signature of the lateral tissue's velocity.
 
     Means of the curl over the anatomical-left and anatomical-right
-    quarter strips of the posterior (by default lower) half, plus the
-    count of sign changes along the horizontal line a quarter-height into
-    the posterior half.  Left/right follow the imaging convention for a
-    dorsally viewed embryo, where the subject's left appears on the
-    viewer's right; anatomical left is therefore the large-x strip.
-    An optional cell mask restricts the strip means (e.g. to the tissue
-    support); an empty masked strip contributes a zero mean.
+    quarter strips of the posterior (lower) half, plus the count of sign
+    changes along the horizontal line a quarter-height into the
+    posterior half, exact zeros skipped.  Left/right follow the imaging
+    convention for a dorsally viewed embryo, where the subject's left
+    appears on the viewer's right; anatomical left is therefore the
+    large-x strip.  An optional cell mask restricts the strip means
+    (e.g. to the tissue support); an empty masked strip contributes a
+    zero mean.
     """
     spec = v2.spec
     curl = curl2d(v2).values
     nx, ny = spec.nx, spec.ny
-    if posterior_is_lower:
-        rows = slice(0, ny // 2)
-        probe_j = ny // 4
-    else:
-        rows = slice(ny // 2, ny)
-        probe_j = (3 * ny) // 4
+    rows = slice(0, ny // 2)
     if mask is None:
         mask = np.ones((nx, ny), dtype=bool)
     else:
@@ -126,8 +121,7 @@ def curl_signature(v2: VectorField, sign_threshold: float = 0.0,
 
     left_mean = strip_mean(slice(3 * nx // 4, nx))    # anatomical left
     right_mean = strip_mean(slice(0, nx // 4))        # anatomical right
-    line = curl[:, probe_j]
-    signs = np.sign(np.where(np.abs(line) <= sign_threshold, 0.0, line))
+    signs = np.sign(curl[:, ny // 4])
     signs = signs[signs != 0.0]
     changes = int(np.count_nonzero(np.diff(signs))) if signs.size else 0
     return CurlSignature(left_mean, right_mean, changes)

@@ -144,8 +144,7 @@ def step_limit(state: LimitState, ctrl: StepControl,
         if cells < MIN_SUBDOMAIN_CELLS and previous[which - 1] > 0:
             raise VanishingSubdomain(which, cells, t_new)
     part = DomainPartition(ScalarField(state.spec, chi1),
-                           ScalarField(state.spec, chi2),
-                           allow_wall_contact=state.part.allow_wall_contact)
+                           ScalarField(state.spec, chi2))
 
     q = state.q if ctrl.model == "VM" else transport_q(state, dt)
     q = ScalarField(state.spec, q.values * (chi1 + chi2))

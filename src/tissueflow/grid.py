@@ -7,19 +7,13 @@ shape (nx, ny+1).  Index ``i`` runs along x, ``j`` along y.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class GridError(ValueError):
     """Raised when a field does not conform to its grid contract."""
-
-
-class BoundaryKind(enum.Enum):
-    ZERO_FLUX = "zero-flux"
-    ZERO_VALUE = "zero-value"
 
 
 @dataclass(frozen=True)
@@ -174,49 +168,36 @@ def gradient(s: ScalarField) -> VectorField:
     return VectorField(spec, u, v)
 
 
-def _ghost_pad(values: np.ndarray, bc: BoundaryKind) -> np.ndarray:
+def _ghost_pad(values: np.ndarray) -> np.ndarray:
+    """Copy of ``values`` with one ghost ring mirroring the edge cells."""
     g = np.empty((values.shape[0] + 2, values.shape[1] + 2))
     g[1:-1, 1:-1] = values
-    if bc is BoundaryKind.ZERO_FLUX:
-        g[0, 1:-1] = values[0, :]
-        g[-1, 1:-1] = values[-1, :]
-        g[1:-1, 0] = values[:, 0]
-        g[1:-1, -1] = values[:, -1]
-    elif bc is BoundaryKind.ZERO_VALUE:
-        g[0, 1:-1] = -values[0, :]
-        g[-1, 1:-1] = -values[-1, :]
-        g[1:-1, 0] = -values[:, 0]
-        g[1:-1, -1] = -values[:, -1]
-    else:
-        raise GridError(f"unknown boundary kind {bc}")
+    g[0, 1:-1] = values[0, :]
+    g[-1, 1:-1] = values[-1, :]
+    g[1:-1, 0] = values[:, 0]
+    g[1:-1, -1] = values[:, -1]
     # corners are never referenced by the 5-point stencil
     g[0, 0] = g[0, -1] = g[-1, 0] = g[-1, -1] = 0.0
     return g
 
 
-def laplacian(s: ScalarField, bc: BoundaryKind = BoundaryKind.ZERO_FLUX) -> ScalarField:
-    """5-point Laplacian with ghost cells realizing the boundary condition."""
+def laplacian(s: ScalarField) -> ScalarField:
+    """5-point Laplacian with zero-flux walls, realised by mirror ghost cells."""
     spec = s.spec
-    g = _ghost_pad(s.values, bc)
+    g = _ghost_pad(s.values)
     lap = (g[2:, 1:-1] - 2.0 * g[1:-1, 1:-1] + g[:-2, 1:-1]) / spec.hx**2 \
         + (g[1:-1, 2:] - 2.0 * g[1:-1, 1:-1] + g[1:-1, :-2]) / spec.hy**2
     return ScalarField(spec, lap)
 
 
-def _d_dx_centered(a: np.ndarray, h: float) -> np.ndarray:
+def _d_centered(a: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Centred first derivative of ``a`` along ``axis``, spacing h."""
     out = np.empty_like(a)
-    out[1:-1, :] = (a[2:, :] - a[:-2, :]) / (2.0 * h)
-    # second-order one-sided at the edge columns
-    out[0, :] = (-3.0 * a[0, :] + 4.0 * a[1, :] - a[2, :]) / (2.0 * h)
-    out[-1, :] = (3.0 * a[-1, :] - 4.0 * a[-2, :] + a[-3, :]) / (2.0 * h)
-    return out
-
-
-def _d_dy_centered(a: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(a)
-    out[:, 1:-1] = (a[:, 2:] - a[:, :-2]) / (2.0 * h)
-    out[:, 0] = (-3.0 * a[:, 0] + 4.0 * a[:, 1] - a[:, 2]) / (2.0 * h)
-    out[:, -1] = (3.0 * a[:, -1] - 4.0 * a[:, -2] + a[:, -3]) / (2.0 * h)
+    a, o = a.swapaxes(0, axis), out.swapaxes(0, axis)
+    o[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
+    # second-order one-sided at the two edges
+    o[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
+    o[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
     return out
 
 
@@ -224,4 +205,5 @@ def curl2d(vec: VectorField) -> ScalarField:
     """Scalar curl dv/dx - du/dy interpolated to cell centers."""
     uc, vc = vec.cell_centered()
     spec = vec.spec
-    return ScalarField(spec, _d_dx_centered(vc, spec.hx) - _d_dy_centered(uc, spec.hy))
+    return ScalarField(spec, _d_centered(vc, spec.hx, 0)
+                       - _d_centered(uc, spec.hy, 1))

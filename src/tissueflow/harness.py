@@ -15,7 +15,6 @@ import argparse
 import configparser
 import csv
 import hashlib
-import io
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -314,6 +313,12 @@ def parse_config(text: str) -> RunConfig:
     sweep_alpha = float_list("alpha")
     if len({len(sweep_eps), len(sweep_m), len(sweep_alpha)}) > 1:
         violations.append("sweep lists eps, m, alpha must have equal length")
+    for k, (eps, m, alpha) in enumerate(zip(sweep_eps, sweep_m, sweep_alpha)):
+        try:
+            replace(params, eps=eps, m=m, alpha=alpha)
+        except ValueError as exc:
+            violations.append(f"[sweep] tuple {k + 1} (eps = {eps!r}, "
+                              f"m = {m!r}, alpha = {alpha!r}): {exc}")
 
     dt = number("control", "dt", base.dt if base else 1e-3)
     cfl = number("control", "cfl", base.cfl if base else 0.4)
@@ -366,8 +371,7 @@ def initial_partition(cfg: RunConfig):
     chi1 = (n1.values > 0.0).astype(float)
     chi2 = (n2.values > 0.0).astype(float) * (1.0 - chi1)
     return DomainPartition(ScalarField(cfg.grid, chi1),
-                           ScalarField(cfg.grid, chi2),
-                           allow_wall_contact=True)
+                           ScalarField(cfg.grid, chi2))
 
 
 def q_field(cfg: RunConfig) -> ScalarField:
@@ -562,8 +566,9 @@ def run_cli(argv) -> int:
     """Entry point; returns the process exit code.
 
     0 success, 1 config error (an invalid grid, a step setting out of
-    range, initial densities with n1+n2 >= 1, a negative q and a q file
-    that is missing, malformed or on another grid included), 2 solver
+    range, a [sweep] tuple that is not valid model parameters, initial
+    densities with n1+n2 >= 1, a negative q and a q file that is
+    missing, malformed or on another grid included), 2 solver
     failure (a non-finite field included), 3 invariant violation in
     `check`.
     """

@@ -27,7 +27,9 @@ of the stack for both tissues (``brinkman.cell_pressure_operator``).
 Nothing is assembled or factorised.  The face velocities x_i are formed
 once, from the converged Pi by exact sine transform solves
 (``brinkman.face_brinkman_inverse``), and the residual of the full
-coupled system is then checked.
+coupled system is then checked against ``brinkman.REL_TOL``.  GMRES has
+a fixed budget of ``GMRES_ITERATIONS_PER_LINE * (nx + ny)`` inner
+iterations; no tolerance or budget is a parameter.
 
 The pressure is reconstructed from the velocity divergences,
 
@@ -42,7 +44,8 @@ record of arrays, built on first read: face indices, midpoints and
 normals, and the flat indices of the two nearest cells on each side.
 Every one-sided trace is one gather from those indices, so the jump
 tables of ``measure_jump`` and the residuals of ``verify_transmission``
-come from the same arrays and the same masked faces.
+come from the same arrays and the same masked faces.  Tissues may touch
+the walls: a face whose trace would need a cell beyond them is masked.
 """
 
 from __future__ import annotations
@@ -54,18 +57,20 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .brinkman import (SolverConfig, SolverFailure, cell_pressure_operator,
+from . import brinkman
+from .brinkman import (SolverFailure, cell_pressure_operator,
                        face_brinkman_inverse)
 from .constitutive import CoercivityReport, ModelParams, coercivity_check
 from .grid import GridSpec, ScalarField, VectorField, divergence
 from .operators import (divergence_matrix, face_stiffness_u, face_stiffness_v,
                         stack_faces, unstack_faces)
 
-BOUNDARY_MARGIN_CELLS = 2
-
 # Krylov vectors kept between GMRES restarts: scipy stores restart + 1 of
 # them, and the pressure equation converges in well under 50 iterations.
 GMRES_RESTART = 50
+# GMRES inner iterations allowed per grid line: the budget is 10*(nx+ny),
+# rounded down to whole restart cycles.
+GMRES_ITERATIONS_PER_LINE = 10
 
 JUMP_CSV_COLUMNS = ("interface", "face_index", "x", "y", "nx", "ny",
                     "quantity", "left_trace", "right_trace", "jump",
@@ -144,16 +149,15 @@ def _interface_faces(labels: np.ndarray, spec: GridSpec, a: int,
 class DomainPartition:
     """Disjoint 0/1 indicators of the two tissue subdomains inside the box.
 
-    Both supports must stay at least two cells clear of the outer walls
-    so that one-sided traces have room on the exterior side.  The
-    interface face records ``gamma`` (tissue1 | tissue2), ``gamma1``
-    (tissue1 | exterior) and ``gamma2`` (tissue2 | exterior) are built
-    on first read.
+    The supports may touch the outer walls: a face whose one-sided trace
+    would need a cell beyond the wall is masked as untraceable in its
+    interface record.  The interface face records ``gamma``
+    (tissue1 | tissue2), ``gamma1`` (tissue1 | exterior) and ``gamma2``
+    (tissue2 | exterior) are built on first read.
     """
 
     chi1: ScalarField
     chi2: ScalarField
-    allow_wall_contact: bool = False
 
     def __post_init__(self):
         if self.chi1.spec != self.chi2.spec:
@@ -164,15 +168,6 @@ class DomainPartition:
                 raise PartitionError(f"{name} is not a 0/1 indicator")
         if (self.chi1.values * self.chi2.values).any():
             raise PartitionError("subdomains overlap")
-        if not self.allow_wall_contact:
-            m = BOUNDARY_MARGIN_CELLS
-            occupied = self.chi1.values + self.chi2.values
-            frame = occupied.copy()
-            frame[m:-m, m:-m] = 0.0
-            if frame.any():
-                raise PartitionError(
-                    f"supports must keep a {m}-cell margin from the outer "
-                    "walls (pass allow_wall_contact=True to override)")
 
     @functools.cached_property
     def gamma(self) -> InterfaceFaces:
@@ -198,8 +193,7 @@ class DomainPartition:
         return int(self.chi1.values.sum()), int(self.chi2.values.sum())
 
     def swapped(self) -> "DomainPartition":
-        return DomainPartition(self.chi2, self.chi1,
-                               allow_wall_contact=self.allow_wall_contact)
+        return DomainPartition(self.chi2, self.chi1)
 
 
 def concentric_partition(spec: GridSpec, r1: float = 0.45,
@@ -303,15 +297,15 @@ def reconstruct_pressure(part: DomainPartition, params: ModelParams,
 
 
 def solve_stationary(part: DomainPartition, params: ModelParams,
-                     q: ScalarField | None = None,
-                     cfg: SolverConfig | None = None) -> StationarySolution:
+                     q: ScalarField | None = None) -> StationarySolution:
     """Velocities and pressure of the coupled system, via the cell equation.
 
-    ``cfg.rel_tol`` bounds the relative residual of the full coupled
-    system and ``cfg.iterations_for`` the GMRES inner iterations.
-    Raises SolverFailure when the residual is missed.
+    ``brinkman.REL_TOL`` bounds the relative residual of the full coupled
+    system, and GMRES gets ``GMRES_ITERATIONS_PER_LINE * (nx + ny)``
+    inner iterations (whole restart cycles).  Raises SolverFailure when
+    the residual is missed.
     """
-    cfg = cfg or SolverConfig()
+    rel_tol = brinkman.REL_TOL
     spec = part.spec
     q, f = _source(part, params, q)
     D = divergence_matrix(spec)
@@ -344,10 +338,10 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
         schur = spla.LinearOperator((n, n), schur_product, dtype=float)
         # scipy counts maxiter in restart cycles; bound the inner iterations.
         # D^T amplifies the cell residual in the coupled one, hence 0.01.
-        budget = cfg.iterations_for(spec)
-        restart = min(GMRES_RESTART, budget)
-        pi, _ = spla.gmres(schur, f, rtol=0.01 * cfg.rel_tol, atol=0.0,
-                           restart=restart, maxiter=budget // restart,
+        budget = GMRES_ITERATIONS_PER_LINE * (spec.nx + spec.ny)
+        pi, _ = spla.gmres(schur, f, rtol=0.01 * rel_tol, atol=0.0,
+                           restart=GMRES_RESTART,
+                           maxiter=budget // GMRES_RESTART,
                            callback=history.append, callback_type="pr_norm")
         x1, x2 = velocities(pi)
         K = _stiffness(spec)
@@ -355,8 +349,8 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
         r = np.concatenate([x1 + params.beta1 * (K @ x1) + g,
                             x2 + params.beta2 * (K @ x2) + g])
         rel = float(np.linalg.norm(r) / scale)
-        if rel > cfg.rel_tol:
-            raise SolverFailure("stationary system", rel, cfg.rel_tol,
+        if rel > rel_tol:
+            raise SolverFailure("stationary system", rel, rel_tol,
                                 len(history))
     v1 = unstack_faces(spec, x1)
     v2 = unstack_faces(spec, x2)
@@ -564,10 +558,17 @@ def verify_transmission(sol: StationarySolution, part: DomainPartition) -> Trans
     return TransmissionReport(residuals, untraceable)
 
 
+# interface_force_residuals: fit cells lie more than FIT_BAND_CELLS from
+# the interface and within FIT_RADIUS_CELLS * hx of the face; the normal
+# comes from an indicator difference smoothed over NORMAL_SMOOTHING_CELLS.
+FIT_BAND_CELLS = 2.5
+FIT_RADIUS_CELLS = 6.0
+NORMAL_SMOOTHING_CELLS = 2.0
+
+
 def interface_force_residuals(sol: StationarySolution, part: DomainPartition,
-                              which: int = 1, interface: str = "gamma",
-                              band: float = 2.5, radius_cells: float = 6.0,
-                              sigma: float = 2.0) -> np.ndarray:
+                              which: int = 1,
+                              interface: str = "gamma") -> np.ndarray:
     """Per-face residuals of the normal-stress balance across an interface.
 
     The normal-normal component of ``beta_i * grad v_i`` must jump across
@@ -576,12 +577,13 @@ def interface_force_residuals(sol: StationarySolution, part: DomainPartition,
     tissue is adjacent.  Pointwise one-sided differences are polluted by
     the staircase geometry of axis-aligned faces, so both ingredients
     are built to see only the smooth large-scale fields: one-sided
-    traces come from moving-least-squares linear fits over cells at
-    least ``band`` cells away from the interface within ``radius_cells``
-    grid spacings of the face, and the interface normal from the
-    gradient of a smoothed indicator difference.  Returns one residual
-    per traceable face; faces without enough one-sided fit cells are
-    skipped.
+    traces come from moving-least-squares linear fits over cells more
+    than ``FIT_BAND_CELLS`` away from the interface within
+    ``FIT_RADIUS_CELLS`` grid spacings of the face, and the interface
+    normal from the gradient of a smoothed indicator difference.  Each
+    fit reads only the box of cells around the disk, in the grid's
+    row-major order.  Returns one residual per traceable face; faces
+    without enough one-sided fit cells are skipped.
     """
     from scipy.ndimage import distance_transform_edt, gaussian_filter
 
@@ -598,10 +600,11 @@ def interface_force_residuals(sol: StationarySolution, part: DomainPartition,
     fit_mask = {}
     for r in (side_a, side_b):
         d = distance_transform_edt(masks[r])
-        fit_mask[r] = masks[r] & (d > band)
+        fit_mask[r] = masks[r] & (d > FIT_BAND_CELLS)
 
     diff = gaussian_filter(masks[side_b].astype(float)
-                           - masks[side_a].astype(float), sigma)
+                           - masks[side_a].astype(float),
+                           NORMAL_SMOOTHING_CELLS)
     gx = np.gradient(diff, spec.hx, axis=0)
     gy = np.gradient(diff, spec.hy, axis=1)
 
@@ -613,7 +616,10 @@ def interface_force_residuals(sol: StationarySolution, part: DomainPartition,
         q_sign = -1.0
 
     xx, yy = spec.cell_center_mesh()
-    radius = radius_cells * spec.hx
+    radius = FIT_RADIUS_CELLS * spec.hx
+    # cells from the face's cell to the edge of its fit disk, with a margin
+    ri, rj = int(radius / spec.hx) + 2, int(radius / spec.hy) + 2
+
     res = []
     faces = getattr(part, interface)
     for x0, y0, is_u in zip(faces.x.tolist(), faces.y.tolist(),
@@ -626,18 +632,22 @@ def interface_force_residuals(sol: StationarySolution, part: DomainPartition,
             continue
         nt = np.array([gx[ci, cj], gy[ci, cj]]) / norm
 
-        dd = (xx - x0) ** 2 + (yy - y0) ** 2
+        box = (slice(max(ci - ri, 0), ci + ri + 1),
+               slice(max(cj - rj, 0), cj + rj + 1))
+        bx, by = xx[box], yy[box]
+        dd = (bx - x0) ** 2 + (by - y0) ** 2
         near = dd < radius * radius
 
         def fit(vals, region):
-            sel = fit_mask[region] & near
-            if sel.sum() < 8:
+            sel = fit_mask[region][box] & near
+            count = int(sel.sum())
+            if count < 8:
                 return None
-            basis = np.column_stack([np.ones(int(sel.sum())),
-                                     xx[sel] - x0, yy[sel] - y0])
+            basis = np.column_stack([np.ones(count), bx[sel] - x0,
+                                     by[sel] - y0])
             w = 1.0 - np.sqrt(dd[sel]) / radius
-            coef, *_ = np.linalg.lstsq(basis * w[:, None], vals[sel] * w,
-                                       rcond=None)
+            coef, *_ = np.linalg.lstsq(basis * w[:, None],
+                                       vals[box][sel] * w, rcond=None)
             return coef
 
         fits = [fit(f, r) for f, r in

@@ -37,7 +37,7 @@ from dataclasses import replace
 import numpy as np
 
 from tissueflow import freeboundary
-from tissueflow.brinkman import (SolverConfig, solve_brinkman,
+from tissueflow.brinkman import (REL_TOL, solve_brinkman,
                                  solve_brinkman_gradient_form,
                                  solve_brinkman_rhs)
 from tissueflow.constitutive import ModelParams, repulsion_scalar
@@ -50,7 +50,6 @@ from tissueflow.stationary import (assemble_weak_form, concentric_partition,
                                    interface_force_residuals, measure_jump,
                                    quadratic_form, solve_stationary)
 
-REL_TOL = SolverConfig().rel_tol
 
 STATIONARY_PARAMS = ModelParams(beta1=1.0, beta2=1.0, g1=1.0, g2=1.0,
                                 p1_star=5.0, p2_star=10.0)

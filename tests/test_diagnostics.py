@@ -79,8 +79,14 @@ def test_curl_signature_mask_and_orientation():
     empty = np.zeros((32, 32), dtype=bool)
     sig = curl_signature(rot, mask=empty)
     assert sig.posterior_left_mean == 0.0 and sig.posterior_right_mean == 0.0
-    upper = curl_signature(rot, posterior_is_lower=False)
-    assert upper.posterior_left_mean == pytest.approx(2.0)
+    # curl = x + y: anatomical left is the large-x strip, and the
+    # posterior half is the lower one (y < 0, mean -0.5)
+    tilted = VectorField.from_functions(spec, lambda x, y: -0.5 * y**2,
+                                        lambda x, y: 0.5 * x**2)
+    sig = curl_signature(tilted)
+    assert sig.posterior_left_mean == pytest.approx(0.25)
+    assert sig.posterior_right_mean == pytest.approx(-1.25)
+    assert sig.anterior_sign_changes == 1
 
 
 def test_observe_and_records_csv(tmp_path):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from tissueflow.brinkman import SolverConfig
 from tissueflow.constitutive import ModelParams, coercivity_check
 from tissueflow.dynamics import StepControl
 from tissueflow.freeboundary import (LimitState, VanishingSubdomain,

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from tissueflow.grid import (BoundaryKind, GridError, GridSpec, ScalarField,
-                             VectorField, curl2d, divergence, gradient,
-                             laplacian)
+from tissueflow.grid import (GridError, GridSpec, ScalarField, VectorField,
+                             curl2d, divergence, gradient, laplacian)
 from tissueflow.operators import divergence_matrix
 
 
@@ -86,7 +85,7 @@ def test_laplacian_constant_zero_flux():
 def test_laplacian_quadratic_interior():
     spec = GridSpec(nx=64, ny=64)
     s = ScalarField.from_function(spec, lambda x, y: x**2 + y**2)
-    lap = laplacian(s, BoundaryKind.ZERO_FLUX)
+    lap = laplacian(s)
     interior = lap.values[4:-4, 4:-4]
     assert np.allclose(interior, 4.0, atol=1e-9)
 
@@ -125,12 +124,12 @@ def test_curl_of_gradient_vanishes():
     assert np.abs(c[3:-3, 3:-3]).max() < 1e-12
 
 
-def test_divergence_gradient_is_zero_value_laplacian_interior():
+def test_divergence_gradient_is_laplacian_interior():
     spec = GridSpec(nx=16, ny=16)
     rng = np.random.default_rng(7)
     s = ScalarField(spec, rng.standard_normal((16, 16)))
     lhs = divergence(gradient(s)).values[1:-1, 1:-1]
-    rhs = laplacian(s, BoundaryKind.ZERO_VALUE).values[1:-1, 1:-1]
+    rhs = laplacian(s).values[1:-1, 1:-1]
     # interior cells never see the boundary closure, so the stencils agree
     assert np.allclose(lhs, rhs, atol=1e-12)
 

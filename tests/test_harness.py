@@ -273,6 +273,52 @@ alpha = 1e-3, 5e-4
     assert all(r[-1] == "" for r in rows[1:])  # no error column entries
 
 
+@pytest.mark.parametrize("eps,m,alpha,bad", [
+    ("0.1, -1", "30, 60", "1e-3, 5e-4", "eps = -1.0"),
+    ("0.1, 0.05", "30, 0.5", "1e-3, 5e-4", "m = 0.5"),
+    ("0.1, 0.05", "30, 60", "-1e-3, 5e-4", "alpha = -0.001")])
+def test_cli_bad_sweep_tuple_is_a_config_error(tmp_path, capsys, eps, m,
+                                               alpha, bad):
+    cfgfile = tmp_path / "sweep.ini"
+    cfgfile.write_text("[run]\npreset = fig3-esvm\n[grid]\nnx = 16\nny = 16\n"
+                       "[control]\nt_end = 0.004\ndt = -1\n"
+                       f"[sweep]\neps = {eps}\nm = {m}\nalpha = {alpha}\n")
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+    # reported alongside the config's other violations
+    assert "dt must be positive" in err and bad in err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_cli_single_species_stationary_run(tmp_path):
+    cfgfile = tmp_path / "one.ini"
+    cfgfile.write_text("""
+[run]
+model = STATIONARY-1SPECIES
+[grid]
+nx = 24
+ny = 24
+[params]
+beta1 = 1.0
+beta2 = 1.0
+[initial]
+n1 = 1.0 -0.4 0.4 -0.4 0.4
+""")
+    out = tmp_path / "one"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
+    with open(out / "jumps.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and {r["interface"] for r in rows} == {"gamma1"}
+    with open(out / "manifest.csv") as fh:
+        head, vals = list(csv.reader(fh))
+    manifest = dict(zip(head, vals))
+    assert manifest["model"] == "STATIONARY-1SPECIES"
+    assert float(manifest["rel_residual"]) <= 1e-10
+    assert int(manifest["iterations"]) > 0
+
+
 def test_cli_limit_model_run(tmp_path):
     out = tmp_path / "lim"
     cfgfile = tmp_path / "lim.ini"

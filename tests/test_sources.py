@@ -1,0 +1,56 @@
+"""Checks on the package's source text, made with the standard library's ast."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "tissueflow"
+NOQA = "# noqa: F401"
+
+
+def unused_imports(text: str) -> list:
+    """Names bound by module-level imports that the module never reads.
+
+    Imports from ``__future__`` and statements marked ``# noqa: F401``
+    are skipped.  A name counts as read when it appears as a name
+    anywhere in the module; quoted annotations do not count.
+    """
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    bound = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any(NOQA in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            bound[name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"line {line}: {name}" for name, line in bound.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_module_level_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_check_sees_what_it_should():
+    text = ("from __future__ import annotations\n"
+            "import io\n"
+            "import os.path\n"
+            "import scipy.sparse.linalg as spla  # noqa: F401\n"
+            "from dataclasses import dataclass, field\n"
+            "from .grid import (GridSpec,\n"
+            "                   ScalarField)\n"
+            "@dataclass\n"
+            "class A:\n"
+            "    x: GridSpec\n"
+            "def f(s) -> 'ScalarField':\n"
+            "    return os.path.join(s)\n")
+    assert unused_imports(text) == ["line 2: io", "line 5: field",
+                                    "line 6: ScalarField"]
