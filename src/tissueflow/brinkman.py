@@ -132,8 +132,8 @@ def _solve(b: np.ndarray, beta: float, blocks: tuple, inverse,
 
     ``inverse(b, beta, spec)`` is the exact transform solve, on b's shape.
     Every block ``(K_k, what)`` is checked on its own rows of the
-    flattened x: a relative residual above ``REL_TOL`` raises
-    SolverFailure.
+    flattened x: a relative residual above ``REL_TOL``, or a NaN one,
+    raises SolverFailure.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -145,7 +145,7 @@ def _solve(b: np.ndarray, beta: float, blocks: tuple, inverse,
         stop = rows.stop
         scale = np.linalg.norm(bf[rows])
         res = np.linalg.norm(xf[rows] + beta * (K @ xf[rows]) - bf[rows])
-        if res > REL_TOL * scale:
+        if not res <= REL_TOL * scale:      # a NaN residual fails too
             raise SolverFailure(what, res / scale, REL_TOL)
     return x
 

@@ -443,7 +443,8 @@ def run_limit_model(cfg: RunConfig, out: Path) -> dict:
 
     def observer(s, params):
         a1, a2 = s.areas()
-        rows.append([s.t, a1, a2, freeboundary.overlap_cells(s.part)])
+        rows.append([s.t, a1, a2, freeboundary.overlap_cells(s.part),
+                     s.sol.iterations, s.sol.rel_residual])
         return rows[-1]
 
     _, state = freeboundary.run_limit(state, ctrl, cfg.params,
@@ -451,7 +452,8 @@ def run_limit_model(cfg: RunConfig, out: Path) -> dict:
                                       observe_every=cfg.observe_every)
     with open(out / "records.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "area1", "area2", "overlap_cells"])
+        writer.writerow(["t", "area1", "area2", "overlap_cells",
+                         "gmres_iterations", "rel_residual"])
         for row in rows:
             writer.writerow(["%.17g" % v if isinstance(v, float) else v
                              for v in row])

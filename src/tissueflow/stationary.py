@@ -19,11 +19,16 @@ Pi = f - (C1 D x1 + C2 D x2),
     (I + C1 D A1^-1 D^T + C2 D A2^-1 D^T) Pi = f,    x_i = A_i^-1 D^T Pi,
 
 whose operator is bounded independently of h because D A_i^-1 D^T acts
-like -Lap (I - beta_i Lap)^-1 <= 1/beta_i.  GMRES solves it matrix-free
-and never leaves the cells: on the uniform box each D A_i^-1 D^T is
-diagonal in mixed cosine/sine bases of the cells, so a product is one
-forward transform of Pi per velocity component and one inverse transform
-of the stack for both tissues (``brinkman.cell_pressure_operator``).
+like -Lap (I - beta_i Lap)^-1 <= 1/beta_i.  A restarted GMRES (``_gmres``;
+Saad & Schultz 1986) solves it matrix-free and never leaves the cells.
+Its Arnoldi step orthogonalises against the whole basis in two pairs of
+matrix-vector products, classical Gram-Schmidt with one
+reorthogonalisation (as stable as modified Gram-Schmidt; Giraud, Langou
+& Rozloznik 2005), not with one call per basis vector.  On the uniform
+box each D A_i^-1 D^T is diagonal in mixed cosine/sine bases of the
+cells, so a product is one forward transform of Pi per velocity
+component and one inverse transform of the stack for both tissues
+(``brinkman.cell_pressure_operator``).
 Nothing is assembled or factorised.  The face velocities x_i are formed
 once, from the converged Pi by exact sine transform solves
 (``brinkman.face_brinkman_inverse``), and the residual of the full
@@ -51,11 +56,11 @@ the walls: a face whose trace would need a cell beyond them is masked.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import brinkman
 from .brinkman import (SolverFailure, cell_pressure_operator,
@@ -65,8 +70,8 @@ from .grid import GridSpec, ScalarField, VectorField, divergence
 from .operators import (divergence_matrix, face_stiffness_u, face_stiffness_v,
                         stack_faces, unstack_faces)
 
-# Krylov vectors kept between GMRES restarts: scipy stores restart + 1 of
-# them, and the pressure equation converges in well under 50 iterations.
+# GMRES inner iterations per restart cycle: the basis holds restart + 1
+# vectors, and the pressure equation converges in well under 50 iterations.
 GMRES_RESTART = 50
 # GMRES inner iterations allowed per grid line: the budget is 10*(nx+ny),
 # rounded down to whole restart cycles.
@@ -296,6 +301,67 @@ def reconstruct_pressure(part: DomainPartition, params: ModelParams,
     return ScalarField(part.spec, p)
 
 
+def _gmres(product, f: np.ndarray, cycles: int, history: list) -> np.ndarray:
+    """Restarted GMRES from zero for ``product(x) = f``; returns x.
+
+    The Arnoldi step is classical Gram-Schmidt against the whole basis,
+    twice, and the Givens rotations run on Python floats.  Every inner
+    iteration appends its rotated residual over ||f|| to ``history``.
+    A cycle ends after ``GMRES_RESTART`` iterations, at a rotated
+    residual of at most ``0.01 * brinkman.REL_TOL * ||f||``, or at a
+    breakdown (a new vector of norm at most eps times that of its
+    product), and then checks the true residual.  The solve stops when
+    that residual meets the tolerance, at a breakdown, or after
+    ``cycles`` cycles.
+    """
+    fnorm = np.linalg.norm(f)
+    # D^T amplifies the cell residual in the coupled one, hence 0.01.
+    tol = 0.01 * brinkman.REL_TOL * fnorm
+    eps = np.finfo(float).eps
+    basis = np.empty((GMRES_RESTART + 1, f.size))
+    x = np.zeros_like(f)
+    r = f
+    for _ in range(cycles):
+        g = [float(np.linalg.norm(r))]
+        np.divide(r, g[0], out=basis[0])
+        columns, rotations = [], []     # the rotated Hessenberg triangle
+        for j in range(GMRES_RESTART):
+            w = product(basis[j])
+            v = basis[:j + 1]
+            h0 = np.linalg.norm(w)
+            h = v @ w
+            w -= h @ v
+            h2 = v @ w
+            w -= h2 @ v
+            h1 = np.linalg.norm(w)
+            breakdown = not h1 > eps * h0        # a NaN breaks down too
+            if not breakdown:
+                np.divide(w, h1, out=basis[j + 1])
+            col = (h + h2).tolist()
+            for k, (c, s) in enumerate(rotations):
+                col[k], col[k + 1] = (c * col[k] + s * col[k + 1],
+                                      c * col[k + 1] - s * col[k])
+            a, b = col[j], 0.0 if breakdown else float(h1)
+            col[j] = math.copysign(math.hypot(a, b), a)
+            c, s = a / col[j], b / col[j]
+            columns.append(col)
+            rotations.append((c, s))
+            g[j], residual = c * g[j], -s * g[j]
+            g.append(residual)
+            history.append(abs(residual) / fnorm)
+            if abs(residual) <= tol or breakdown:
+                break
+        y = g[:len(columns)]            # back substitution on the triangle
+        for k in reversed(range(len(y))):
+            y[k] = (y[k] - sum(columns[i][k] * y[i]
+                               for i in range(k + 1, len(y)))) / columns[k][k]
+        x += np.array(y) @ basis[:len(y)]
+        r = f - product(x)
+        if np.linalg.norm(r) <= tol or breakdown:
+            break
+    return x
+
+
 def solve_stationary(part: DomainPartition, params: ModelParams,
                      q: ScalarField | None = None) -> StationarySolution:
     """Velocities and pressure of the coupled system, via the cell equation.
@@ -328,28 +394,21 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
         x1 = x2 = np.zeros_like(b)
         rel = 0.0
     else:
-        n = f.size
         products = cell_pressure_operator((params.beta1, params.beta2), spec)
 
         def schur_product(pi):
-            m = products(pi.reshape(spec.nx, spec.ny)).reshape(2, n)
+            m = products(pi.reshape(spec.nx, spec.ny)).reshape(2, f.size)
             return pi + (c1 * m[0] + c2 * m[1])     # grouped as in coupling
 
-        schur = spla.LinearOperator((n, n), schur_product, dtype=float)
-        # scipy counts maxiter in restart cycles; bound the inner iterations.
-        # D^T amplifies the cell residual in the coupled one, hence 0.01.
         budget = GMRES_ITERATIONS_PER_LINE * (spec.nx + spec.ny)
-        pi, _ = spla.gmres(schur, f, rtol=0.01 * rel_tol, atol=0.0,
-                           restart=GMRES_RESTART,
-                           maxiter=budget // GMRES_RESTART,
-                           callback=history.append, callback_type="pr_norm")
+        pi = _gmres(schur_product, f, budget // GMRES_RESTART, history)
         x1, x2 = velocities(pi)
         K = _stiffness(spec)
         g = D.T @ coupling(x1, x2) - b
         r = np.concatenate([x1 + params.beta1 * (K @ x1) + g,
                             x2 + params.beta2 * (K @ x2) + g])
         rel = float(np.linalg.norm(r) / scale)
-        if rel > rel_tol:
+        if not rel <= rel_tol:          # a NaN residual fails too
             raise SolverFailure("stationary system", rel, rel_tol,
                                 len(history))
     v1 = unstack_faces(spec, x1)

@@ -200,3 +200,19 @@ def test_nonconvergence_is_explicit(monkeypatch):
     for err in (vec, pot):
         assert "iteration" not in str(err.value)
         assert err.value.iterations is None
+
+
+def test_nan_solution_fails_the_residual_check(monkeypatch):
+    # a NaN residual compares false against the tolerance; it must raise
+    spec = GridSpec(nx=16, ny=16)
+    p = ScalarField.from_function(spec, lambda x, y: np.sin(3 * x) * y)
+
+    def nan_inverse(b, beta, spec, power=1):
+        return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(brinkman, "face_brinkman_inverse", nan_inverse)
+    monkeypatch.setattr(brinkman, "neumann_cell_inverse", nan_inverse)
+    with pytest.raises(SolverFailure, match="brinkman u-component"):
+        solve_brinkman(p, 1.0)
+    with pytest.raises(SolverFailure, match="screened potential"):
+        solve_screened_potential(p, 1.0)

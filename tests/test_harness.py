@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tissueflow import fieldio, harness
+from tissueflow import brinkman, fieldio, harness
 from tissueflow.harness import (PRESETS, ConfigError, Rect, config_hash,
                                 initial_densities, initial_partition,
                                 parse_config, run_cli, serialize_config)
@@ -334,8 +334,12 @@ t_end = 0.01
     assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
     with open(out / "records.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "area1", "area2", "overlap_cells"]
+    assert rows[0] == ["t", "area1", "area2", "overlap_cells",
+                       "gmres_iterations", "rel_residual"]
     assert all(r[3] == "0" for r in rows[1:])
+    # each row records the stationary solve on that step's partition
+    assert all(int(r[4]) > 0 for r in rows[1:])
+    assert all(float(r[5]) <= brinkman.REL_TOL for r in rows[1:])
     assert (out / "partition.csv").exists()
 
 

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from tissueflow import brinkman
+from tissueflow import brinkman, stationary
 from tissueflow.brinkman import SolverFailure
 from tissueflow.constitutive import ModelParams
 from tissueflow.grid import GridSpec, ScalarField, VectorField, divergence
+from tissueflow.harness import PRESETS, initial_partition
 from tissueflow.operators import stack_faces
-from tissueflow.stationary import (DomainPartition, PartitionError,
+from tissueflow.stationary import (GMRES_RESTART, DomainPartition,
+                                   PartitionError, _gmres,
                                    TransmissionReport, assemble_weak_form,
                                    concentric_partition,
                                    interface_force_residuals, measure_jump,
@@ -69,17 +73,22 @@ def test_solution_mirror_symmetry():
 
 
 def test_label_swap_invariance():
+    # the solve groups every sum over the tissues symmetrically, so
+    # swapping the labels gives bitwise the same fields, with q or without
     spec = GridSpec(nx=24, ny=24)
     part = square_partition(spec)
     params = ModelParams(beta1=1.0, beta2=0.7, g1=1.0, g2=2.0,
                          p1_star=5.0, p2_star=10.0)
     swapped = ModelParams(beta1=0.7, beta2=1.0, g1=2.0, g2=1.0,
                           p1_star=10.0, p2_star=5.0)
-    a = solve_stationary(part, params)
-    b = solve_stationary(part.swapped(), swapped)
-    assert np.allclose(a.v1.u, b.v2.u, atol=1e-10)
-    assert np.allclose(a.v2.v, b.v1.v, atol=1e-10)
-    assert np.allclose(a.p.values, b.p.values, atol=1e-9)
+    for q in (None, ScalarField.from_function(spec,
+                                              lambda x, y: 1.0 + x * y + x)):
+        a = solve_stationary(part, params, q)
+        b = solve_stationary(part.swapped(), swapped, q)
+        for mine, theirs in ((a.v1, b.v2), (a.v2, b.v1)):
+            assert np.array_equal(mine.u, theirs.u)
+            assert np.array_equal(mine.v, theirs.v)
+        assert np.array_equal(a.p.values, b.p.values)
 
 
 def test_uniform_q_changes_solution():
@@ -313,6 +322,60 @@ def test_iteration_budget_bounds_inner_iterations(monkeypatch):
     with pytest.raises(SolverFailure, match="stationary system") as err:
         solve_stationary(part, PARAMS)
     assert err.value.iterations == 10 * (24 + 26)
+
+
+def test_nan_product_fails_with_its_iteration_count(monkeypatch):
+    # a NaN breaks the Arnoldi process down at once, and the NaN residual
+    # of the coupled system must fail its check
+    part = concentric_partition(GridSpec(nx=16, ny=16))
+
+    def nan_operator(betas, spec):
+        return lambda p: np.full((len(betas),) + p.shape, np.nan)
+
+    monkeypatch.setattr(stationary, "cell_pressure_operator", nan_operator)
+    with pytest.raises(SolverFailure, match="stationary system") as err:
+        solve_stationary(part, PARAMS)
+    assert err.value.iterations == 1
+
+
+@pytest.mark.parametrize("case, n, q0, iterations", [
+    ("concentric", 32, 0.0, 6), ("concentric", 64, 0.0, 6),
+    ("concentric", 128, 0.0, 6), ("bands", 64, 0.0, 28),
+    ("bands", 64, 1.0, 28), ("bands", 128, 0.0, 29)])
+def test_iteration_counts_do_not_grow_with_the_grid(case, n, q0, iterations):
+    # the counts the README quotes
+    if case == "concentric":
+        part, params = concentric_partition(GridSpec(nx=n, ny=n)), PARAMS
+    else:
+        cfg = PRESETS["fig3-lesvm"]
+        cfg = replace(cfg, grid=replace(cfg.grid, nx=n, ny=n))
+        part, params = initial_partition(cfg), cfg.params
+    q = ScalarField(part.spec, np.full((n, n), q0))
+    sol = solve_stationary(part, params, q)
+    assert sol.iterations == iterations
+    assert sol.rel_residual <= brinkman.REL_TOL
+
+
+def test_gmres_restarts_and_breaks_down_happily():
+    # a nonsymmetric operator that needs a second restart cycle takes as
+    # many inner iterations as scipy's GMRES, the solver it replaced
+    rng = np.random.default_rng(3)
+    n = 120
+    matrix = np.eye(n) + 0.8 * rng.standard_normal((n, n)) / np.sqrt(n)
+    f = rng.standard_normal(n)
+    history, reference = [], []
+    x = _gmres(lambda v: matrix @ v, f, 10, history)
+    spla.gmres(matrix, f, rtol=0.01 * brinkman.REL_TOL, atol=0.0,
+               restart=GMRES_RESTART, maxiter=10, callback=reference.append,
+               callback_type="pr_norm")
+    assert GMRES_RESTART < len(history) == len(reference)
+    tol = 0.01 * brinkman.REL_TOL * np.linalg.norm(f)
+    assert np.linalg.norm(f - matrix @ x) <= tol
+    # f spans an invariant subspace: one iteration, and it is exact
+    history = []
+    x = _gmres(lambda v: 2.0 * v, f, 10, history)
+    assert len(history) == 1
+    assert np.allclose(x, 0.5 * f, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
