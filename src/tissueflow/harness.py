@@ -5,8 +5,8 @@ they stay diff-friendly.  The four compiled-in presets reproduce the
 standard two-tissue simulation panels: the full model with repulsion and
 the interface penalty, the congestion-only model, the sharp-interface
 limit, and the curl-free gradient-form variant.  Each run writes field
-CSVs, a diagnostics CSV, and a manifest recording the config hash, grid
-and wall time.
+CSVs, a diagnostics CSV, and a manifest recording the config hash, grid,
+status and wall time; a failed run still writes its manifest.
 """
 
 from __future__ import annotations
@@ -390,12 +390,13 @@ def q_field(cfg: RunConfig) -> ScalarField:
     return ScalarField.zeros(cfg.grid)
 
 
-def _write_manifest(out: Path, cfg: RunConfig, wall: float, final: dict):
+def _write_manifest(out: Path, cfg: RunConfig, wall: float, final: dict,
+                    status: str):
     with open(out / "manifest.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        cols = ["config_hash", "model", "nx", "ny", "wall_time_s"]
+        cols = ["config_hash", "model", "nx", "ny", "status", "wall_time_s"]
         vals = [config_hash(cfg), cfg.model, cfg.grid.nx, cfg.grid.ny,
-                "%.3f" % wall]
+                status, "%.3f" % wall]
         for key in sorted(final):
             cols.append(key)
             vals.append("%.17g" % final[key] if isinstance(final[key], float)
@@ -463,7 +464,9 @@ def run_limit_model(cfg: RunConfig, out: Path) -> dict:
     fieldio.write_vector_vtk(state.sol.v2, out / "v2.vtk")
     a1, a2 = state.areas()
     return {"t": state.t, "area1": a1, "area2": a2,
-            "overlap_cells": float(rows[-1][3])}
+            "overlap_cells": float(rows[-1][3]),
+            "max_gmres_iterations": max(row[4] for row in rows),
+            "max_rel_residual": max(row[5] for row in rows)}
 
 
 def run_stationary(cfg: RunConfig, out: Path) -> dict:
@@ -571,8 +574,8 @@ def run_cli(argv) -> int:
     range, a [sweep] tuple that is not valid model parameters, initial
     densities with n1+n2 >= 1, a negative q and a q file that is
     missing, malformed or on another grid included), 2 solver
-    failure (a non-finite field included), 3 invariant violation in
-    `check`.
+    failure (a non-finite field included; the manifest is still written,
+    with status solver_failure), 3 invariant violation in `check`.
     """
     parser = argparse.ArgumentParser(prog="tissueflow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -610,6 +613,7 @@ def run_cli(argv) -> int:
 
     out = _out_dir(cfg, args.out)
     t0 = time.perf_counter()
+    status, final = "ok", {}
     try:
         if args.command == "sweep":
             final = run_sweep(cfg, out)
@@ -624,9 +628,9 @@ def run_cli(argv) -> int:
         return 1
     except (SolverFailure, StepFailure, GridError, RuntimeError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
-    _write_manifest(out, cfg, time.perf_counter() - t0, final)
-    return 0
+        status = "solver_failure"
+    _write_manifest(out, cfg, time.perf_counter() - t0, final, status)
+    return 0 if status == "ok" else 2
 
 
 def main() -> None:

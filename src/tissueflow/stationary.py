@@ -21,6 +21,11 @@ Pi = f - (C1 D x1 + C2 D x2),
 whose operator is bounded independently of h because D A_i^-1 D^T acts
 like -Lap (I - beta_i Lap)^-1 <= 1/beta_i.  A restarted GMRES (``_gmres``;
 Saad & Schultz 1986) solves it matrix-free and never leaves the cells.
+It is right-preconditioned by the operator's high-frequency limit, the
+diagonal d = 1 + chi1/(g1 beta1) + chi2/(g2 beta2): GMRES solves
+S (y / d) = f and Pi = y / d, so its residual is still the true residual
+of S Pi = f (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed.,
+SIAM 2003, section 9.3).
 Its Arnoldi step orthogonalises against the whole basis in two pairs of
 matrix-vector products, classical Gram-Schmidt with one
 reorthogonalisation (as stable as modified Gram-Schmidt; Giraud, Langou
@@ -366,6 +371,9 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
                      q: ScalarField | None = None) -> StationarySolution:
     """Velocities and pressure of the coupled system, via the cell equation.
 
+    The cell equation S Pi = f is solved by GMRES right-preconditioned
+    with the diagonal d = 1 + (c1/beta1 + c2/beta2), c_i = chi_i/g_i, the
+    limit of S at high frequency (Saad 2003, section 9.3).
     ``brinkman.REL_TOL`` bounds the relative residual of the full coupled
     system, and GMRES gets ``GMRES_ITERATIONS_PER_LINE * (nx + ny)``
     inner iterations (whole restart cycles).  Raises SolverFailure when
@@ -396,12 +404,16 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
     else:
         products = cell_pressure_operator((params.beta1, params.beta2), spec)
 
-        def schur_product(pi):
+        # the right preconditioner, grouped as in coupling
+        d = 1.0 + (c1 / params.beta1 + c2 / params.beta2)
+
+        def schur_product(y):
+            pi = y / d
             m = products(pi.reshape(spec.nx, spec.ny)).reshape(2, f.size)
             return pi + (c1 * m[0] + c2 * m[1])     # grouped as in coupling
 
         budget = GMRES_ITERATIONS_PER_LINE * (spec.nx + spec.ny)
-        pi = _gmres(schur_product, f, budget // GMRES_RESTART, history)
+        pi = _gmres(schur_product, f, budget // GMRES_RESTART, history) / d
         x1, x2 = velocities(pi)
         K = _stiffness(spec)
         g = D.T @ coupling(x1, x2) - b

@@ -209,6 +209,7 @@ def test_cli_dynamic_run_writes_artifacts(tmp_path):
         rows = list(csv.reader(fh))
     manifest = dict(zip(rows[0], rows[1]))
     assert manifest["model"] == "VM" and manifest["nx"] == "16"
+    assert manifest["status"] == "ok"
     assert len(manifest["config_hash"]) == 16
 
 
@@ -341,6 +342,29 @@ t_end = 0.01
     assert all(int(r[4]) > 0 for r in rows[1:])
     assert all(float(r[5]) <= brinkman.REL_TOL for r in rows[1:])
     assert (out / "partition.csv").exists()
+    # the manifest carries the worst solve over the recorded rows
+    with open(out / "manifest.csv") as fh:
+        manifest = dict(zip(*csv.reader(fh)))
+    assert manifest["status"] == "ok"
+    assert int(manifest["max_gmres_iterations"]) == max(int(r[4])
+                                                        for r in rows[1:])
+    assert float(manifest["max_rel_residual"]) == max(float(r[5])
+                                                      for r in rows[1:])
+
+
+def test_cli_solver_failure_still_writes_the_manifest(tmp_path, monkeypatch,
+                                                      capsys):
+    # a zero tolerance cannot be met, so the first stationary solve fails
+    monkeypatch.setattr(brinkman, "REL_TOL", 0.0)
+    out = tmp_path / "failed"
+    assert run_cli(["run", "fig3-lesvm", "--grid", "16x16",
+                    "--out", str(out)]) == 2
+    assert "solver failure" in capsys.readouterr().err
+    with open(out / "manifest.csv") as fh:
+        manifest = dict(zip(*csv.reader(fh)))
+    assert manifest["status"] == "solver_failure"
+    assert manifest["model"] == "L-ESVM" and manifest["nx"] == "16"
+    assert float(manifest["wall_time_s"]) >= 0.0
 
 
 def test_cli_overlapping_initial_rects_are_a_config_error(tmp_path, capsys):
