@@ -76,13 +76,16 @@ def observe(state, params: ModelParams) -> DiagnosticRecord:
     )
 
 
-def write_records_csv(records, path) -> None:
+def write_records_csv(records, path, columns=None) -> None:
+    """DiagnosticRecords, or plain rows under `columns`, one per line;
+    floats with 17 significant digits, so they read back bit-exact."""
+    rows = records if columns else [rec.row() for rec in records]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(DiagnosticRecord.CSV_COLUMNS)
-        for rec in records:
+        writer.writerow(columns or DiagnosticRecord.CSV_COLUMNS)
+        for row in rows:
             writer.writerow(["%.17g" % v if isinstance(v, float) else v
-                             for v in rec.row()])
+                             for v in row])
 
 
 @dataclass(frozen=True)

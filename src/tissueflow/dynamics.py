@@ -38,6 +38,7 @@ from .operators import cell_laplacian_neumann, weighted_cell_flux_divergence  # 
 VELOCITY_FLOOR = 1e-12
 PRESSURE_CAP_FACTOR = 10.0   # pressure cap in units of max(p1*, p2*)
 CEILING_ROUNDOFF = 1e-15     # n1+n2 a limited stage may leave over its ceiling
+MAX_HALVINGS = 20            # a step's dt may fall to ctrl.dt / 2**MAX_HALVINGS
 
 
 class StepFailure(RuntimeError):
@@ -59,7 +60,6 @@ class StepControl:
     model: str = "ESVM"                 # "ESVM" | "VM"
     velocity_law: str = "dirichlet"     # "dirichlet" | "gradient"
     scheme: str = "upwind"              # "upwind" | "sharp"
-    max_halvings: int = 20
 
     def __post_init__(self):
         if not (0.0 < self.cfl_number <= 1.0):
@@ -337,10 +337,10 @@ def _cfl_dt(ctrl: StepControl, spec: GridSpec, vmax: float) -> float:
     while dt > bound:
         dt *= 0.5
         halvings += 1
-        if halvings > ctrl.max_halvings:
+        if halvings > MAX_HALVINGS:
             raise StepFailure(
                 f"CFL bound {bound:.3e} unreachable from dt={ctrl.dt:.3e} "
-                f"within {ctrl.max_halvings} halvings (max face speed {vmax:.3e})")
+                f"within {MAX_HALVINGS} halvings (max face speed {vmax:.3e})")
     return dt
 
 
@@ -432,7 +432,7 @@ def _advance(state: SimState, ctrl: StepControl, params: ModelParams,
     trial whose n1+n2 would pass the ceiling where the congestion pressure
     reaches ``pressure_cap`` (or the current maximum, if that is higher)
     by more than ``CEILING_ROUNDOFF`` is rejected and retried at half the
-    dt; the retries share the ``max_halvings`` budget below ``ctrl.dt``.
+    dt; the retries share the ``MAX_HALVINGS`` budget below ``ctrl.dt``.
     The fourth-order stage is limited to the same ceiling and to zero, so
     beyond roundoff only transport and growth can cross either.  The
     negativity cut does not reject.
@@ -455,7 +455,7 @@ def _advance(state: SimState, ctrl: StepControl, params: ModelParams,
     cap = pressure_cap(params)
     ceiling = max(cap / (cap + params.eps),
                   float((state.n1.values + state.n2.values).max()))
-    dt_min = ctrl.dt * 0.5 ** ctrl.max_halvings
+    dt_min = ctrl.dt * 0.5 ** MAX_HALVINGS
     while True:
         n1_new, n2_new, cut = _tentative_densities(
             state, v1, v2, p1, p2, params, ctrl.scheme, alpha, dt, ceiling)
@@ -467,7 +467,7 @@ def _advance(state: SimState, ctrl: StepControl, params: ModelParams,
             raise StepFailure(
                 f"n1+n2 exceeds {ceiling:.6g} (congestion pressure cap "
                 f"{cap:.3g}) at every dt down to {2.0 * dt:.3e}, the "
-                f"{ctrl.max_halvings}-halving limit below dt={ctrl.dt:.3e}")
+                f"{MAX_HALVINGS}-halving limit below dt={ctrl.dt:.3e}")
     counter.negativity += cut
 
     # last resort: reachable only when the ceiling lies within DELTA_CLAMP of 1

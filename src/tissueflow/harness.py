@@ -1,12 +1,17 @@
 """Run configuration, figure presets, orchestration, and the CLI.
 
 Configs use a flat INI grammar ([section] headers, key = value lines) so
-they stay diff-friendly.  The four compiled-in presets reproduce the
-standard two-tissue simulation panels: the full model with repulsion and
-the interface penalty, the congestion-only model, the sharp-interface
-limit, and the curl-free gradient-form variant.  Each run writes field
-CSVs, a diagnostics CSV, and a manifest recording the config hash, grid,
-status and wall time; a failed run still writes its manifest.
+they stay diff-friendly.  `CONFIG_KEYS` lists every key in file order;
+the unknown-key check, `parse_config` and `serialize_config` all read it.
+A key a config leaves out takes its value from the named preset, or else
+from `DEFAULT`, whose values are the dataclasses' own defaults; each
+number is read by the type of that default and must be finite.  The four
+compiled-in presets reproduce the standard two-tissue simulation panels:
+the full model with repulsion and the interface penalty, the
+congestion-only model, the sharp-interface limit, and the curl-free
+gradient-form variant.  Each run writes field CSVs, a diagnostics CSV,
+and a manifest recording the config hash, grid, status and wall time; a
+run that fails once its directory exists still writes its manifest.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ import argparse
 import configparser
 import csv
 import hashlib
+import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,20 +39,26 @@ from .stationary import PartitionError
 MODELS = ("ESVM", "VM", "L-ESVM", "L-VM", "STATIONARY", "STATIONARY-1SPECIES")
 LIMIT_MODELS = ("L-ESVM", "L-VM")
 STATIONARY_MODELS = ("STATIONARY", "STATIONARY-1SPECIES")
+# the relaxation parameters: the limit models have none, and [sweep] steps
+# them toward the limit
+RELAXATION_KEYS = ("eps", "m", "alpha")
 
-# the ModelParams keys in serialisation order, on which config hashes depend
-_PARAM_ORDER = ("beta1", "beta2", "eps", "m", "alpha",
-                "g1", "g2", "p1_star", "p2_star")
-
-_KNOWN_KEYS = {
-    "run": {"model", "preset", "out", "observe_every"},
-    "grid": {"nx", "ny", "x_min", "x_max", "y_min", "y_max"},
-    "params": set(_PARAM_ORDER),
-    "control": {"dt", "cfl", "t_end", "velocity_law", "scheme"},
-    "initial": {"n1", "n2"},
-    "q": {"source", "value", "path"},
-    "sweep": {"eps", "m", "alpha"},
+# Every config key, section by section in file order (on which config
+# hashes depend), with the field it sets: a GridSpec field for [grid], a
+# ModelParams field for [params] and a RunConfig field for the rest.
+CONFIG_KEYS = {
+    "run": {k: k for k in ("model", "preset", "out", "observe_every")},
+    "grid": {k: k for k in ("nx", "ny", "x_min", "x_max", "y_min", "y_max")},
+    "params": {f.name: f.name for f in fields(ModelParams)},
+    "control": {k: k for k in ("dt", "cfl", "t_end", "velocity_law", "scheme")},
+    "initial": {"n1": "rects1", "n2": "rects2"},
+    "q": {k: "q_" + k for k in ("source", "value", "path")},
+    "sweep": {k: "sweep_" + k for k in RELAXATION_KEYS},
 }
+
+# the words a word-valued key may take
+_CHOICES = {"model": MODELS, "velocity_law": ("dirichlet", "gradient"),
+            "scheme": ("upwind", "sharp"), "source": ("zero", "uniform", "file")}
 
 
 class ConfigError(ValueError):
@@ -97,6 +109,10 @@ class RunConfig:
     preset: str | None = None
 
 
+# the values of the keys a config without a preset leaves out
+DEFAULT = RunConfig(model=None, grid=GridSpec(), params=ModelParams())
+
+
 def _band_rects():
     """Initial panel layout: center band tissue 1, side bands tissue 2."""
     r1 = (Rect(0.9, -2.0 / 3.0, 2.0 / 3.0, -1.0, 0.0),)
@@ -127,9 +143,21 @@ def _make_presets():
 PRESETS = _make_presets()
 
 
+def _owner(cfg: RunConfig, section: str):
+    """The object whose fields the keys of `section` set."""
+    return {"grid": cfg.grid, "params": cfg.params}.get(section, cfg)
+
+
 def _num(v) -> str:
     """Shortest round-tripping text of a number, numpy scalars included."""
     return repr(float(v))
+
+
+def _finite(tok: str) -> float:
+    val = float(tok)
+    if not math.isfinite(val):
+        raise ValueError(f"{tok!r} is not a finite number")
+    return val
 
 
 def _format_rects(rects) -> str:
@@ -144,208 +172,151 @@ def _parse_rects(text: str):
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = [float(tok) for tok in chunk.split()]
+        parts = [_finite(tok) for tok in chunk.split()]
         if len(parts) != 5:
             raise ValueError(f"rectangle needs 5 numbers, got {chunk!r}")
         rects.append(Rect(*parts))
     return tuple(rects)
 
 
+def _read(section: str, key: str, default, text: str):
+    """The value of a key from its text, by the type of its default."""
+    if section == "initial":
+        return _parse_rects(text)
+    if section == "sweep":
+        return tuple(_finite(tok) for tok in text.replace(",", " ").split())
+    if isinstance(default, float):
+        return _finite(text)
+    if isinstance(default, int):
+        return int(text)
+    if key in _CHOICES and text not in _CHOICES[key]:
+        raise ValueError(f"{text!r} is not one of {'|'.join(_CHOICES[key])}")
+    return text
+
+
+def _write(section: str, default, val) -> str:
+    """The text of a key's value; `_read` turns it back into `val`."""
+    if section == "initial":
+        return _format_rects(val)
+    if section == "sweep":
+        return ", ".join(map(_num, val))
+    return _num(val) if isinstance(default, float) else str(val)
+
+
+def _written(cfg: RunConfig, section: str, key: str) -> bool:
+    """Whether `serialize_config` writes a key: a limit model has no
+    relaxation parameters, [sweep] is written whole or not at all, and the
+    other optional keys are written when they are set or used."""
+    if section == "params" and key in RELAXATION_KEYS:
+        return cfg.model not in LIMIT_MODELS
+    if section == "sweep":
+        return bool(cfg.sweep_eps)
+    if section == "q" and key != "source":
+        return cfg.q_source == ("uniform" if key == "value" else "file")
+    if key in ("preset", "out"):
+        return bool(getattr(cfg, key))
+    return True
+
+
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical INI text; parse(serialize(cfg)) reproduces cfg exactly."""
-    g, p = cfg.grid, cfg.params
-    lines = ["[run]", f"model = {cfg.model}"]
-    if cfg.preset:
-        lines.append(f"preset = {cfg.preset}")
-    if cfg.out:
-        lines.append(f"out = {cfg.out}")
-    lines += [f"observe_every = {cfg.observe_every}", "",
-              "[grid]",
-              f"nx = {g.nx}", f"ny = {g.ny}",
-              f"x_min = {_num(g.x_min)}", f"x_max = {_num(g.x_max)}",
-              f"y_min = {_num(g.y_min)}", f"y_max = {_num(g.y_max)}", "",
-              "[params]"]
-    lines += [f"{k} = {_num(getattr(p, k))}" for k in _PARAM_ORDER
-              if not (cfg.model in LIMIT_MODELS and k in ("eps", "m", "alpha"))]
-    lines += ["", "[control]",
-              f"dt = {_num(cfg.dt)}", f"cfl = {_num(cfg.cfl)}",
-              f"t_end = {_num(cfg.t_end)}",
-              f"velocity_law = {cfg.velocity_law}",
-              f"scheme = {cfg.scheme}", "",
-              "[initial]",
-              f"n1 = {_format_rects(cfg.rects1)}",
-              f"n2 = {_format_rects(cfg.rects2)}", "",
-              "[q]", f"source = {cfg.q_source}"]
-    if cfg.q_source == "uniform":
-        lines.append(f"value = {_num(cfg.q_value)}")
-    if cfg.q_source == "file":
-        lines.append(f"path = {cfg.q_path}")
-    if cfg.sweep_eps:
-        lines += ["", "[sweep]",
-                  "eps = " + ", ".join(map(_num, cfg.sweep_eps)),
-                  "m = " + ", ".join(map(_num, cfg.sweep_m)),
-                  "alpha = " + ", ".join(map(_num, cfg.sweep_alpha))]
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section, keys in CONFIG_KEYS.items():
+        owner, default = _owner(cfg, section), _owner(DEFAULT, section)
+        lines = [f"{key} = " + _write(section, getattr(default, name),
+                                      getattr(owner, name))
+                 for key, name in keys.items() if _written(cfg, section, key)]
+        if lines:
+            blocks.append("\n".join([f"[{section}]", *lines]))
+    return "\n\n".join(blocks) + "\n"
 
 
 def parse_config(text: str) -> RunConfig:
-    """Validated config, or ConfigError listing every violation."""
+    """Validated config, or ConfigError listing every violation.
+
+    A key the text leaves out takes its value from the preset that [run]
+    names, or else from `DEFAULT`.
+    """
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
-    violations = []
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"syntax: {exc}"]) from exc
 
-    raw = {}
+    violations = []
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in CONFIG_KEYS:
             violations.append(f"unknown section [{section}]")
             continue
-        raw[section] = {}
-        for key, val in cp.items(section):
-            if key not in _KNOWN_KEYS[section]:
-                violations.append(f"unknown key {key!r} in [{section}]")
-            else:
-                raw[section][key] = val
+        violations += [f"unknown key {key!r} in [{section}]"
+                       for key in cp[section] if key not in CONFIG_KEYS[section]]
 
-    def get(section, key, default=None):
-        return raw.get(section, {}).get(key, default)
+    preset = cp.get("run", "preset", fallback=None)
+    if preset is not None and preset not in PRESETS:
+        violations.append(f"unknown preset {preset!r}")
+    base = PRESETS.get(preset, DEFAULT)
 
-    preset_name = get("run", "preset")
-    base = None
-    if preset_name is not None:
-        base = PRESETS.get(preset_name)
-        if base is None:
-            violations.append(f"unknown preset {preset_name!r}")
+    def value(section, key, name):
+        val = getattr(_owner(base, section), name)
+        text = cp.get(section, key, fallback=None)
+        if text is not None:
+            try:
+                val = _read(section, key,
+                            getattr(_owner(DEFAULT, section), name), text)
+            except ValueError as exc:
+                violations.append(f"bad value for {key!r} in [{section}]: {exc}")
+        return val
 
-    model = get("run", "model", base.model if base else None)
-    if model is None:
-        violations.append("missing required key 'model' in [run]")
-    elif model not in MODELS:
-        violations.append(f"unknown model {model!r}")
-
-    if model in LIMIT_MODELS:
-        for key in ("eps", "m", "alpha"):
-            if get("params", key) is not None:
-                violations.append(
-                    f"key {key!r} in [params] is incompatible with model {model}")
-
-    def number(section, key, default, conv=float):
-        val = get(section, key)
-        if val is None:
-            return default
+    values = {section: {name: value(section, key, name)
+                        for key, name in keys.items()}
+              for section, keys in CONFIG_KEYS.items()}
+    nested = {}
+    for section, kind in (("grid", GridSpec), ("params", ModelParams)):
         try:
-            return conv(val)
-        except ValueError:
-            violations.append(f"bad value for {key!r} in [{section}]: {val!r}")
-            return default
-
-    bg = base.grid if base else GridSpec()
-    try:
-        grid = GridSpec(number("grid", "x_min", bg.x_min),
-                        number("grid", "x_max", bg.x_max),
-                        number("grid", "y_min", bg.y_min),
-                        number("grid", "y_max", bg.y_max),
-                        number("grid", "nx", bg.nx, int),
-                        number("grid", "ny", bg.ny, int))
-    except ValueError as exc:
-        violations.append(f"grid: {exc}")
-        grid = GridSpec()
-
-    bp = base.params if base else ModelParams()
-    try:
-        params = ModelParams(**{k: number("params", k, getattr(bp, k))
-                                for k in _PARAM_ORDER})
-    except ValueError as exc:
-        violations.append(f"params: {exc}")
-        params = ModelParams()
-
-    def rects(key, default):
-        val = get("initial", key)
-        if val is None:
-            return default
-        try:
-            return _parse_rects(val)
+            nested[section] = kind(**values.pop(section))
         except ValueError as exc:
-            violations.append(f"initial {key}: {exc}")
-            return default
+            violations.append(f"{section}: {exc}")
+            nested[section] = getattr(DEFAULT, section)
+    cfg = RunConfig(**nested, **{name: val for section in values.values()
+                                 for name, val in section.items()})
 
-    rects1 = rects("n1", base.rects1 if base else ())
-    rects2 = rects("n2", base.rects2 if base else ())
-    if not rects1:
+    if cfg.model is None and not cp.has_option("run", "model"):
+        violations.append("missing required key 'model' in [run]")
+    if cfg.model in LIMIT_MODELS:
+        violations += [f"key {key!r} in [params] is incompatible with "
+                       f"model {cfg.model}" for key in RELAXATION_KEYS
+                       if cp.has_option("params", key)]
+    if not cfg.rects1:
         violations.append("missing initial data: key 'n1' in [initial]")
-    if not rects2 and model != "STATIONARY-1SPECIES":
+    if not cfg.rects2 and cfg.model != "STATIONARY-1SPECIES":
         violations.append("missing initial data: key 'n2' in [initial]")
-
-    q_source = get("q", "source", base.q_source if base else "zero")
-    if q_source not in ("zero", "uniform", "file"):
-        violations.append(f"q source must be zero|uniform|file, got {q_source!r}")
-    q_value = number("q", "value", base.q_value if base else 0.0)
-    if not q_value >= 0.0:
-        violations.append(f"[q] value must be nonnegative, got {q_value!r}")
-    q_path = get("q", "path", base.q_path if base else None)
-    if q_source == "file" and q_path is None:
+    if cfg.q_source == "file" and cfg.q_path is None:
         violations.append("q source 'file' requires key 'path' in [q]")
 
-    velocity_law = get("control", "velocity_law",
-                       base.velocity_law if base else "dirichlet")
-    if velocity_law not in ("dirichlet", "gradient"):
-        violations.append(
-            f"velocity_law must be dirichlet|gradient, got {velocity_law!r}")
-    scheme = get("control", "scheme", base.scheme if base else "upwind")
-    if scheme not in ("upwind", "sharp"):
-        violations.append(f"scheme must be upwind|sharp, got {scheme!r}")
-
-    def float_list(key):
-        val = get("sweep", key)
-        if val is None:
-            return ()
-        try:
-            return tuple(float(tok) for tok in val.replace(",", " ").split())
-        except ValueError:
-            violations.append(f"bad sweep list for {key!r}: {val!r}")
-            return ()
-
-    sweep_eps = float_list("eps")
-    sweep_m = float_list("m")
-    sweep_alpha = float_list("alpha")
-    if len({len(sweep_eps), len(sweep_m), len(sweep_alpha)}) > 1:
+    sweep = (cfg.sweep_eps, cfg.sweep_m, cfg.sweep_alpha)
+    if len(set(map(len, sweep))) > 1:
         violations.append("sweep lists eps, m, alpha must have equal length")
-    for k, (eps, m, alpha) in enumerate(zip(sweep_eps, sweep_m, sweep_alpha)):
+    for k, (eps, m, alpha) in enumerate(zip(*sweep)):
         try:
-            replace(params, eps=eps, m=m, alpha=alpha)
+            replace(cfg.params, eps=eps, m=m, alpha=alpha)
         except ValueError as exc:
             violations.append(f"[sweep] tuple {k + 1} (eps = {eps!r}, "
                               f"m = {m!r}, alpha = {alpha!r}): {exc}")
 
-    dt = number("control", "dt", base.dt if base else 1e-3)
-    cfl = number("control", "cfl", base.cfl if base else 0.4)
-    t_end = number("control", "t_end", base.t_end if base else 0.1)
-    observe_every = number("run", "observe_every",
-                           base.observe_every if base else 1, int)
-    for ok, rule, val in ((dt > 0.0, "dt must be positive", dt),
-                          (0.0 < cfl <= 1.0, "cfl must lie in (0, 1]", cfl),
-                          (t_end >= 0.0, "t_end must be nonnegative", t_end),
-                          (observe_every >= 1, "observe_every must be at least 1",
-                           observe_every)):
+    for ok, rule, val in (
+            (cfg.dt > 0.0, "dt must be positive", cfg.dt),
+            (0.0 < cfg.cfl <= 1.0, "cfl must lie in (0, 1]", cfg.cfl),
+            (cfg.t_end >= 0.0, "t_end must be nonnegative", cfg.t_end),
+            (cfg.observe_every >= 1, "observe_every must be at least 1",
+             cfg.observe_every),
+            (cfg.q_value >= 0.0, "[q] value must be nonnegative", cfg.q_value)):
         if not ok:
             violations.append(f"{rule}, got {val!r}")
 
     if violations:
         raise ConfigError(violations)
-    return RunConfig(
-        model=model, grid=grid, params=params,
-        dt=dt, cfl=cfl, t_end=t_end,
-        velocity_law=velocity_law,
-        scheme=scheme,
-        observe_every=observe_every,
-        rects1=rects1, rects2=rects2,
-        q_source=q_source, q_value=q_value, q_path=q_path,
-        out=get("run", "out", base.out if base else None),
-        sweep_eps=sweep_eps, sweep_m=sweep_m, sweep_alpha=sweep_alpha,
-        preset=preset_name)
+    return cfg
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -451,13 +422,10 @@ def run_limit_model(cfg: RunConfig, out: Path) -> dict:
     _, state = freeboundary.run_limit(state, ctrl, cfg.params,
                                       observers=[observer],
                                       observe_every=cfg.observe_every)
-    with open(out / "records.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "area1", "area2", "overlap_cells",
-                         "gmres_iterations", "rel_residual"])
-        for row in rows:
-            writer.writerow(["%.17g" % v if isinstance(v, float) else v
-                             for v in row])
+    diagnostics.write_records_csv(rows, out / "records.csv",
+                                  columns=("t", "area1", "area2",
+                                           "overlap_cells", "gmres_iterations",
+                                           "rel_residual"))
     freeboundary.write_partition_csv(state.part, out / "partition.csv")
     fieldio.write_scalar_csv(state.q, out / "q.csv")
     fieldio.write_scalar_csv(state.sol.p, out / "p.csv")
@@ -570,12 +538,14 @@ def _check_battery(seed: int):
 def run_cli(argv) -> int:
     """Entry point; returns the process exit code.
 
-    0 success, 1 config error (an invalid grid, a step setting out of
-    range, a [sweep] tuple that is not valid model parameters, initial
-    densities with n1+n2 >= 1, a negative q and a q file that is
-    missing, malformed or on another grid included), 2 solver
-    failure (a non-finite field included; the manifest is still written,
-    with status solver_failure), 3 invariant violation in `check`.
+    0 success; 1 config error (an unknown key, a value that is not a
+    finite number or not one of its key's words, an invalid grid, a step
+    setting out of range, a [sweep] tuple that is not valid model
+    parameters, initial densities with n1+n2 >= 1, a negative q and a q
+    file that is missing, malformed or on another grid included); 2
+    solver failure (a non-finite field included); 3 invariant violation
+    in `check`.  Once the run directory exists every outcome writes its
+    manifest, with status ok, config_error or solver_failure.
     """
     parser = argparse.ArgumentParser(prog="tissueflow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -625,12 +595,12 @@ def run_cli(argv) -> int:
             final = run_dynamic(cfg, out)
     except (ConfigError, InitialDataError, PartitionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        status = "config_error"
     except (SolverFailure, StepFailure, GridError, RuntimeError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         status = "solver_failure"
     _write_manifest(out, cfg, time.perf_counter() - t0, final, status)
-    return 0 if status == "ok" else 2
+    return {"ok": 0, "config_error": 1, "solver_failure": 2}[status]
 
 
 def main() -> None:

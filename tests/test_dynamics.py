@@ -156,7 +156,7 @@ def test_run_rejects_past_t_end():
         run(state, StepControl(dt=1e-3, t_end=-1.0), params)
 
 
-def test_rejected_step_retries_with_half_dt():
+def test_rejected_step_retries_with_half_dt(monkeypatch):
     # no velocity on uniform data; growth alone, dn = dt*0.9*(5 - 0.9),
     # carries n1 = 0.9 past the ceiling n = cap/(cap+eps) = 0.999 at
     # dt = 0.1 and 0.05 but not at 0.025
@@ -173,8 +173,9 @@ def test_rejected_step_retries_with_half_dt():
     # dt recovers by doubling from the last accepted step
     assert step_vm(new, ctrl, params).dt_last == 0.1 / 2
 
+    monkeypatch.setattr(dynamics, "MAX_HALVINGS", 1)
     with pytest.raises(StepFailure):
-        step_vm(state, replace(ctrl, max_halvings=1), params)
+        step_vm(state, ctrl, params)
 
 
 def test_state_above_the_cap_may_relax():

@@ -8,11 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tissueflow import brinkman, fieldio, harness
-from tissueflow.harness import (PRESETS, ConfigError, Rect, config_hash,
-                                initial_densities, initial_partition,
-                                parse_config, run_cli, serialize_config)
+from tissueflow.constitutive import ModelParams
+from tissueflow.harness import (PRESETS, ConfigError, Rect, RunConfig,
+                                config_hash, initial_densities,
+                                initial_partition, parse_config, run_cli,
+                                serialize_config)
 from tissueflow.grid import GridError, GridSpec, ScalarField
 
 
@@ -61,6 +65,77 @@ def test_serialize_parse_round_trip_fixed_point():
         assert again == cfg, name
         assert serialize_config(again) == text, name
         assert config_hash(again) == config_hash(cfg)
+
+
+def _numbers(lo, hi, **kw):
+    """Finite floats, each a Python float or a numpy float64."""
+    return st.builds(lambda x, as_numpy: np.float64(x) if as_numpy else x,
+                     st.floats(lo, hi, allow_nan=False, allow_infinity=False,
+                               **kw), st.booleans())
+
+
+_POSITIVE = _numbers(0.0, 1e6, exclude_min=True)
+_NONNEGATIVE = _numbers(0.0, 1e3)
+_EXPONENT = _numbers(1.0, 1e6, exclude_min=True)    # m > 1
+_CORNER, _EXTENT = _numbers(-1e3, 1e3), _numbers(1e-3, 1e3)
+_RECT = st.builds(Rect, *[_numbers(-10.0, 10.0)] * 5)
+_CFL = _numbers(0.0, 1.0, exclude_min=True)
+_SWEEP = st.lists(st.tuples(_POSITIVE, _EXPONENT, _NONNEGATIVE), max_size=3)
+_PATH = st.text("abcXYZ019_./-", min_size=1, max_size=24)
+
+
+@st.composite
+def _configs(draw):
+    """A config that parse_config accepts, on a preset or on none.
+
+    The values serialize_config leaves out are drawn equal to the base's:
+    a limit model's relaxation parameters, and a q value or path that
+    the q source does not use.
+    """
+    preset = draw(st.sampled_from([None, *PRESETS]))
+    base = PRESETS[preset] if preset else harness.DEFAULT
+    model = draw(st.sampled_from(harness.MODELS))
+    x_min, y_min = draw(_CORNER), draw(_CORNER)
+    grid = GridSpec(x_min, x_min + draw(_EXTENT), y_min, y_min + draw(_EXTENT),
+                    draw(st.integers(4, 512)), draw(st.integers(4, 512)))
+    params = ModelParams(
+        beta1=draw(_POSITIVE), beta2=draw(_POSITIVE), eps=draw(_POSITIVE),
+        m=draw(_EXPONENT), alpha=draw(_NONNEGATIVE), g1=draw(_POSITIVE),
+        g2=draw(_POSITIVE), p1_star=draw(_NONNEGATIVE),
+        p2_star=draw(_NONNEGATIVE))
+    if model in harness.LIMIT_MODELS:
+        params = replace(params, **{k: getattr(base.params, k)
+                                    for k in harness.RELAXATION_KEYS})
+    # n1 is required, and n2 by every model but the one-species one
+    rects1 = draw(st.lists(_RECT, min_size=1, max_size=3))
+    rects2 = draw(st.lists(_RECT, max_size=3,
+                           min_size=int(model != "STATIONARY-1SPECIES")))
+    sweep = draw(_SWEEP)
+    q_source = draw(st.sampled_from(["zero", "uniform", "file"]))
+    return RunConfig(
+        model=model, grid=grid, params=params, preset=preset,
+        dt=draw(_POSITIVE), cfl=draw(_CFL),
+        t_end=draw(_NONNEGATIVE),
+        velocity_law=draw(st.sampled_from(["dirichlet", "gradient"])),
+        scheme=draw(st.sampled_from(["upwind", "sharp"])),
+        observe_every=draw(st.integers(1, 1000)),
+        rects1=tuple(rects1), rects2=tuple(rects2), q_source=q_source,
+        q_value=(draw(_NONNEGATIVE) if q_source == "uniform"
+                 else base.q_value),
+        q_path=draw(_PATH) if q_source == "file" else base.q_path,
+        out=draw(st.none() | _PATH),
+        sweep_eps=tuple(s[0] for s in sweep),
+        sweep_m=tuple(s[1] for s in sweep),
+        sweep_alpha=tuple(s[2] for s in sweep))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_configs())
+def test_every_valid_config_round_trips(cfg):
+    text = serialize_config(cfg)
+    again = parse_config(text)
+    assert again == cfg
+    assert serialize_config(again) == text
 
 
 def test_empty_config_lists_every_required_key():
@@ -384,18 +459,25 @@ n2 = 0.6 -0.5 0.5 -0.5 0.5
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "n1+n2 >= 1" in err
     assert len(err.strip().splitlines()) == 1
+    # found once the run directory exists, so the manifest says so
+    with open(out / "manifest.csv") as fh:
+        manifest = dict(zip(*csv.reader(fh)))
+    assert manifest["status"] == "config_error"
+    assert float(manifest["wall_time_s"]) >= 0.0
 
 
 @pytest.mark.parametrize("key,value", [("dt", "abc"), ("t_end", "nope"),
                                        ("cfl", "2.0"), ("cfl", "0"),
                                        ("dt", "-1"), ("t_end", "-0.1"),
-                                       ("observe_every", "0")])
+                                       ("observe_every", "0"),
+                                       ("t_end", "inf"), ("dt", "nan"),
+                                       ("x_max", "inf")])
 def test_cli_bad_step_numbers_are_config_errors(tmp_path, capsys, key, value):
-    line = f"{key} = {value}"
-    in_run = key == "observe_every"
+    line = f"{key} = {value}\n"
+    section = {"observe_every": "run", "x_max": "grid"}.get(key, "control")
     cfgfile = tmp_path / "bad.ini"
-    cfgfile.write_text("[run]\npreset = fig3-vm\n" + (line if in_run else "") +
-                       "\n[control]\n" + ("" if in_run else line) + "\n")
+    cfgfile.write_text("[run]\npreset = fig3-vm\n" +
+                       (line if section == "run" else f"[{section}]\n{line}"))
     assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err

@@ -1,11 +1,15 @@
 """Checks on the package's source text, made with the standard library's ast."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "tissueflow"
+from tissueflow import harness
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tissueflow"
 NOQA = "# noqa: F401"
 
 
@@ -54,3 +58,16 @@ def test_unused_import_check_sees_what_it_should():
             "    return os.path.join(s)\n")
     assert unused_imports(text) == ["line 2: io", "line 5: field",
                                     "line 6: ScalarField"]
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| (.*) \|$",
+                      (ROOT / "README.md").read_text(), re.M)
+    assert [(section, key) for section, key, _ in rows] == [
+        (section, key) for section, keys in harness.CONFIG_KEYS.items()
+        for key in keys]
+    for section, key, default in rows:
+        value = getattr(harness._owner(harness.DEFAULT, section),
+                        harness.CONFIG_KEYS[section][key])
+        shown = re.match(r"`([^`]*)`", default)
+        assert shown is None or shown.group(1) == str(value), (section, key)
