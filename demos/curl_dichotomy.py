@@ -14,20 +14,17 @@ from dataclasses import replace
 from pathlib import Path
 
 from tissueflow.brinkman import solve_brinkman, solve_brinkman_gradient_form
-from tissueflow.dynamics import StepControl, init_state, run
 from tissueflow.fieldio import write_scalar_vtk, write_vector_vtk
 from tissueflow.grid import GridSpec, curl2d
-from tissueflow.harness import PRESETS, initial_densities
+from tissueflow.harness import PRESETS, simulate
 
 
 def main(outdir="demo_out/curl_dichotomy", n=48):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = replace(PRESETS["fig3-esvm"], grid=GridSpec(-1, 1, -1, 1, n, n))
-    ctrl = StepControl(dt=cfg.dt, cfl_number=cfg.cfl, t_end=0.05)
-    n1_0, n2_0 = initial_densities(cfg)
-    state = init_state(n1_0, n2_0, cfg.params, ctrl)
-    _, state = run(state, ctrl, cfg.params)
+    cfg = replace(PRESETS["fig3-esvm"], grid=GridSpec(-1, 1, -1, 1, n, n),
+                  t_end=0.05)
+    _, state = simulate(cfg)
 
     v_wall = solve_brinkman(state.p2, cfg.params.beta2)
     v_laminar = solve_brinkman_gradient_form(state.p2, cfg.params.beta2)

@@ -15,24 +15,24 @@ from dataclasses import replace
 from pathlib import Path
 
 from tissueflow.diagnostics import curl_signature
-from tissueflow.dynamics import StepControl
-from tissueflow.freeboundary import (init_limit_state, overlap_cells,
-                                     step_limit, write_partition_csv)
+from tissueflow.freeboundary import overlap_cells, write_partition_csv
 from tissueflow.grid import GridSpec
-from tissueflow.harness import PRESETS, initial_partition
+from tissueflow.harness import PRESETS, simulate
 
 
 def main(outdir="demo_out/free_boundary", n=64):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = replace(PRESETS["fig3-lesvm"], grid=GridSpec(-1, 1, -1, 1, n, n))
-    state = init_limit_state(initial_partition(cfg), cfg.params)
-    ctrl = StepControl(dt=cfg.dt, cfl_number=cfg.cfl, t_end=0.1, model="VM")
+    cfg = replace(PRESETS["fig3-lesvm"], model="L-VM",
+                  grid=GridSpec(-1, 1, -1, 1, n, n), t_end=0.1)
 
-    rows = [(state.t, *state.areas(), overlap_cells(state.part))]
-    while state.t < ctrl.t_end - 1e-14:
-        state = step_limit(state, ctrl, cfg.params)
-        rows.append((state.t, *state.areas(), overlap_cells(state.part)))
+    def row(s, _):
+        return (s.t, *s.areas(), overlap_cells(s.part))
+
+    # a run to t = 0 observes the initial state
+    first, _ = simulate(replace(cfg, t_end=0.0), [row])
+    rows, state = simulate(cfg, [row])
+    rows = first + rows
 
     with open(out / "areas.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

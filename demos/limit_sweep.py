@@ -13,24 +13,18 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from tissueflow.diagnostics import limit_sweep, write_sweep_csv
 from tissueflow.grid import GridSpec
-from tissueflow.harness import PRESETS, initial_densities
+from tissueflow.harness import PRESETS, sweep, write_sweep_csv
 
 
 def main(outdir="demo_out/limit_sweep", n=32):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = replace(PRESETS["fig3-esvm"], grid=GridSpec(-1, 1, -1, 1, n, n))
-
-    def make_initial(spec):
-        return initial_densities(replace(cfg, grid=spec))
-
-    rows = limit_sweep(make_initial, cfg.grid, cfg.params,
-                       [(0.1, 30.0, 1e-3), (0.05, 60.0, 5e-4),
-                        (0.02, 120.0, 2e-4)],
-                       t_end=0.05,
-                       ctrl_kwargs={"dt": cfg.dt, "cfl_number": cfg.cfl})
+    rows = sweep(replace(PRESETS["fig3-esvm"],
+                         grid=GridSpec(-1, 1, -1, 1, n, n), t_end=0.05,
+                         sweep_eps=(0.1, 0.05, 0.02),
+                         sweep_m=(30.0, 60.0, 120.0),
+                         sweep_alpha=(1e-3, 5e-4, 2e-4)))
     print(f"{'eps':>6} {'m':>6} {'alpha':>8} {'overlap':>10} "
           f"{'cong.res':>10} {'mixedness':>10}")
     for r in rows:

@@ -14,9 +14,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from tissueflow.diagnostics import observe
-from tissueflow.dynamics import StepControl, init_state, run
 from tissueflow.grid import GridSpec
-from tissueflow.harness import PRESETS, initial_densities
+from tissueflow.harness import PRESETS, simulate
 
 
 def main(outdir="demo_out/model_comparison", n=48):
@@ -24,13 +23,9 @@ def main(outdir="demo_out/model_comparison", n=48):
     out.mkdir(parents=True, exist_ok=True)
     series = {}
     for preset in ("fig3-esvm", "fig3-vm"):
-        cfg = replace(PRESETS[preset], grid=GridSpec(-1, 1, -1, 1, n, n))
-        ctrl = StepControl(dt=cfg.dt, cfl_number=cfg.cfl, t_end=0.1,
-                           model="VM" if cfg.model == "VM" else "ESVM")
-        n1_0, n2_0 = initial_densities(cfg)
-        state = init_state(n1_0, n2_0, cfg.params, ctrl)
-        records, _ = run(state, ctrl, cfg.params, observers=(observe,),
-                         observe_every=5)
+        cfg = replace(PRESETS[preset], grid=GridSpec(-1, 1, -1, 1, n, n),
+                      t_end=0.1)
+        records, _ = simulate(cfg, [observe], observe_every=5)
         series[preset] = records
         print(f"{preset}: final overlap {records[-1].overlap:.5f}, "
               f"mass {records[-1].mass1 + records[-1].mass2:.4f}")

@@ -59,12 +59,6 @@ class ModelParams:
         if self.p1_star < 0 or self.p2_star < 0:
             raise ValueError("homeostatic pressures must be nonnegative")
 
-    def growth_rate(self, which: int) -> float:
-        return self.g1 if which == 1 else self.g2
-
-    def homeostatic_pressure(self, which: int) -> float:
-        return self.p1_star if which == 1 else self.p2_star
-
 
 def _clamped_total(n: np.ndarray, counter: ClampCounter | None):
     over = n > 1.0 - DELTA_CLAMP
@@ -120,8 +114,8 @@ def total_pressures(n1: ScalarField, n2: ScalarField, params: ModelParams,
 
 def growth(p: ScalarField, which: int, params: ModelParams) -> ScalarField:
     """Linear growth G_i(p) = g_i*(p_i* - p); zero at the homeostatic pressure."""
-    g = params.growth_rate(which)
-    p_star = params.homeostatic_pressure(which)
+    g, p_star = ((params.g1, params.p1_star) if which == 1
+                 else (params.g2, params.p2_star))
     return ScalarField(p.spec, g * (p_star - p.values))
 
 

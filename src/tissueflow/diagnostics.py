@@ -9,11 +9,10 @@ linearly in eps.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics
 from .constitutive import DELTA_CLAMP, ModelParams, pressure_congestion
 from .grid import ScalarField, VectorField, curl2d
 
@@ -128,50 +127,3 @@ def curl_signature(v2: VectorField,
     signs = signs[signs != 0.0]
     changes = int(np.count_nonzero(np.diff(signs))) if signs.size else 0
     return CurlSignature(left_mean, right_mean, changes)
-
-
-def limit_sweep(make_initial, grid_spec, base_params: ModelParams,
-                sequence, t_end: float, ctrl_kwargs=None):
-    """Run the repulsion model for a stiffening parameter sequence.
-
-    ``sequence`` is an iterable of (eps, m, alpha) with eps, alpha
-    decreasing and m increasing; ``make_initial`` maps a GridSpec to
-    (n1_0, n2_0).  Returns a list of row dicts (one per tuple) with the
-    overlap, complementarity residual and mixedness at t_end, plus the
-    sum-rescale and congestion-clamp totals and the smallest accepted
-    time step of the run; failed runs get an ``error`` entry instead.
-    """
-    rows = []
-    ctrl_kwargs = dict(ctrl_kwargs or {})
-    for eps, m, alpha in sequence:
-        row = {"eps": eps, "m": m, "alpha": alpha}
-        try:
-            params = replace(base_params, eps=eps, m=m, alpha=alpha)
-            ctrl = dynamics.StepControl(model="ESVM", t_end=t_end, **ctrl_kwargs)
-            n1_0, n2_0 = make_initial(grid_spec)
-            state = dynamics.init_state(n1_0, n2_0, params, ctrl)
-            dts, state = dynamics.run(state, ctrl, params,
-                                      observers=[lambda s, _: s.dt_last])
-            total = ScalarField(grid_spec, state.n1.values + state.n2.values)
-            row.update(
-                overlap=segregation_metric(state.n1, state.n2),
-                comp_residual=complementarity_residual(total, eps),
-                mixedness=mixedness(total),
-                sum_rescale=state.counters.sum_rescale,
-                congestion=state.counters.congestion,
-                min_dt=min(dts),
-            )
-        except Exception as exc:  # annotate, keep sweeping
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    return rows
-
-
-def write_sweep_csv(rows, path) -> None:
-    cols = ("eps", "m", "alpha", "overlap", "comp_residual", "mixedness",
-            "sum_rescale", "congestion", "min_dt", "error")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([row.get(c, "") for c in cols])

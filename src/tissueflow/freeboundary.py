@@ -184,9 +184,3 @@ def overlap_cells(part: DomainPartition) -> int:
 def write_partition_csv(part: DomainPartition, path) -> None:
     """0/1/2 cell labels, one row per x index."""
     np.savetxt(path, part.labels, fmt="%d", delimiter=",")
-
-
-def interface_polyline(part: DomainPartition, interface: str = "gamma"):
-    """Face midpoints of an interface as an (N, 2) array for plotting."""
-    faces = getattr(part, interface)
-    return np.column_stack([faces.x, faces.y])

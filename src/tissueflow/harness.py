@@ -9,9 +9,10 @@ number is read by the type of that default and must be finite.  The four
 compiled-in presets reproduce the standard two-tissue simulation panels:
 the full model with repulsion and the interface penalty, the
 congestion-only model, the sharp-interface limit, and the curl-free
-gradient-form variant.  Each run writes field CSVs, a diagnostics CSV,
-and a manifest recording the config hash, grid, status and wall time; a
-run that fails once its directory exists still writes its manifest.
+gradient-form variant.  `simulate` is the one path from a config to a
+run.  Each run writes field CSVs, a diagnostics CSV and a manifest
+recording the config hash, grid, status and wall time; a run that fails
+once its directory exists still writes its manifest and diagnostics.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, fieldio
+from . import diagnostics, fieldio, freeboundary
 from .brinkman import SolverFailure
 from .constitutive import ModelParams, coercivity_check
 from .dynamics import (InitialDataError, StepControl, StepFailure,
                        init_state, run)
 from .grid import GridError, GridSpec, ScalarField
-from .stationary import PartitionError
+from .stationary import DomainPartition, PartitionError
 
 MODELS = ("ESVM", "VM", "L-ESVM", "L-VM", "STATIONARY", "STATIONARY-1SPECIES")
 LIMIT_MODELS = ("L-ESVM", "L-VM")
@@ -336,8 +337,6 @@ def initial_densities(cfg: RunConfig):
 
 def initial_partition(cfg: RunConfig):
     """Sharp 0/1 partition from the rectangle descriptors."""
-    from .stationary import DomainPartition
-
     n1, n2 = initial_densities(cfg)
     chi1 = (n1.values > 0.0).astype(float)
     chi2 = (n2.values > 0.0).astype(float) * (1.0 - chi1)
@@ -383,16 +382,40 @@ def _out_dir(cfg: RunConfig, override: str | None) -> Path:
     return out
 
 
+def step_control(cfg: RunConfig) -> StepControl:
+    """The step settings of a config; a limit model steps like the
+    evolution model it is the limit of."""
+    return StepControl(dt=cfg.dt, cfl_number=cfg.cfl, t_end=cfg.t_end,
+                       model=cfg.model.removeprefix("L-"),
+                       velocity_law=cfg.velocity_law, scheme=cfg.scheme)
+
+
+def simulate(cfg: RunConfig, observers=(), observe_every: int = 1):
+    """(records, final state) of a run from the config's initial data:
+    the painted densities, or for a limit model their sharp partition and
+    `q_field`.  Observers fire as in `dynamics.run`."""
+    ctrl = step_control(cfg)
+    if cfg.model in LIMIT_MODELS:
+        state = freeboundary.init_limit_state(initial_partition(cfg),
+                                              cfg.params, q_field(cfg))
+        return freeboundary.run_limit(state, ctrl, cfg.params,
+                                      observers=observers,
+                                      observe_every=observe_every)
+    state = init_state(*initial_densities(cfg), cfg.params, ctrl)
+    return run(state, ctrl, cfg.params, observers=observers,
+               observe_every=observe_every)
+
+
 def run_dynamic(cfg: RunConfig, out: Path) -> dict:
-    ctrl = StepControl(dt=cfg.dt, cfl_number=cfg.cfl, t_end=cfg.t_end,
-                       model=cfg.model, velocity_law=cfg.velocity_law,
-                       scheme=cfg.scheme)
-    n1_0, n2_0 = initial_densities(cfg)
-    state = init_state(n1_0, n2_0, cfg.params, ctrl)
-    records, state = run(state, ctrl, cfg.params,
-                         observers=[diagnostics.observe],
-                         observe_every=cfg.observe_every)
-    diagnostics.write_records_csv(records, out / "records.csv")
+    records = []
+
+    def observer(s, params):
+        records.append(diagnostics.observe(s, params))
+
+    try:
+        _, state = simulate(cfg, [observer], cfg.observe_every)
+    finally:
+        diagnostics.write_records_csv(records, out / "records.csv")
     for name, f in (("n1", state.n1), ("n2", state.n2),
                     ("p1", state.p1), ("p2", state.p2)):
         fieldio.write_scalar_csv(f, out / f"{name}.csv")
@@ -403,29 +426,23 @@ def run_dynamic(cfg: RunConfig, out: Path) -> dict:
             "overlap": last.overlap, "comp_residual": last.comp_residual}
 
 
+LIMIT_RECORD_COLUMNS = ("t", "area1", "area2", "overlap_cells",
+                        "gmres_iterations", "rel_residual")
+
+
 def run_limit_model(cfg: RunConfig, out: Path) -> dict:
-    from . import freeboundary
-
-    part = initial_partition(cfg)
-    state = freeboundary.init_limit_state(part, cfg.params, q_field(cfg))
-    ctrl = StepControl(dt=cfg.dt, cfl_number=cfg.cfl, t_end=cfg.t_end,
-                       model="VM" if cfg.model == "L-VM" else "ESVM")
-
     rows = []
 
     def observer(s, params):
         a1, a2 = s.areas()
         rows.append([s.t, a1, a2, freeboundary.overlap_cells(s.part),
                      s.sol.iterations, s.sol.rel_residual])
-        return rows[-1]
 
-    _, state = freeboundary.run_limit(state, ctrl, cfg.params,
-                                      observers=[observer],
-                                      observe_every=cfg.observe_every)
-    diagnostics.write_records_csv(rows, out / "records.csv",
-                                  columns=("t", "area1", "area2",
-                                           "overlap_cells", "gmres_iterations",
-                                           "rel_residual"))
+    try:
+        _, state = simulate(cfg, [observer], cfg.observe_every)
+    finally:
+        diagnostics.write_records_csv(rows, out / "records.csv",
+                                      columns=LIMIT_RECORD_COLUMNS)
     freeboundary.write_partition_csv(state.part, out / "partition.csv")
     fieldio.write_scalar_csv(state.q, out / "q.csv")
     fieldio.write_scalar_csv(state.sol.p, out / "p.csv")
@@ -458,21 +475,56 @@ def run_stationary(cfg: RunConfig, out: Path) -> dict:
             "max_transmission_residual": report.max_residual()}
 
 
+SWEEP_COLUMNS = ("eps", "m", "alpha", "overlap", "comp_residual",
+                 "mixedness", "sum_rescale", "congestion", "min_dt", "error")
+
+
+def sweep(cfg: RunConfig) -> list:
+    """One repulsion-model run per [sweep] tuple (eps, m, alpha), each a
+    row dict of SWEEP_COLUMNS at t_end; a failed run's row holds its
+    exception under ``error``, and the sweep goes on."""
+    rows = []
+    for eps, m, alpha in zip(cfg.sweep_eps, cfg.sweep_m, cfg.sweep_alpha):
+        row = {"eps": eps, "m": m, "alpha": alpha}
+        try:
+            params = replace(cfg.params, eps=eps, m=m, alpha=alpha)
+            dts, state = simulate(replace(cfg, model="ESVM", params=params),
+                                  [lambda s, _: s.dt_last])
+            total = ScalarField(cfg.grid, state.n1.values + state.n2.values)
+            row.update(
+                overlap=diagnostics.segregation_metric(state.n1, state.n2),
+                comp_residual=diagnostics.complementarity_residual(total, eps),
+                mixedness=diagnostics.mixedness(total),
+                sum_rescale=state.counters.sum_rescale,
+                congestion=state.counters.congestion,
+                min_dt=min(dts),
+            )
+        except Exception as exc:  # annotate, keep sweeping
+            row["error"] = exc
+        rows.append(row)
+    return rows
+
+
+def write_sweep_csv(rows, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SWEEP_COLUMNS)
+        for row in rows:
+            err = row.get("error")
+            writer.writerow([row.get(c, "") for c in SWEEP_COLUMNS[:-1]] + [
+                "" if err is None else f"{type(err).__name__}: {err}"])
+
+
 def run_sweep(cfg: RunConfig, out: Path) -> dict:
-    sequence = list(zip(cfg.sweep_eps, cfg.sweep_m, cfg.sweep_alpha))
-    if not sequence:
+    """Write every row of the sweep, then raise the first row's failure."""
+    if not cfg.sweep_eps:
         raise ConfigError(["sweep requires non-empty lists in [sweep]"])
-
-    def make_initial(spec):
-        return initial_densities(replace(cfg, grid=spec))
-
-    ctrl_kwargs = {"dt": cfg.dt, "cfl_number": cfg.cfl,
-                   "velocity_law": cfg.velocity_law, "scheme": cfg.scheme}
-    rows = diagnostics.limit_sweep(make_initial, cfg.grid, cfg.params,
-                                   sequence, cfg.t_end, ctrl_kwargs)
-    diagnostics.write_sweep_csv(rows, out / "sweep.csv")
-    ok = [r for r in rows if "error" not in r]
-    return {"rows": float(len(rows)), "failed": float(len(rows) - len(ok))}
+    rows = sweep(cfg)
+    write_sweep_csv(rows, out / "sweep.csv")
+    for row in rows:
+        if "error" in row:
+            raise row["error"]
+    return {"rows": float(len(rows))}
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +596,8 @@ def run_cli(argv) -> int:
     parameters, initial densities with n1+n2 >= 1, a negative q and a q
     file that is missing, malformed or on another grid included); 2
     solver failure (a non-finite field included); 3 invariant violation
-    in `check`.  Once the run directory exists every outcome writes its
+    in `check`.  A sweep ends as its first failed run, after writing
+    every row.  Once the run directory exists every outcome writes its
     manifest, with status ok, config_error or solver_failure.
     """
     parser = argparse.ArgumentParser(prog="tissueflow")

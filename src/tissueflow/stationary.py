@@ -514,9 +514,6 @@ class JumpTable:
     rows: tuple            # dict rows in JUMP_CSV_COLUMNS order
     averages: dict         # interface -> mean |jump| over traceable faces
 
-    def interface_rows(self, name):
-        return [r for r in self.rows if r["interface"] == name]
-
 
 def measure_jump(sol: StationarySolution, part: DomainPartition,
                  quantity: str) -> JumpTable:

@@ -41,11 +41,11 @@ from tissueflow.brinkman import (REL_TOL, solve_brinkman,
                                  solve_brinkman_gradient_form,
                                  solve_brinkman_rhs)
 from tissueflow.constitutive import ModelParams, repulsion_scalar
-from tissueflow.diagnostics import (curl_signature, limit_sweep,
-                                    segregation_metric)
-from tissueflow.dynamics import StepControl, init_state, run, step_esvm, step_vm
-from tissueflow.grid import GridSpec, ScalarField, VectorField, curl2d
-from tissueflow.harness import PRESETS, initial_densities, initial_partition
+from tissueflow.diagnostics import curl_signature, segregation_metric
+from tissueflow.dynamics import init_state, step_esvm, step_vm
+from tissueflow.grid import GridSpec, VectorField, curl2d
+from tissueflow.harness import (PRESETS, initial_densities, simulate,
+                                step_control, sweep)
 from tissueflow.stationary import (assemble_weak_form, concentric_partition,
                                    interface_force_residuals, measure_jump,
                                    quadratic_form, solve_stationary)
@@ -75,14 +75,9 @@ def _final_state(preset: str, n: int, t_end: float, **param_overrides):
     """(config, final state, smallest accepted dt) of a preset run."""
     key = (preset, n, t_end, tuple(sorted(param_overrides.items())))
     if key not in _dynamic_cache:
-        cfg = _preset(preset, n)
+        cfg = _preset(preset, n, t_end=t_end)
         cfg = replace(cfg, params=replace(cfg.params, **param_overrides))
-        n1_0, n2_0 = initial_densities(cfg)
-        ctrl = StepControl(dt=cfg.dt, cfl_number=cfg.cfl, t_end=t_end,
-                           model="VM" if cfg.model == "VM" else "ESVM")
-        state = init_state(n1_0, n2_0, cfg.params, ctrl)
-        dts, state = run(state, ctrl, cfg.params,
-                         observers=[lambda s, _: s.dt_last])
+        dts, state = simulate(cfg, [lambda s, _: s.dt_last])
         _dynamic_cache[key] = (cfg, state, min(dts))
     return _dynamic_cache[key]
 
@@ -115,28 +110,23 @@ def _limit_run(n: int = 128, t_end: float = 0.1):
     """
     key = (n, t_end)
     if key not in _limit_cache:
-        cfg = _preset("fig3-lesvm", n)
-        part = initial_partition(cfg)
-        state = freeboundary.init_limit_state(part, cfg.params)
-        ctrl = StepControl(dt=cfg.dt, cfl_number=cfg.cfl, t_end=t_end,
-                           model="VM")
-        a0 = state.areas()
-        overlaps = []
-        closure = 0.0
-        while state.t < ctrl.t_end - 1e-14:
+        cfg = _preset("fig3-lesvm", n, model="L-VM", t_end=t_end)
+
+        def audit(state, params):
             r1, r2 = freeboundary.complementarity_closure(
-                state.part, cfg.params, state.sol)
-            closure = max(closure, r1.max_norm(), r2.max_norm())
-            state = freeboundary.step_limit(state, ctrl, cfg.params)
-            overlaps.append(freeboundary.overlap_cells(state.part))
-        r1, r2 = freeboundary.complementarity_closure(
-            state.part, cfg.params, state.sol)
-        closure = max(closure, r1.max_norm(), r2.max_norm())
+                state.part, params, state.sol)
+            return (state.areas(), freeboundary.overlap_cells(state.part),
+                    max(r1.max_norm(), r2.max_norm()))
+
+        # a run to t = 0 observes the initial state and its solve
+        (first,), _ = simulate(replace(cfg, t_end=0.0), [audit])
+        audits, state = simulate(cfg, [audit])
         sig = curl_signature(state.sol.v2,
                              mask=state.part.chi2.values == 1.0)
-        _limit_cache[key] = dict(params=cfg.params, overlaps=overlaps,
-                                 areas0=a0, areas1=state.areas(),
-                                 signature=sig, closure=closure)
+        _limit_cache[key] = dict(
+            params=cfg.params, overlaps=[a[1] for a in audits],
+            areas0=first[0], areas1=state.areas(), signature=sig,
+            closure=max(a[2] for a in (first, *audits)))
     return _limit_cache[key]
 
 
@@ -205,7 +195,7 @@ def test_criterion_04_models_coincide_without_repulsion():
     # trajectories from the same segregated data.
     cfg = _preset("fig3-esvm", 64)
     params = replace(cfg.params, alpha=0.0)
-    ctrl = StepControl(dt=cfg.dt, cfl_number=cfg.cfl, t_end=0.05)
+    ctrl = step_control(replace(cfg, t_end=0.05))
     n1_0, n2_0 = initial_densities(cfg)
     sa = init_state(n1_0, n2_0, params, ctrl)
     sb = init_state(n1_0, n2_0, params, ctrl)
@@ -226,16 +216,10 @@ def test_criterion_05_incompressible_limit_monotonicity():
     # Along the stiffening sweep the overlap, the congestion-law
     # residual p_eps*(1-n) and the mixedness n*(1-n) must all strictly
     # decrease at t = 0.05 on the 64^2 band data.
-    cfg = _preset("fig3-esvm", 64)
-
-    def make_initial(spec):
-        return initial_densities(replace(cfg, grid=spec))
-
-    rows = limit_sweep(make_initial, cfg.grid, cfg.params,
-                       [(0.1, 30.0, 1e-3), (0.05, 60.0, 5e-4),
-                        (0.02, 120.0, 2e-4)],
-                       t_end=0.05,
-                       ctrl_kwargs={"dt": cfg.dt, "cfl_number": cfg.cfl})
+    rows = sweep(_preset("fig3-esvm", 64, t_end=0.05,
+                         sweep_eps=(0.1, 0.05, 0.02),
+                         sweep_m=(30.0, 60.0, 120.0),
+                         sweep_alpha=(1e-3, 5e-4, 2e-4)))
     errors = [r["error"] for r in rows if "error" in r]
     assert not errors, errors
     details = []

@@ -1,15 +1,16 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tissueflow.constitutive import ModelParams
 from tissueflow.diagnostics import (DiagnosticRecord, complementarity_residual,
-                                    curl_signature, limit_sweep, mixedness,
-                                    observe, segregation_metric,
-                                    write_records_csv, write_sweep_csv)
+                                    curl_signature, mixedness, observe,
+                                    segregation_metric, write_records_csv)
 from tissueflow.dynamics import StepControl, init_state, run
 from tissueflow.grid import GridSpec, ScalarField, VectorField
+from tissueflow.harness import PRESETS, sweep, write_sweep_csv
 
 
 def test_segregation_metric_values():
@@ -111,18 +112,15 @@ def test_observe_and_records_csv(tmp_path):
     assert float(rows[1][0]) == records[0].t
 
 
-def band_initial(spec):
-    xx, yy = spec.cell_center_mesh()
-    n1 = ScalarField(spec, 0.9 * ((np.abs(xx) < 2 / 3) & (yy < 0.0)))
-    n2 = ScalarField(spec, 0.9 * ((np.abs(xx) >= 2 / 3) & (yy < 0.0)))
-    return n1, n2
+def _sweep_config(t_end, *tuples):
+    # the fig3-esvm bands and parameters are ModelParams' defaults
+    eps, m, alpha = zip(*tuples)
+    return replace(PRESETS["fig3-esvm"], grid=GridSpec(nx=16, ny=16),
+                   t_end=t_end, sweep_eps=eps, sweep_m=m, sweep_alpha=alpha)
 
 
 def test_limit_sweep_rows_and_csv(tmp_path):
-    spec = GridSpec(nx=16, ny=16)
-    rows = limit_sweep(band_initial, spec, ModelParams(),
-                       [(0.1, 30.0, 1e-3), (0.05, 60.0, 5e-4)],
-                       t_end=0.004, ctrl_kwargs={"dt": 1e-3})
+    rows = sweep(_sweep_config(0.004, (0.1, 30.0, 1e-3), (0.05, 60.0, 5e-4)))
     assert len(rows) == 2
     for row in rows:
         assert "error" not in row
@@ -137,10 +135,13 @@ def test_limit_sweep_rows_and_csv(tmp_path):
     assert out[0][0] == "eps" and len(out) == 3
 
 
-def test_limit_sweep_annotates_failures():
-    spec = GridSpec(nx=16, ny=16)
-    rows = limit_sweep(band_initial, spec, ModelParams(),
-                       [(0.1, 30.0, -1.0)], t_end=0.002,
-                       ctrl_kwargs={"dt": 1e-3})
-    assert "error" in rows[0]
-    assert "alpha" in rows[0]["error"]
+def test_limit_sweep_annotates_failures(tmp_path):
+    rows = sweep(_sweep_config(0.002, (0.1, 30.0, -1.0), (0.1, 30.0, 1e-3)))
+    assert isinstance(rows[0]["error"], ValueError)
+    assert "alpha" in str(rows[0]["error"])
+    assert "error" not in rows[1]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, path)
+    with open(path) as fh:
+        out = list(csv.reader(fh))
+    assert out[1][-1].startswith("ValueError: ") and out[2][-1] == ""

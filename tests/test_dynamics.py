@@ -13,7 +13,7 @@ from tissueflow.dynamics import (InitialDataError, StepControl, StepFailure,
                                  init_state, pressure_cap, run, step_esvm,
                                  step_vm)
 from tissueflow.grid import GridSpec, ScalarField, VectorField
-from tissueflow.harness import PRESETS, initial_densities
+from tissueflow.harness import PRESETS, simulate
 from tissueflow.operators import (cell_laplacian_neumann,
                                   weighted_cell_flux_divergence)
 
@@ -191,21 +191,17 @@ def test_state_above_the_cap_may_relax():
     assert new.n1.values.max() < 0.5
 
 
-def _fig3_run(preset, n, t_end, **ctrl_kwargs):
+def _fig3_run(preset, n, t_end, **overrides):
     """Run a preset on an n x n grid to t_end; returns the final state and
     (dt, largest congestion pressure) of every step."""
-    cfg = replace(PRESETS[preset], grid=GridSpec(-1.0, 1.0, -1.0, 1.0, n, n))
-    params = cfg.params
-    n1, n2 = initial_densities(cfg)
-    ctrl = StepControl(dt=cfg.dt, cfl_number=cfg.cfl, t_end=t_end,
-                       model=cfg.model, **ctrl_kwargs)
-    state = init_state(n1, n2, params, ctrl)
+    cfg = replace(PRESETS[preset], grid=GridSpec(-1.0, 1.0, -1.0, 1.0, n, n),
+                  t_end=t_end, **overrides)
 
-    def observer(s, _):
+    def observer(s, params):
         total = ScalarField(s.n1.spec, s.n1.values + s.n2.values)
         return s.dt_last, pressure_congestion(total, params.eps).values.max()
 
-    records, state = run(state, ctrl, params, observers=[observer])
+    records, state = simulate(cfg, [observer])
     return state, records
 
 

@@ -5,9 +5,8 @@ from tissueflow.constitutive import ModelParams, coercivity_check
 from tissueflow.dynamics import StepControl
 from tissueflow.freeboundary import (LimitState, VanishingSubdomain,
                                      complementarity_closure, init_limit_state,
-                                     interface_polyline, overlap_cells,
-                                     rethreshold, run_limit, step_limit,
-                                     transport_q)
+                                     overlap_cells, rethreshold, run_limit,
+                                     step_limit, transport_q)
 from tissueflow.grid import GridSpec, ScalarField, VectorField, divergence
 from tissueflow.stationary import DomainPartition, StationarySolution
 
@@ -166,12 +165,3 @@ def test_complementarity_closure_roundoff():
     st = init_limit_state(part, PAR)
     r1, r2 = complementarity_closure(part, PAR, st.sol)
     assert r1.max_norm() < 1e-9 and r2.max_norm() < 1e-9
-
-
-def test_interface_polyline_shape():
-    spec = GridSpec(nx=32, ny=32)
-    part = band_partition(spec)
-    pts = interface_polyline(part, "gamma")
-    assert pts.ndim == 2 and pts.shape[1] == 2 and len(pts) == len(part.gamma)
-    empty = DomainPartition(part.chi1, ScalarField.zeros(spec))
-    assert interface_polyline(empty, "gamma").shape == (0, 2)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tissueflow import brinkman, fieldio, harness
+from tissueflow import brinkman, dynamics, fieldio, freeboundary, harness
 from tissueflow.constitutive import ModelParams
 from tissueflow.harness import (PRESETS, ConfigError, Rect, RunConfig,
                                 config_hash, initial_densities,
@@ -326,9 +326,7 @@ n2 = 1.0 0.45 0.8 -0.4 0.4
     assert float(manifest["rel_residual"]) <= 1e-10
 
 
-def test_cli_sweep_writes_rows(tmp_path):
-    cfgfile = tmp_path / "sweep.ini"
-    cfgfile.write_text("""
+_SWEEP_CONFIG = """
 [run]
 preset = fig3-esvm
 [grid]
@@ -340,13 +338,85 @@ t_end = 0.004
 eps = 0.1, 0.05
 m = 30, 60
 alpha = 1e-3, 5e-4
-""")
+"""
+
+
+def test_cli_sweep_writes_rows(tmp_path):
+    cfgfile = tmp_path / "sweep.ini"
+    cfgfile.write_text(_SWEEP_CONFIG)
     out = tmp_path / "sweep"
     assert run_cli(["sweep", str(cfgfile), "--out", str(out)]) == 0
     with open(out / "sweep.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "eps" and len(rows) == 3
     assert all(r[-1] == "" for r in rows[1:])  # no error column entries
+
+
+def _manifest(out):
+    with open(out / "manifest.csv") as fh:
+        return dict(zip(*csv.reader(fh)))
+
+
+def test_cli_sweep_with_bad_initial_data_is_a_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "sweep.ini"
+    cfgfile.write_text(_SWEEP_CONFIG + "[initial]\n"
+                       "n1 = 0.6 -0.5 0.5 -0.5 0.5\n"
+                       "n2 = 0.6 -0.5 0.5 -0.5 0.5\n")
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "n1+n2 >= 1" in err
+    # every row is still written, each with its error
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert all(r["error"].startswith("InitialDataError: ") for r in rows)
+    assert _manifest(out)["status"] == "config_error"
+
+
+def test_cli_sweep_with_a_failed_run_is_a_solver_failure(tmp_path, capsys,
+                                                         monkeypatch):
+    step_esvm = dynamics.step_esvm
+
+    def failing(state, ctrl, params):
+        if params.eps == 0.05:
+            raise dynamics.StepFailure("dt collapsed")
+        return step_esvm(state, ctrl, params)
+
+    monkeypatch.setattr(dynamics, "step_esvm", failing)
+    cfgfile = tmp_path / "sweep.ini"
+    cfgfile.write_text(_SWEEP_CONFIG)
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep", str(cfgfile), "--out", str(out)]) == 2
+    assert "solver failure: dt collapsed" in capsys.readouterr().err
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["error"] == "" and float(rows[0]["overlap"]) >= 0.0
+    assert rows[1]["error"] == "StepFailure: dt collapsed"
+    assert _manifest(out)["status"] == "solver_failure"
+
+
+@pytest.mark.parametrize("preset,module,step", [
+    ("fig3-vm", dynamics, "step_vm"),
+    ("fig3-lesvm", freeboundary, "step_limit")])
+def test_cli_failed_run_keeps_the_records_observed(tmp_path, monkeypatch,
+                                                   preset, module, step):
+    inner, calls = getattr(module, step), []
+
+    def third_fails(state, ctrl, params):
+        calls.append(state.t)
+        if len(calls) == 3:
+            raise dynamics.StepFailure("third step fails")
+        return inner(state, ctrl, params)
+
+    monkeypatch.setattr(module, step, third_fails)
+    out = tmp_path / "failed"
+    assert run_cli(["run", preset, "--grid", "16x16", "--out", str(out)]) == 2
+    with open(out / "records.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][0] == "t" and len(rows) == 3
+    assert float(rows[1][0]) < float(rows[2][0])
+    assert _manifest(out)["status"] == "solver_failure"
 
 
 @pytest.mark.parametrize("eps,m,alpha,bad", [

@@ -197,7 +197,7 @@ def test_pressure_jump_on_mutual_interface():
     assert table.averages["gamma"] > 0.5
     # the annulus also jumps against the zero exterior pressure
     assert table.averages["gamma2"] > 0.5
-    rows = table.interface_rows("gamma")
+    rows = [r for r in table.rows if r["interface"] == "gamma"]
     traceable = [r for r in rows if not r["marker"]]
     assert len(traceable) > 0.5 * len(rows)
 
