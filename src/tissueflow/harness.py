@@ -9,10 +9,10 @@ number is read by the type of that default and must be finite.  The four
 compiled-in presets reproduce the standard two-tissue simulation panels:
 the full model with repulsion and the interface penalty, the
 congestion-only model, the sharp-interface limit, and the curl-free
-gradient-form variant.  `simulate` is the one path from a config to a
-run.  Each run writes field CSVs, a diagnostics CSV and a manifest
-recording the config hash, grid, status and wall time; a run that fails
-once its directory exists still writes its manifest and diagnostics.
+gradient-form variant.  The config alone picks the kind of run (see
+`run_cli`); `simulate` steps the evolution and limit models.  Every run
+writes a manifest recording the config hash, grid, status and wall time,
+also a run that fails once its directory exists.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from .dynamics import (InitialDataError, StepControl, StepFailure,
 from .grid import GridError, GridSpec, ScalarField
 from .stationary import DomainPartition, PartitionError
 
-MODELS = ("ESVM", "VM", "L-ESVM", "L-VM", "STATIONARY", "STATIONARY-1SPECIES")
+MODELS = ("ESVM", "VM", "L-ESVM", "L-VM", "STATIONARY")
 LIMIT_MODELS = ("L-ESVM", "L-VM")
-STATIONARY_MODELS = ("STATIONARY", "STATIONARY-1SPECIES")
 # the relaxation parameters: the limit models have none, and [sweep] steps
 # them toward the limit
 RELAXATION_KEYS = ("eps", "m", "alpha")
@@ -56,6 +55,13 @@ CONFIG_KEYS = {
     "q": {k: "q_" + k for k in ("source", "value", "path")},
     "sweep": {k: "sweep_" + k for k in RELAXATION_KEYS},
 }
+
+# the keys only some models read, with those models; any other model must
+# leave them at their DEFAULT values
+READERS = {("control", "scheme"): ("ESVM", "VM"),
+           ("control", "velocity_law"): ("ESVM", "VM"),
+           ("q", "source"): (*LIMIT_MODELS, "STATIONARY"),
+           **{("sweep", k): ("ESVM",) for k in RELAXATION_KEYS}}
 
 # the words a word-valued key may take
 _CHOICES = {"model": MODELS, "velocity_law": ("dirichlet", "gradient"),
@@ -288,9 +294,15 @@ def parse_config(text: str) -> RunConfig:
         violations += [f"key {key!r} in [params] is incompatible with "
                        f"model {cfg.model}" for key in RELAXATION_KEYS
                        if cp.has_option("params", key)]
+    for (section, key), models in READERS.items():
+        name = CONFIG_KEYS[section][key]
+        if (cfg.model is not None and cfg.model not in models
+                and getattr(cfg, name) != getattr(DEFAULT, name)):
+            violations.append(f"key {key!r} in [{section}] is not read by "
+                              f"model {cfg.model}")
     if not cfg.rects1:
         violations.append("missing initial data: key 'n1' in [initial]")
-    if not cfg.rects2 and cfg.model != "STATIONARY-1SPECIES":
+    if not cfg.rects2 and cfg.model != "STATIONARY":
         violations.append("missing initial data: key 'n2' in [initial]")
     if cfg.q_source == "file" and cfg.q_path is None:
         violations.append("q source 'file' requires key 'path' in [q]")
@@ -488,7 +500,7 @@ def sweep(cfg: RunConfig) -> list:
         row = {"eps": eps, "m": m, "alpha": alpha}
         try:
             params = replace(cfg.params, eps=eps, m=m, alpha=alpha)
-            dts, state = simulate(replace(cfg, model="ESVM", params=params),
+            dts, state = simulate(replace(cfg, params=params),
                                   [lambda s, _: s.dt_last])
             total = ScalarField(cfg.grid, state.n1.values + state.n2.values)
             row.update(
@@ -517,8 +529,6 @@ def write_sweep_csv(rows, path) -> None:
 
 def run_sweep(cfg: RunConfig, out: Path) -> dict:
     """Write every row of the sweep, then raise the first row's failure."""
-    if not cfg.sweep_eps:
-        raise ConfigError(["sweep requires non-empty lists in [sweep]"])
     rows = sweep(cfg)
     write_sweep_csv(rows, out / "sweep.csv")
     for row in rows:
@@ -590,23 +600,22 @@ def _check_battery(seed: int):
 def run_cli(argv) -> int:
     """Entry point; returns the process exit code.
 
-    0 success; 1 config error (an unknown key, a value that is not a
-    finite number or not one of its key's words, an invalid grid, a step
-    setting out of range, a [sweep] tuple that is not valid model
-    parameters, initial densities with n1+n2 >= 1, a negative q and a q
-    file that is missing, malformed or on another grid included); 2
-    solver failure (a non-finite field included); 3 invariant violation
-    in `check`.  A sweep ends as its first failed run, after writing
-    every row.  Once the run directory exists every outcome writes its
-    manifest, with status ok, config_error or solver_failure.
+    `run` picks the run from the config alone: [sweep] lists, STATIONARY,
+    a limit model or an evolution model.  0 success; 1 config error (an
+    unknown key, a value not finite or not one of its key's words, a bad
+    grid, a step setting out of range, a key the model does not read off
+    its default, a bad [sweep] tuple, initial n1+n2 >= 1, a negative q or
+    a bad q file); 2 solver failure (a non-finite field included); 3
+    invariant violation in `check`.  A sweep ends as its first failed run,
+    after writing every row.  Once the run directory exists every outcome
+    writes its manifest, with status ok, config_error or solver_failure.
     """
     parser = argparse.ArgumentParser(prog="tissueflow")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "sweep", "stationary"):
-        p = sub.add_parser(name)
-        p.add_argument("config", help="config file path or preset name")
-        p.add_argument("--out", default=None)
-        p.add_argument("--grid", default=None, help="override, e.g. 64x64")
+    p = sub.add_parser("run")
+    p.add_argument("config", help="config file path or preset name")
+    p.add_argument("--out", default=None)
+    p.add_argument("--grid", default=None, help="override, e.g. 64x64")
     p = sub.add_parser("check")
     p.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -638,9 +647,9 @@ def run_cli(argv) -> int:
     t0 = time.perf_counter()
     status, final = "ok", {}
     try:
-        if args.command == "sweep":
+        if cfg.sweep_eps:
             final = run_sweep(cfg, out)
-        elif args.command == "stationary" or cfg.model in STATIONARY_MODELS:
+        elif cfg.model == "STATIONARY":
             final = run_stationary(cfg, out)
         elif cfg.model in LIMIT_MODELS:
             final = run_limit_model(cfg, out)

@@ -90,7 +90,10 @@ def _configs(draw):
 
     The values serialize_config leaves out are drawn equal to the base's:
     a limit model's relaxation parameters, and a q value or path that
-    the q source does not use.
+    the q source does not use.  A key the model does not read keeps its
+    default: [sweep] is drawn only for ESVM, a q source other than zero
+    only for L-ESVM, L-VM and STATIONARY, and the scheme and velocity law
+    only for ESVM and VM.
     """
     preset = draw(st.sampled_from([None, *PRESETS]))
     base = PRESETS[preset] if preset else harness.DEFAULT
@@ -106,18 +109,22 @@ def _configs(draw):
     if model in harness.LIMIT_MODELS:
         params = replace(params, **{k: getattr(base.params, k)
                                     for k in harness.RELAXATION_KEYS})
-    # n1 is required, and n2 by every model but the one-species one
+    # n1 is required, and n2 by every model but STATIONARY
     rects1 = draw(st.lists(_RECT, min_size=1, max_size=3))
     rects2 = draw(st.lists(_RECT, max_size=3,
-                           min_size=int(model != "STATIONARY-1SPECIES")))
-    sweep = draw(_SWEEP)
-    q_source = draw(st.sampled_from(["zero", "uniform", "file"]))
+                           min_size=int(model != "STATIONARY")))
+    sweep = draw(_SWEEP) if model == "ESVM" else []
+    q_source = (draw(st.sampled_from(["zero", "uniform", "file"]))
+                if model in ("L-ESVM", "L-VM", "STATIONARY") else "zero")
+    evolution = model in ("ESVM", "VM")
     return RunConfig(
         model=model, grid=grid, params=params, preset=preset,
         dt=draw(_POSITIVE), cfl=draw(_CFL),
         t_end=draw(_NONNEGATIVE),
-        velocity_law=draw(st.sampled_from(["dirichlet", "gradient"])),
-        scheme=draw(st.sampled_from(["upwind", "sharp"])),
+        velocity_law=(draw(st.sampled_from(["dirichlet", "gradient"]))
+                      if evolution else "dirichlet"),
+        scheme=(draw(st.sampled_from(["upwind", "sharp"]))
+                if evolution else "upwind"),
         observe_every=draw(st.integers(1, 1000)),
         rects1=tuple(rects1), rects2=tuple(rects2), q_source=q_source,
         q_value=(draw(_NONNEGATIVE) if q_source == "uniform"
@@ -238,10 +245,11 @@ def test_cli_check_leaves_no_temp_file(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["run", "fig3-vm", "--seed", "1"],
                                   ["run", "fig3-vm", "--jobs", "2"],
-                                  ["stationary", "fig3-lesvm", "--jobs", "2"],
-                                  ["sweep", "fig3-vm", "--seed", "1"],
-                                  ["sweep", "fig3-vm", "--jobs", "2"]])
+                                  ["check", "--out", "x"],
+                                  ["stationary", "fig3-lesvm"],
+                                  ["sweep", "fig3-esvm"]])
 def test_cli_rejects_flags_nothing_reads(argv):
+    # `run` and `check` are the only commands: the config picks the run
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert exc.value.code == 2
@@ -260,6 +268,29 @@ def test_cli_invalid_grid_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "tiny"
     assert run_cli(["run", "fig3-vm", "--grid", "2x2", "--out", str(out)]) == 1
     assert "need nx, ny >= 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset,lines,message", [
+    ("fig3-lesvm", "[control]\nscheme = sharp",
+     "key 'scheme' in [control] is not read by model L-ESVM"),
+    ("fig3-gradient-form", "model = STATIONARY",
+     "key 'velocity_law' in [control] is not read by model STATIONARY"),
+    ("fig3-vm", "[q]\nsource = uniform\nvalue = 1.0",
+     "key 'source' in [q] is not read by model VM"),
+    ("fig3-vm", "[sweep]\neps = 0.1\nm = 30\nalpha = 0",
+     "key 'eps' in [sweep] is not read by model VM")],
+    ids=["scheme", "velocity_law", "q-source", "sweep"])
+def test_cli_setting_the_model_does_not_read_is_a_config_error(
+        tmp_path, capsys, preset, lines, message):
+    cfgfile = tmp_path / "ignored.ini"
+    cfgfile.write_text(f"[run]\npreset = {preset}\n{lines}\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+    # parse_config fails before the run directory is made
+    assert not out.exists()
 
 
 def test_cli_non_finite_field_is_a_solver_failure(tmp_path, capsys,
@@ -288,19 +319,7 @@ def test_cli_dynamic_run_writes_artifacts(tmp_path):
     assert len(manifest["config_hash"]) == 16
 
 
-def test_cli_runs_are_bitwise_reproducible(tmp_path):
-    outs = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
-        assert run_cli(["run", "fig3-esvm", "--grid", "16x16",
-                        "--out", str(out)]) == 0
-        outs.append((out / "n1.csv").read_text())
-    assert outs[0] == outs[1]
-
-
-def test_cli_stationary_reports_coercivity(tmp_path, capsys):
-    cfgfile = tmp_path / "stat.ini"
-    cfgfile.write_text("""
+_STATIONARY_CONFIG = """
 [run]
 model = STATIONARY
 [grid]
@@ -312,9 +331,14 @@ beta2 = 1.0
 [initial]
 n1 = 1.0 -0.4 0.4 -0.4 0.4
 n2 = 1.0 0.45 0.8 -0.4 0.4
-""")
+"""
+
+
+def test_cli_stationary_reports_coercivity(tmp_path, capsys):
+    cfgfile = tmp_path / "stat.ini"
+    cfgfile.write_text(_STATIONARY_CONFIG)
     out = tmp_path / "stat"
-    assert run_cli(["stationary", str(cfgfile), "--out", str(out)]) == 0
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "coercivity" in text
     for name in ("p.csv", "v1_u.csv", "v2_v.csv", "jumps.csv", "p.vtk"):
@@ -345,7 +369,7 @@ def test_cli_sweep_writes_rows(tmp_path):
     cfgfile = tmp_path / "sweep.ini"
     cfgfile.write_text(_SWEEP_CONFIG)
     out = tmp_path / "sweep"
-    assert run_cli(["sweep", str(cfgfile), "--out", str(out)]) == 0
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
     with open(out / "sweep.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "eps" and len(rows) == 3
@@ -357,13 +381,34 @@ def _manifest(out):
         return dict(zip(*csv.reader(fh)))
 
 
+@pytest.mark.parametrize("config", ["fig3-esvm", "fig3-lesvm",
+                                    "stationary", "sweep"])
+def test_cli_runs_are_bitwise_reproducible(tmp_path, config):
+    # the second run is made from the first run's config.ini alone
+    text = {"stationary": _STATIONARY_CONFIG, "sweep": _SWEEP_CONFIG}
+    first = ["run", config, "--grid", "16x16"]
+    if config in text:
+        (tmp_path / "config.ini").write_text(text[config])
+        first = ["run", str(tmp_path / "config.ini")]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(first + ["--out", str(a)]) == 0
+    assert run_cli(["run", str(a / "config.ini"), "--out", str(b)]) == 0
+    names = sorted(path.name for path in a.iterdir())
+    assert names == sorted(path.name for path in b.iterdir())
+    for name in names:
+        if name != "manifest.csv":
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    ma, mb = _manifest(a), _manifest(b)
+    assert (ma["model"], ma["config_hash"]) == (mb["model"], mb["config_hash"])
+
+
 def test_cli_sweep_with_bad_initial_data_is_a_config_error(tmp_path, capsys):
     cfgfile = tmp_path / "sweep.ini"
     cfgfile.write_text(_SWEEP_CONFIG + "[initial]\n"
                        "n1 = 0.6 -0.5 0.5 -0.5 0.5\n"
                        "n2 = 0.6 -0.5 0.5 -0.5 0.5\n")
     out = tmp_path / "sweep"
-    assert run_cli(["sweep", str(cfgfile), "--out", str(out)]) == 1
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "n1+n2 >= 1" in err
     # every row is still written, each with its error
@@ -387,7 +432,7 @@ def test_cli_sweep_with_a_failed_run_is_a_solver_failure(tmp_path, capsys,
     cfgfile = tmp_path / "sweep.ini"
     cfgfile.write_text(_SWEEP_CONFIG)
     out = tmp_path / "sweep"
-    assert run_cli(["sweep", str(cfgfile), "--out", str(out)]) == 2
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 2
     assert "solver failure: dt collapsed" in capsys.readouterr().err
     with open(out / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -430,7 +475,7 @@ def test_cli_bad_sweep_tuple_is_a_config_error(tmp_path, capsys, eps, m,
                        "[control]\nt_end = 0.004\ndt = -1\n"
                        f"[sweep]\neps = {eps}\nm = {m}\nalpha = {alpha}\n")
     out = tmp_path / "sweep"
-    assert run_cli(["sweep", str(cfgfile), "--out", str(out)]) == 1
+    assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
     # reported alongside the config's other violations
@@ -442,7 +487,7 @@ def test_cli_single_species_stationary_run(tmp_path):
     cfgfile = tmp_path / "one.ini"
     cfgfile.write_text("""
 [run]
-model = STATIONARY-1SPECIES
+model = STATIONARY
 [grid]
 nx = 24
 ny = 24
@@ -460,7 +505,7 @@ n1 = 1.0 -0.4 0.4 -0.4 0.4
     with open(out / "manifest.csv") as fh:
         head, vals = list(csv.reader(fh))
     manifest = dict(zip(head, vals))
-    assert manifest["model"] == "STATIONARY-1SPECIES"
+    assert manifest["model"] == "STATIONARY"
     assert float(manifest["rel_residual"]) <= 1e-10
     assert int(manifest["iterations"]) > 0
 
@@ -555,8 +600,7 @@ def test_cli_bad_step_numbers_are_config_errors(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("source", ["value", "file"])
-@pytest.mark.parametrize("command", ["run", "stationary"])
-def test_cli_negative_q_is_a_config_error(tmp_path, capsys, command, source):
+def test_cli_negative_q_is_a_config_error(tmp_path, capsys, source):
     q_path = tmp_path / "q.csv"
     q = np.zeros((24, 24))
     q[5, 7] = -1e-3
@@ -567,7 +611,7 @@ def test_cli_negative_q_is_a_config_error(tmp_path, capsys, command, source):
     cfgfile = tmp_path / "neg.ini"
     cfgfile.write_text("[run]\npreset = fig3-lesvm\n[grid]\nnx = 24\nny = 24\n"
                        f"[control]\nt_end = 0.01\n[q]\n{q_lines}\n")
-    assert run_cli([command, str(cfgfile), "--out", str(tmp_path / "out")]) == 1
+    assert run_cli(["run", str(cfgfile), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "nonnegative" in err
     assert source == "value" or str(q_path) in err
@@ -595,7 +639,7 @@ path = {q_path}
 def _run_with_q_file(tmp_path, q_path):
     cfgfile = tmp_path / "stat.ini"
     cfgfile.write_text(_Q_FILE_CONFIG.format(q_path=q_path))
-    return run_cli(["stationary", str(cfgfile), "--out", str(tmp_path / "stat")])
+    return run_cli(["run", str(cfgfile), "--out", str(tmp_path / "stat")])
 
 
 def test_cli_q_file_on_another_grid_is_a_config_error(tmp_path, capsys):

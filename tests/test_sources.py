@@ -71,3 +71,17 @@ def test_readme_lists_every_config_key_with_its_default():
                         harness.CONFIG_KEYS[section][key])
         shown = re.match(r"`([^`]*)`", default)
         assert shown is None or shown.group(1) == str(value), (section, key)
+
+
+@pytest.mark.parametrize("readme", ["README.md", "demos/README.md"])
+def test_readme_commands_exist(readme):
+    # a subcommand that does not exist makes argparse exit 2, not 0
+    blocks = re.findall(r"^```\w*\n(.*?)^```", (ROOT / readme).read_text(),
+                        re.M | re.S)
+    words = {word for block in blocks
+             for word in re.findall(r"^tissueflow (\w+)", block, re.M)}
+    assert words
+    for word in sorted(words):
+        with pytest.raises(SystemExit) as exc:
+            harness.run_cli([word, "--help"])
+        assert exc.value.code == 0, word
