@@ -330,7 +330,11 @@ def init_state(n1_0: ScalarField, n2_0: ScalarField, params: ModelParams,
                     counters=counter)
 
 
-def _cfl_dt(ctrl: StepControl, spec: GridSpec, vmax: float) -> float:
+def step_size(ctrl: StepControl, spec: GridSpec, vmax: float,
+              t: float) -> float:
+    """The step of both run families from time ``t``: ``ctrl.dt`` halved to
+    the CFL bound of the largest face speed ``vmax``, then cut to end on
+    ``ctrl.t_end``.  StepFailure after ``MAX_HALVINGS`` halvings."""
     bound = ctrl.cfl_number * min(spec.hx, spec.hy) / max(vmax, VELOCITY_FLOOR)
     dt = ctrl.dt
     halvings = 0
@@ -341,7 +345,8 @@ def _cfl_dt(ctrl: StepControl, spec: GridSpec, vmax: float) -> float:
             raise StepFailure(
                 f"CFL bound {bound:.3e} unreachable from dt={ctrl.dt:.3e} "
                 f"within {MAX_HALVINGS} halvings (max face speed {vmax:.3e})")
-    return dt
+    remaining = ctrl.t_end - t
+    return remaining if 0.0 < remaining < dt else dt
 
 
 def _fourth_order_fluxes(n_star: np.ndarray, n_old: np.ndarray,
@@ -428,7 +433,7 @@ def _advance(state: SimState, ctrl: StepControl, params: ModelParams,
              with_repulsion: bool, alpha: float) -> SimState:
     """One accepted step.
 
-    The trial dt is the CFL step, at most twice the last accepted one.  A
+    The trial dt is ``step_size``, at most twice the last accepted one.  A
     trial whose n1+n2 would pass the ceiling where the congestion pressure
     reaches ``pressure_cap`` (or the current maximum, if that is higher)
     by more than ``CEILING_ROUNDOFF`` is rejected and retried at half the
@@ -445,12 +450,9 @@ def _advance(state: SimState, ctrl: StepControl, params: ModelParams,
     v2 = _solve_velocity(p2, params.beta2, ctrl)
 
     vmax = max(v1.max_face_speed(), v2.max_face_speed())
-    dt = _cfl_dt(ctrl, spec, vmax)
+    dt = step_size(ctrl, spec, vmax, state.t)
     if state.dt_last > 0.0:
         dt = min(dt, 2.0 * state.dt_last)
-    remaining = ctrl.t_end - state.t
-    if 0.0 < remaining < dt:
-        dt = remaining
 
     cap = pressure_cap(params)
     ceiling = max(cap / (cap + params.eps),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import ModelParams
-from .dynamics import StepControl, _cfl_dt, run, upwind_flux_divergence
+from .dynamics import StepControl, run, step_size, upwind_flux_divergence
 from .grid import GridSpec, ScalarField, VectorField, divergence
 from .stationary import (DomainPartition, StationarySolution, solve_stationary)
 
@@ -56,14 +56,12 @@ class LimitState:
 
 def init_limit_state(part: DomainPartition, params: ModelParams,
                      q0: ScalarField | None = None) -> LimitState:
-    """Start from a sharp partition; q0 defaults to the zero field."""
-    spec = part.spec
-    q = q0 if q0 is not None else ScalarField.zeros(spec)
-    if (q.values < 0).any():
+    """Start from a sharp partition; ``q0`` must be nonnegative.  The state
+    keeps the q of its stationary solve, which defaults and checks it."""
+    if q0 is not None and (q0.values < 0).any():
         raise ValueError("limit repulsion pressure must be nonnegative")
-    q = ScalarField(spec, q.values * (part.chi1.values + part.chi2.values))
-    sol = solve_stationary(part, params, q)
-    return LimitState(0.0, part, part.chi1, part.chi2, q, sol)
+    sol = solve_stationary(part, params, q0)
+    return LimitState(0.0, part, part.chi1, part.chi2, sol.q, sol)
 
 
 def _advect_level(level: np.ndarray, vel: VectorField, dt: float) -> np.ndarray:
@@ -123,15 +121,13 @@ def step_limit(state: LimitState, ctrl: StepControl,
     """One sharp-interface step: stationary solve, advect, rethreshold.
 
     q is transported unless ``ctrl.model`` is ``"VM"``, the limit model
-    without repulsion memory.  Both models share this kernel, so they are
-    bitwise identical whenever q stays zero.
+    without repulsion memory; the new solve zeroes it outside the new
+    tissues.  Both models share this kernel, so they are bitwise identical
+    whenever q stays zero.
     """
     sol = state.sol
     vmax = max(sol.v1.max_face_speed(), sol.v2.max_face_speed())
-    dt = _cfl_dt(ctrl, state.spec, vmax)
-    remaining = ctrl.t_end - state.t
-    if 0.0 < remaining < dt:
-        dt = remaining
+    dt = step_size(ctrl, state.spec, vmax, state.t)
 
     l1 = _advect_level(state.level1.values, sol.v1, dt)
     l2 = _advect_level(state.level2.values, sol.v2, dt)
@@ -147,10 +143,9 @@ def step_limit(state: LimitState, ctrl: StepControl,
                            ScalarField(state.spec, chi2))
 
     q = state.q if ctrl.model == "VM" else transport_q(state, dt)
-    q = ScalarField(state.spec, q.values * (chi1 + chi2))
     sol_new = solve_stationary(part, params, q)
     return LimitState(t_new, part, ScalarField(state.spec, l1),
-                      ScalarField(state.spec, l2), q, sol_new)
+                      ScalarField(state.spec, l2), sol_new.q, sol_new)
 
 
 def run_limit(state: LimitState, ctrl: StepControl, params: ModelParams,

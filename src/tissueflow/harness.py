@@ -604,11 +604,12 @@ def run_cli(argv) -> int:
     a limit model or an evolution model.  0 success; 1 config error (an
     unknown key, a value not finite or not one of its key's words, a bad
     grid, a step setting out of range, a key the model does not read off
-    its default, a bad [sweep] tuple, initial n1+n2 >= 1, a negative q or
-    a bad q file); 2 solver failure (a non-finite field included); 3
-    invariant violation in `check`.  A sweep ends as its first failed run,
-    after writing every row.  Once the run directory exists every outcome
-    writes its manifest, with status ok, config_error or solver_failure.
+    its default, a bad [sweep] tuple, initial n1+n2 >= 1, a negative q, a
+    bad q file or one on another grid, an --out that cannot be made); 2
+    solver failure (a non-finite field included); 3 invariant violation in
+    `check`.  A sweep ends as its first failed run, after writing every
+    row.  Once the run directory exists every outcome writes its manifest,
+    with status ok, config_error or solver_failure.
     """
     parser = argparse.ArgumentParser(prog="tissueflow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -639,11 +640,11 @@ def run_cli(argv) -> int:
             except ValueError:
                 raise ConfigError([f"bad --grid value {args.grid!r}"])
             cfg = replace(cfg, grid=replace(cfg.grid, nx=nx, ny=ny))
+        out = _out_dir(cfg, args.out)
     except (ConfigError, GridError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    out = _out_dir(cfg, args.out)
     t0 = time.perf_counter()
     status, final = "ok", {}
     try:

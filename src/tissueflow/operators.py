@@ -63,14 +63,8 @@ def face_stiffness_v(spec: GridSpec) -> sp.csr_matrix:
 @functools.lru_cache(maxsize=32)
 def cell_laplacian_neumann(spec: GridSpec) -> sp.csr_matrix:
     """Negative cell-centered Laplacian with zero-flux walls (PSD)."""
-    def t_neumann(n, h):
-        main = np.full(n, 2.0)
-        main[0] = main[-1] = 1.0
-        off = -np.ones(n - 1)
-        return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2
-
-    return (sp.kron(t_neumann(spec.nx, spec.hx), sp.identity(spec.ny)) +
-            sp.kron(sp.identity(spec.nx), t_neumann(spec.ny, spec.hy))).tocsr()
+    return (sp.kron(_tridiag(spec.nx, spec.hx, 1.0), sp.identity(spec.ny)) +
+            sp.kron(sp.identity(spec.nx), _tridiag(spec.ny, spec.hy, 1.0))).tocsr()
 
 
 @functools.lru_cache(maxsize=32)

@@ -224,11 +224,13 @@ def _stiffness(spec: GridSpec) -> sp.csr_matrix:
 
 def _source(part: DomainPartition, params: ModelParams,
             q: ScalarField | None):
-    """(q, f) with q defaulting to zero and f = chi1*(p1*+q) + chi2*(p2*+q)."""
+    """(q, f): q defaults to zero, must live on the partition's grid and is
+    zeroed outside the tissues; f = chi1*(p1*+q) + chi2*(p2*+q)."""
     if q is None:
         q = ScalarField.zeros(part.spec)
     if q.spec != part.spec:
         raise PartitionError("q lives on a different grid")
+    q = ScalarField(part.spec, q.values * (part.chi1.values + part.chi2.values))
     f = (part.chi1.values * (params.p1_star + q.values) +
          part.chi2.values * (params.p2_star + q.values))
     return q, f.ravel()
@@ -377,7 +379,8 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
     ``brinkman.REL_TOL`` bounds the relative residual of the full coupled
     system, and GMRES gets ``GMRES_ITERATIONS_PER_LINE * (nx + ny)``
     inner iterations (whole restart cycles).  Raises SolverFailure when
-    the residual is missed.
+    the residual is missed.  q defaults to zero and must live on the
+    partition's grid; the solution keeps it zeroed outside the tissues.
     """
     rel_tol = brinkman.REL_TOL
     spec = part.spec

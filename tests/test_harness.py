@@ -264,6 +264,16 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert run_cli(["run", "fig3-vm", "--grid", "banana"]) == 1
 
 
+def test_cli_out_that_cannot_be_made_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    assert run_cli(["run", "fig3-vm", "--grid", "16x16", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(out) in err
+    assert len(err.strip().splitlines()) == 1
+    assert out.read_text() == "a file, not a directory\n"
+
+
 def test_cli_invalid_grid_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "tiny"
     assert run_cli(["run", "fig3-vm", "--grid", "2x2", "--out", str(out)]) == 1
@@ -620,7 +630,7 @@ def test_cli_negative_q_is_a_config_error(tmp_path, capsys, source):
 
 _Q_FILE_CONFIG = """
 [run]
-model = STATIONARY
+model = {model}
 [grid]
 nx = 24
 ny = 24
@@ -636,20 +646,25 @@ path = {q_path}
 """
 
 
-def _run_with_q_file(tmp_path, q_path):
+def _run_with_q_file(tmp_path, q_path, model="STATIONARY"):
     cfgfile = tmp_path / "stat.ini"
-    cfgfile.write_text(_Q_FILE_CONFIG.format(q_path=q_path))
+    cfgfile.write_text(_Q_FILE_CONFIG.format(model=model, q_path=q_path))
     return run_cli(["run", str(cfgfile), "--out", str(tmp_path / "stat")])
 
 
-def test_cli_q_file_on_another_grid_is_a_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("grid", [GridSpec(-1.0, 1.0, -1.0, 1.0, 16, 16),
+                                  GridSpec(-2.0, 2.0, -2.0, 2.0, 24, 24)],
+                         ids=["shape", "box"])
+@pytest.mark.parametrize("model", ["STATIONARY", "L-ESVM", "L-VM"])
+def test_cli_q_file_on_another_grid_is_a_config_error(tmp_path, capsys,
+                                                       model, grid):
+    # the config's grid is 24x24 on [-1, 1]^2
     q_path = tmp_path / "q.csv"
-    fieldio.write_scalar_csv(ScalarField.zeros(GridSpec(-1.0, 1.0, -1.0, 1.0,
-                                                        16, 16)), q_path)
-    assert _run_with_q_file(tmp_path, q_path) == 1
+    fieldio.write_scalar_csv(ScalarField.zeros(grid), q_path)
+    assert _run_with_q_file(tmp_path, q_path, model) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "different grid" in err
-    assert len(err.strip().splitlines()) == 1
+    assert err == "config error: q lives on a different grid\n"
+    assert _manifest(tmp_path / "stat")["status"] == "config_error"
 
 
 @pytest.mark.parametrize("content", [None, "# nx ny\n# 24 24\n"],

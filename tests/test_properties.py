@@ -1,0 +1,157 @@
+"""Property tests of the package's contracts on anisotropic grids.
+
+Every property draws its grid with nx in 8..40, ny in 8..32 and unequal
+spacings, because roundoff depends on the shape.  Examples are
+derandomized and no example database is kept, so the suite is
+reproducible.  The roundoff bounds below were fixed before the first run.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter
+
+from tissueflow import brinkman
+from tissueflow.constitutive import ModelParams
+from tissueflow.dynamics import (CEILING_ROUNDOFF, StepControl,
+                                 _implicit_fourth_order,
+                                 sharp_flux_divergences,
+                                 upwind_flux_divergence)
+from tissueflow.freeboundary import init_limit_state, step_limit
+from tissueflow.grid import GridSpec, ScalarField, VectorField, gradient
+from tissueflow.operators import (cell_laplacian_neumann, face_stiffness_u,
+                                  face_stiffness_v, stack_faces)
+from tissueflow.stationary import DomainPartition
+
+NEGATIVE_ROUNDOFF = 1e-15    # a limited stage may leave a density this far below 0
+MASS_ROUNDOFF = 1e-13        # relative change of a species' mass in one stage
+PROPERTY = settings(max_examples=25, derandomize=True, database=None,
+                    deadline=None)
+
+
+@st.composite
+def _grids(draw):
+    """A box with nx in 8..40, ny in 8..32 and hx != hy, and a generator."""
+    nx, ny = draw(st.integers(8, 40)), draw(st.integers(8, 32))
+    width, height = (draw(st.floats(0.5, 4.0)) for _ in range(2))
+    assume(width / nx != height / ny)
+    x0, y0 = (draw(st.floats(-2.0, 0.0)) for _ in range(2))
+    spec = GridSpec(x0, x0 + width, y0, y0 + height, nx, ny)
+    return spec, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def _densities(spec, rng, ceiling):
+    """Two nonnegative densities with n1 + n2 <= ceiling: random values
+    on two rectangles that overlap in a random band."""
+    shape = (spec.nx, spec.ny)
+    total = ceiling * rng.random(shape) * (rng.random(shape) < 0.8)
+    share = np.zeros(shape)
+    a, b = sorted(rng.integers(1, spec.nx, size=2))
+    share[:b] = 1.0
+    share[a:b] = rng.random((b - a, spec.ny))
+    n1 = share * total
+    return n1, np.maximum(total - n1, 0.0)
+
+
+def _velocity(spec, rng, vmax):
+    """A random staggered field with zero wall faces and largest speed vmax."""
+    u = rng.standard_normal((spec.nx + 1, spec.ny))
+    v = rng.standard_normal((spec.nx, spec.ny + 1))
+    u[0, :] = u[-1, :] = 0.0
+    v[:, 0] = v[:, -1] = 0.0
+    scale = vmax / max(np.abs(u).max(), np.abs(v).max())
+    return VectorField(spec, u * scale, v * scale)
+
+
+def _check_limited(before, after, ceiling):
+    """Each density >= 0, n1 + n2 under ``ceiling`` (a number or a cell
+    array) and each species' mass unchanged, to roundoff."""
+    assert min(n.min() for n in after) >= -NEGATIVE_ROUNDOFF
+    assert np.all(after[0] + after[1] <= ceiling + CEILING_ROUNDOFF)
+    for n_old, n_new in zip(before, after):
+        assert abs(n_new.sum() - n_old.sum()) <= MASS_ROUNDOFF * n_old.sum()
+
+
+@PROPERTY
+@given(_grids(), st.floats(0.5, 0.999), st.floats(0.01, 0.25),
+       st.floats(0.1, 20.0))
+def test_sharp_transport_keeps_bounds_and_mass(grid, ceiling, cfl, vmax):
+    # cfl <= 1/4 keeps the donor-cell prediction nonnegative even where a
+    # cell drains through all four faces at vmax; the total is bounded by
+    # the 3x3 maximum of that prediction's total and of n1 + n2
+    spec, rng = grid
+    n = _densities(spec, rng, ceiling)
+    vel = [_velocity(spec, rng, vmax) for _ in range(2)]
+    dt = cfl * min(spec.hx, spec.hy) / vmax
+    divs = sharp_flux_divergences(*n, *vel, dt)
+    after = [ni - dt * d for ni, d in zip(n, divs)]
+    low = sum(ni - dt * upwind_flux_divergence(ni, v)
+              for ni, v in zip(n, vel))
+    bound = maximum_filter(np.maximum(low, n[0] + n[1]), size=3,
+                           mode="nearest")
+    _check_limited(n, after, bound)
+
+
+@PROPERTY
+@given(_grids(), st.floats(0.5, 0.999), st.floats(1e-4, 1.0),
+       st.floats(1e-6, 1e-2))
+def test_fourth_order_stage_keeps_bounds_and_mass(grid, ceiling, alpha, dt):
+    spec, rng = grid
+    n_old = _densities(spec, rng, ceiling)
+    n_star = _densities(spec, rng, ceiling)
+    after = _implicit_fourth_order(n_star, n_old, spec, alpha, dt, ceiling)
+    _check_limited(n_star, after, ceiling)
+
+
+@PROPERTY
+@given(_grids(), st.floats(1e-3, 10.0))
+def test_velocity_solves_meet_the_tolerance(grid, beta):
+    spec, rng = grid
+    p = ScalarField(spec, rng.standard_normal((spec.nx, spec.ny)))
+    vel = brinkman.solve_brinkman(p, beta)
+    g = gradient(p)
+    b = stack_faces(VectorField(spec, -g.u, -g.v))
+    x = stack_faces(vel)
+    nu = (spec.nx - 1) * spec.ny
+    pot = brinkman.solve_screened_potential(p, beta).values.ravel()
+    for K, xk, bk in ((face_stiffness_u(spec), x[:nu], b[:nu]),
+                      (face_stiffness_v(spec), x[nu:], b[nu:]),
+                      (cell_laplacian_neumann(spec), pot, p.values.ravel())):
+        residual = np.linalg.norm(xk + beta * (K @ xk) - bk)
+        assert residual <= brinkman.REL_TOL * np.linalg.norm(bk)
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(_grids(), st.lists(st.floats(0.2, 0.45), min_size=3, max_size=3),
+       st.lists(st.floats(0.1, 2.0), min_size=6, max_size=6))
+def test_limit_models_agree_bitwise_from_zero_q(grid, fractions, numbers):
+    # two rectangles side by side, each at least 3 cells across
+    spec, _ = grid
+    xx, yy = spec.cell_center_mesh()
+    x = (xx - spec.x_min) / (spec.x_max - spec.x_min)
+    y = (yy - spec.y_min) / (spec.y_max - spec.y_min)
+    left, width, height = fractions
+    low = y < height + 3.0 / spec.ny
+    chi1 = (x < left + 3.0 / spec.nx) & low
+    chi2 = ~chi1 & (x < left + width + 6.0 / spec.nx) & low
+    part = DomainPartition(ScalarField(spec, chi1.astype(float)),
+                           ScalarField(spec, chi2.astype(float)))
+    beta1, beta2, g1, g2, p1, p2 = numbers
+    params = ModelParams(beta1=beta1, beta2=beta2, g1=g1, g2=g2,
+                         p1_star=5.0 * p1, p2_star=5.0 * p2)
+    finals = []
+    for model in ("ESVM", "VM"):
+        ctrl = StepControl(dt=1e-2, t_end=1.0, model=model)
+        state = init_limit_state(part, params)
+        for _ in range(3):
+            state = step_limit(state, ctrl, params)
+        finals.append(state)
+    a, b = finals
+    assert a.t == b.t
+    assert not a.q.values.any() and not b.q.values.any()
+    for mine, theirs in ((a.level1, b.level1), (a.level2, b.level2),
+                         (a.sol.p, b.sol.p)):
+        assert np.array_equal(mine.values, theirs.values)
+    for mine, theirs in ((a.sol.v1, b.sol.v1), (a.sol.v2, b.sol.v2)):
+        assert np.array_equal(mine.u, theirs.u)
+        assert np.array_equal(mine.v, theirs.v)
