@@ -50,7 +50,8 @@ def write_vector_csv(field: VectorField, path_u, path_v) -> None:
     _write_csv(field.v, field.spec, path_v, "n0 n1")
 
 
-def read_scalar_csv(path) -> ScalarField:
+def read_scalar_csv(path, grid: GridSpec | None = None) -> ScalarField:
+    """The field of a CSV; on ``grid`` if the header records grid's cells."""
     with open(path) as fh:
         first, meta = fh.readline(), fh.readline().lstrip("#").split()
         if not first.startswith("#") or len(meta) != 6:
@@ -61,6 +62,9 @@ def read_scalar_csv(path) -> ScalarField:
     if values.shape != (nx, ny):
         raise ValueError(f"{path}: data shape {values.shape} != ({nx}, {ny})")
     spec = GridSpec(x_min, x_min + nx * hx, y_min, y_min + ny * hy, nx, ny)
+    if grid is not None and (nx, ny, hx, hy, x_min, y_min) == (
+            grid.nx, grid.ny, grid.hx, grid.hy, grid.x_min, grid.y_min):
+        spec = grid
     return ScalarField(spec, values)
 
 

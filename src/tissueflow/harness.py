@@ -3,16 +3,16 @@
 Configs use a flat INI grammar ([section] headers, key = value lines) so
 they stay diff-friendly.  `CONFIG_KEYS` lists every key in file order;
 the unknown-key check, `parse_config` and `serialize_config` all read it.
-A key a config leaves out takes its value from the named preset, or else
-from `DEFAULT`, whose values are the dataclasses' own defaults; each
-number is read by the type of that default and must be finite.  The four
-compiled-in presets reproduce the standard two-tissue simulation panels:
-the full model with repulsion and the interface penalty, the
-congestion-only model, the sharp-interface limit, and the curl-free
-gradient-form variant.  The config alone picks the kind of run (see
-`run_cli`); `simulate` steps the evolution and limit models.  Every run
-writes a manifest recording the config hash, grid, status and wall time,
-also a run that fails once its directory exists.
+A key a config leaves out takes its base's value (the named preset, else
+`DEFAULT`, the dataclasses' own defaults), and a key the chosen run does
+not read must keep it; each number is read by the type of its default
+and must be finite.  The four compiled-in presets reproduce the standard
+two-tissue simulation panels: the full model with repulsion and the
+interface penalty, the congestion-only model, the sharp-interface limit,
+and the curl-free gradient-form variant.  The config alone picks the
+kind of run (see `run_cli`); `simulate` steps the evolution and limit
+models.  Every run writes a manifest recording the config hash, grid,
+status and wall time, also a run that fails once its directory exists.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .stationary import DomainPartition, PartitionError
 
 MODELS = ("ESVM", "VM", "L-ESVM", "L-VM", "STATIONARY")
 LIMIT_MODELS = ("L-ESVM", "L-VM")
+STEPPED_MODELS = ("ESVM", "VM", *LIMIT_MODELS)    # every model but STATIONARY
 # the relaxation parameters: the limit models have none, and [sweep] steps
 # them toward the limit
 RELAXATION_KEYS = ("eps", "m", "alpha")
@@ -56,12 +57,16 @@ CONFIG_KEYS = {
     "sweep": {k: "sweep_" + k for k in RELAXATION_KEYS},
 }
 
-# the keys only some models read, with those models; any other model must
-# leave them at their DEFAULT values
-READERS = {("control", "scheme"): ("ESVM", "VM"),
-           ("control", "velocity_law"): ("ESVM", "VM"),
+# the keys only some models read, with those models
+READERS = {("run", "observe_every"): STEPPED_MODELS,
+           ("params", "eps"): ("ESVM", "VM"),
+           **{("params", k): ("ESVM",) for k in ("m", "alpha")},
+           **{("control", k): STEPPED_MODELS for k in ("dt", "cfl", "t_end")},
+           **{("control", k): ("ESVM", "VM") for k in ("velocity_law", "scheme")},
            ("q", "source"): (*LIMIT_MODELS, "STATIONARY"),
            **{("sweep", k): ("ESVM",) for k in RELAXATION_KEYS}}
+# a sweep runs its own relaxation tuples and observes every step
+SWEEP_IGNORES = {"params": RELAXATION_KEYS, "run": ("observe_every",)}
 
 # the words a word-valued key may take
 _CHOICES = {"model": MODELS, "velocity_law": ("dirichlet", "gradient"),
@@ -120,19 +125,14 @@ class RunConfig:
 DEFAULT = RunConfig(model=None, grid=GridSpec(), params=ModelParams())
 
 
-def _band_rects():
-    """Initial panel layout: center band tissue 1, side bands tissue 2."""
-    r1 = (Rect(0.9, -2.0 / 3.0, 2.0 / 3.0, -1.0, 0.0),)
-    r2 = (Rect(0.9, -1.0, -2.0 / 3.0, -1.0, 0.0),
-          Rect(0.9, 2.0 / 3.0, 1.0, -1.0, 0.0))
-    return r1, r2
-
-
 def _make_presets():
     grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 128, 128)
     params = ModelParams(beta1=0.5, beta2=0.1, eps=0.1, m=30.0, alpha=0.001,
                          g1=1.0, g2=1.0, p1_star=5.0, p2_star=10.0)
-    r1, r2 = _band_rects()
+    # the panel layout: a center band of tissue 1, side bands of tissue 2
+    r1 = (Rect(0.9, -2.0 / 3.0, 2.0 / 3.0, -1.0, 0.0),)
+    r2 = (Rect(0.9, -1.0, -2.0 / 3.0, -1.0, 0.0),
+          Rect(0.9, 2.0 / 3.0, 1.0, -1.0, 0.0))
     base = dict(grid=grid, t_end=0.1, rects1=r1, rects2=r2, dt=1e-3)
     presets = {
         "fig3-esvm": RunConfig(model="ESVM", params=params, **base),
@@ -225,6 +225,17 @@ def _written(cfg: RunConfig, section: str, key: str) -> bool:
     return True
 
 
+def _unread(cfg: RunConfig, section: str, key: str) -> str | None:
+    """Why the run a config picks does not read a key, or None if it does."""
+    if cfg.model not in READERS.get((section, key), MODELS):
+        return f"by model {cfg.model}"
+    if cfg.sweep_eps and key in SWEEP_IGNORES.get(section, ()):
+        return "by a sweep"
+    if section == "q" and not _written(cfg, section, key):
+        return f"with [q] source {cfg.q_source}"
+    return None
+
+
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical INI text; parse(serialize(cfg)) reproduces cfg exactly."""
     blocks = []
@@ -241,8 +252,8 @@ def serialize_config(cfg: RunConfig) -> str:
 def parse_config(text: str) -> RunConfig:
     """Validated config, or ConfigError listing every violation.
 
-    A key the text leaves out takes its value from the preset that [run]
-    names, or else from `DEFAULT`.
+    A key the text leaves out takes its base's value (the preset [run]
+    names, else `DEFAULT`); a key the run does not read must keep it.
     """
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
@@ -284,22 +295,18 @@ def parse_config(text: str) -> RunConfig:
             nested[section] = kind(**values.pop(section))
         except ValueError as exc:
             violations.append(f"{section}: {exc}")
-            nested[section] = getattr(DEFAULT, section)
+            nested[section] = getattr(base, section)
     cfg = RunConfig(**nested, **{name: val for section in values.values()
                                  for name, val in section.items()})
 
     if cfg.model is None and not cp.has_option("run", "model"):
         violations.append("missing required key 'model' in [run]")
-    if cfg.model in LIMIT_MODELS:
-        violations += [f"key {key!r} in [params] is incompatible with "
-                       f"model {cfg.model}" for key in RELAXATION_KEYS
-                       if cp.has_option("params", key)]
-    for (section, key), models in READERS.items():
-        name = CONFIG_KEYS[section][key]
-        if (cfg.model is not None and cfg.model not in models
-                and getattr(cfg, name) != getattr(DEFAULT, name)):
-            violations.append(f"key {key!r} in [{section}] is not read by "
-                              f"model {cfg.model}")
+    violations += [f"key {key!r} in [{section}] is not read {reason}"
+                   for section, keys in CONFIG_KEYS.items()
+                   for key, name in keys.items()
+                   if cfg.model and (reason := _unread(cfg, section, key))
+                   and getattr(_owner(cfg, section), name)
+                   != getattr(_owner(base, section), name)]
     if not cfg.rects1:
         violations.append("missing initial data: key 'n1' in [initial]")
     if not cfg.rects2 and cfg.model != "STATIONARY":
@@ -362,7 +369,7 @@ def q_field(cfg: RunConfig) -> ScalarField:
                                              cfg.q_value))
     if cfg.q_source == "file":
         try:
-            q = fieldio.read_scalar_csv(cfg.q_path)
+            q = fieldio.read_scalar_csv(cfg.q_path, cfg.grid)
         except (OSError, ValueError) as exc:
             raise ConfigError([f"[q] path {cfg.q_path}: {exc}"]) from exc
         if not (q.values >= 0.0).all():
@@ -603,13 +610,13 @@ def run_cli(argv) -> int:
     `run` picks the run from the config alone: [sweep] lists, STATIONARY,
     a limit model or an evolution model.  0 success; 1 config error (an
     unknown key, a value not finite or not one of its key's words, a bad
-    grid, a step setting out of range, a key the model does not read off
-    its default, a bad [sweep] tuple, initial n1+n2 >= 1, a negative q, a
-    bad q file or one on another grid, an --out that cannot be made); 2
-    solver failure (a non-finite field included); 3 invariant violation in
-    `check`.  A sweep ends as its first failed run, after writing every
-    row.  Once the run directory exists every outcome writes its manifest,
-    with status ok, config_error or solver_failure.
+    grid, a step setting out of range, a key the run does not read set
+    off its base's value, a bad [sweep] tuple, initial n1+n2 >= 1, a
+    negative q, a bad q file or one on another grid, an --out that cannot
+    be made); 2 solver failure (a non-finite field included); 3 invariant
+    violation in `check`.  A sweep ends as its first failed run, after
+    writing every row.  Once the run directory exists every outcome writes
+    its manifest, with status ok, config_error or solver_failure.
     """
     parser = argparse.ArgumentParser(prog="tissueflow")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -114,20 +114,6 @@ def test_mass_balance_matches_reaction_integral():
         assert abs(state.mass1 - before - dt * reac) < 5e-3 * abs(before)
 
 
-def test_esvm_equals_vm_when_reduced():
-    spec = GridSpec(nx=24, ny=24)
-    n1, n2 = band_data(spec)
-    params = ModelParams(alpha=0.0)
-    ctrl = StepControl(dt=1e-3, t_end=0.01)
-    sa = init_state(n1, n2, params, ctrl)
-    sb = init_state(n1, n2, params, ctrl)
-    for _ in range(5):
-        sa = step_esvm(sa, ctrl, params, zero_repulsion=True)
-        sb = step_vm(sb, ctrl, params)
-        assert np.array_equal(sa.n1.values, sb.n1.values)
-        assert np.array_equal(sa.n2.values, sb.n2.values)
-
-
 def test_run_trivial_and_deterministic():
     spec = GridSpec(nx=16, ny=16)
     n1, n2 = band_data(spec)

@@ -3,7 +3,7 @@ import json
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,48 +88,56 @@ _PATH = st.text("abcXYZ019_./-", min_size=1, max_size=24)
 def _configs(draw):
     """A config that parse_config accepts, on a preset or on none.
 
-    The values serialize_config leaves out are drawn equal to the base's:
-    a limit model's relaxation parameters, and a q value or path that
-    the q source does not use.  A key the model does not read keeps its
-    default: [sweep] is drawn only for ESVM, a q source other than zero
+    A key the run does not read keeps the base's value; every other key is
+    drawn.  [sweep] is drawn only for ESVM, a q source other than zero
     only for L-ESVM, L-VM and STATIONARY, and the scheme and velocity law
-    only for ESVM and VM.
+    only for ESVM and VM.  ESVM reads the relaxation parameters, VM only
+    eps and the limit models none; STATIONARY reads no step setting and
+    a sweep neither the relaxation parameters nor observe_every.  A q
+    value or path is drawn only where the q source uses it.
     """
     preset = draw(st.sampled_from([None, *PRESETS]))
     base = PRESETS[preset] if preset else harness.DEFAULT
     model = draw(st.sampled_from(harness.MODELS))
+    sweep = draw(_SWEEP) if model == "ESVM" else []
+    evolution, stepped = model in ("ESVM", "VM"), model != "STATIONARY"
+
+    def read(reads, strategy, owner, name):
+        return draw(strategy) if reads else getattr(owner, name)
+
     x_min, y_min = draw(_CORNER), draw(_CORNER)
     grid = GridSpec(x_min, x_min + draw(_EXTENT), y_min, y_min + draw(_EXTENT),
                     draw(st.integers(4, 512)), draw(st.integers(4, 512)))
+    relax = evolution and not sweep
     params = ModelParams(
-        beta1=draw(_POSITIVE), beta2=draw(_POSITIVE), eps=draw(_POSITIVE),
-        m=draw(_EXPONENT), alpha=draw(_NONNEGATIVE), g1=draw(_POSITIVE),
-        g2=draw(_POSITIVE), p1_star=draw(_NONNEGATIVE),
+        beta1=draw(_POSITIVE), beta2=draw(_POSITIVE),
+        eps=read(relax, _POSITIVE, base.params, "eps"),
+        m=read(relax and model == "ESVM", _EXPONENT, base.params, "m"),
+        alpha=read(relax and model == "ESVM", _NONNEGATIVE, base.params,
+                   "alpha"),
+        g1=draw(_POSITIVE), g2=draw(_POSITIVE), p1_star=draw(_NONNEGATIVE),
         p2_star=draw(_NONNEGATIVE))
-    if model in harness.LIMIT_MODELS:
-        params = replace(params, **{k: getattr(base.params, k)
-                                    for k in harness.RELAXATION_KEYS})
     # n1 is required, and n2 by every model but STATIONARY
     rects1 = draw(st.lists(_RECT, min_size=1, max_size=3))
     rects2 = draw(st.lists(_RECT, max_size=3,
                            min_size=int(model != "STATIONARY")))
-    sweep = draw(_SWEEP) if model == "ESVM" else []
-    q_source = (draw(st.sampled_from(["zero", "uniform", "file"]))
-                if model in ("L-ESVM", "L-VM", "STATIONARY") else "zero")
-    evolution = model in ("ESVM", "VM")
+    q_source = read(model in ("L-ESVM", "L-VM", "STATIONARY"),
+                    st.sampled_from(["zero", "uniform", "file"]), base,
+                    "q_source")
     return RunConfig(
         model=model, grid=grid, params=params, preset=preset,
-        dt=draw(_POSITIVE), cfl=draw(_CFL),
-        t_end=draw(_NONNEGATIVE),
-        velocity_law=(draw(st.sampled_from(["dirichlet", "gradient"]))
-                      if evolution else "dirichlet"),
-        scheme=(draw(st.sampled_from(["upwind", "sharp"]))
-                if evolution else "upwind"),
-        observe_every=draw(st.integers(1, 1000)),
+        dt=read(stepped, _POSITIVE, base, "dt"),
+        cfl=read(stepped, _CFL, base, "cfl"),
+        t_end=read(stepped, _NONNEGATIVE, base, "t_end"),
+        velocity_law=read(evolution, st.sampled_from(["dirichlet", "gradient"]),
+                          base, "velocity_law"),
+        scheme=read(evolution, st.sampled_from(["upwind", "sharp"]), base,
+                    "scheme"),
+        observe_every=read(stepped and not sweep, st.integers(1, 1000), base,
+                           "observe_every"),
         rects1=tuple(rects1), rects2=tuple(rects2), q_source=q_source,
-        q_value=(draw(_NONNEGATIVE) if q_source == "uniform"
-                 else base.q_value),
-        q_path=draw(_PATH) if q_source == "file" else base.q_path,
+        q_value=read(q_source == "uniform", _NONNEGATIVE, base, "q_value"),
+        q_path=read(q_source == "file", _PATH, base, "q_path"),
         out=draw(st.none() | _PATH),
         sweep_eps=tuple(s[0] for s in sweep),
         sweep_m=tuple(s[1] for s in sweep),
@@ -170,15 +178,13 @@ n2 = 0.9 0.5 0.9 -0.5 0.5
 
 
 def test_limit_model_rejects_relaxation_parameters():
-    text = """
-[run]
-preset = fig3-lesvm
-[params]
-eps = 0.1
-"""
+    text = "[run]\npreset = fig3-lesvm\n[params]\neps = {}\n"
     with pytest.raises(ConfigError) as err:
-        parse_config(text)
-    assert any("eps" in v and "L-ESVM" in v for v in err.value.violations)
+        parse_config(text.format(0.2))
+    assert err.value.violations == [
+        "key 'eps' in [params] is not read by model L-ESVM"]
+    # fig3-lesvm's own value changes nothing, so it is accepted
+    assert parse_config(text.format(0.1)) == PRESETS["fig3-lesvm"]
 
 
 def test_bad_values_are_all_reported():
@@ -280,16 +286,47 @@ def test_cli_invalid_grid_is_a_config_error(tmp_path, capsys):
     assert "need nx, ny >= 4" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("preset,lines,message", [
-    ("fig3-lesvm", "[control]\nscheme = sharp",
-     "key 'scheme' in [control] is not read by model L-ESVM"),
-    ("fig3-gradient-form", "model = STATIONARY",
-     "key 'velocity_law' in [control] is not read by model STATIONARY"),
-    ("fig3-vm", "[q]\nsource = uniform\nvalue = 1.0",
-     "key 'source' in [q] is not read by model VM"),
-    ("fig3-vm", "[sweep]\neps = 0.1\nm = 30\nalpha = 0",
-     "key 'eps' in [sweep] is not read by model VM")],
-    ids=["scheme", "velocity_law", "q-source", "sweep"])
+_SWEEP_LINES = "[sweep]\neps = 0.1, 0.05\nm = 30, 60\nalpha = 1e-3, 5e-4\n"
+# (preset, lines, violation): one key the chosen run does not read, set
+# off the preset's value
+_UNREAD = {
+    "scheme": ("fig3-lesvm", "[control]\nscheme = sharp",
+               "key 'scheme' in [control] is not read by model L-ESVM"),
+    "velocity_law": (
+        "fig3-gradient-form", "model = STATIONARY\n[control]\n"
+        "velocity_law = dirichlet",
+        "key 'velocity_law' in [control] is not read by model STATIONARY"),
+    "q-source": ("fig3-vm", "[q]\nsource = uniform\nvalue = 1.0",
+                 "key 'source' in [q] is not read by model VM"),
+    "sweep": ("fig3-vm", _SWEEP_LINES,
+              "key 'eps' in [sweep] is not read by model VM"),
+    **{f"VM-{key}": ("fig3-vm", f"[params]\n{key} = {value}",
+                     f"key '{key}' in [params] is not read by model VM")
+       for key, value in (("m", 5), ("alpha", 0.5))},
+    **{f"STATIONARY-{key}": (
+        "fig3-lesvm", "model = STATIONARY\n" +
+        (f"{key} = 3" if section == "run" else f"[{section}]\n{key} = {value}"),
+        f"key '{key}' in [{section}] is not read by model STATIONARY")
+       for section, key, value in (
+           ("control", "dt", 0.3), ("control", "cfl", 0.2),
+           ("control", "t_end", 5.0), ("run", "observe_every", 3),
+           ("params", "eps", 0.2), ("params", "m", 5.0),
+           ("params", "alpha", 0.5))},
+    **{f"sweep-{key}": (
+        "fig3-esvm", (f"{key} = 3\n" if section == "run"
+                      else f"[{section}]\n{key} = {value}\n") + _SWEEP_LINES,
+        f"key '{key}' in [{section}] is not read by a sweep")
+       for section, key, value in (
+           ("params", "eps", 0.2), ("params", "m", 5.0),
+           ("params", "alpha", 0.5), ("run", "observe_every", 3))},
+    "q-value": ("fig3-lesvm", "[q]\nvalue = 1.0",
+                "key 'value' in [q] is not read with [q] source zero"),
+    "q-path": ("fig3-lesvm", "[q]\nsource = uniform\nvalue = 1.0\npath = q.csv",
+               "key 'path' in [q] is not read with [q] source uniform"),
+}
+
+
+@pytest.mark.parametrize("preset,lines,message", _UNREAD.values(), ids=_UNREAD)
 def test_cli_setting_the_model_does_not_read_is_a_config_error(
         tmp_path, capsys, preset, lines, message):
     cfgfile = tmp_path / "ignored.ini"
@@ -301,6 +338,167 @@ def test_cli_setting_the_model_does_not_read_is_a_config_error(
     assert len(err.strip().splitlines()) == 1
     # parse_config fails before the run directory is made
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[run]\npreset = fig3-lesvm\nmodel = STATIONARY\n",
+    "[run]\npreset = fig3-gradient-form\nmodel = STATIONARY\n",
+    "[run]\npreset = fig3-vm\n[params]\nalpha = 0.0\nm = 30.0\n",
+    "[run]\npreset = fig3-esvm\nobserve_every = 1\n[params]\neps = 0.1\n"
+    + _SWEEP_LINES,
+    "[run]\npreset = fig3-lesvm\n[q]\nsource = zero\nvalue = 0.0\n"],
+    ids=["STATIONARY-dt", "STATIONARY-velocity_law", "VM-alpha",
+         "sweep-eps", "q-value"])
+def test_a_setting_the_run_does_not_read_is_accepted_at_its_base_value(text):
+    # an unread key written at, or inherited with, its base's value
+    # changes nothing, and config.ini records the config
+    cfg = parse_config(text)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def _recorder(monkeypatch):
+    """(reads, record): ``record(cfg)`` is a copy of a parsed config whose
+    RunConfig, ModelParams and the StepControl made from it add each
+    config key they are read for to the set ``reads``.  A copy made by
+    ``dataclasses.replace``, ``serialize_config`` or ``step_control`` is
+    not a read; the copy records the fields it kept."""
+    reads, copying = set(), []
+
+    def recording(cls):
+        class Recording(cls):
+            def __getattribute__(self, name):
+                keys = object.__getattribute__(self, "__dict__").get("keys_", {})
+                if name in keys and not copying:
+                    reads.update(keys[name])
+                return object.__getattribute__(self, name)
+        return Recording
+
+    classes = {cls: recording(cls)
+               for cls in (RunConfig, ModelParams, dynamics.StepControl)}
+
+    def mark(obj, keys):
+        new = classes[type(obj)](**{f.name: getattr(obj, f.name)
+                                    for f in fields(obj)})
+        object.__setattr__(new, "keys_", keys)
+        return new
+
+    def copy(fn):
+        def call(*args, **kwargs):
+            copying.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                copying.pop()
+        return call
+
+    def replace_(obj, **changes):
+        new = copy(replace)(obj, **changes)
+        keys = getattr(obj, "keys_", {})
+        object.__setattr__(new, "keys_", {name: key for name, key in keys.items()
+                                          if name not in changes})
+        return new
+
+    ctrl_fields = {"dt": "dt", "cfl_number": "cfl", "t_end": "t_end",
+                   "model": "model", "velocity_law": "velocity_law",
+                   "scheme": "scheme"}
+    make_ctrl = copy(harness.step_control)
+
+    def step_control(cfg):
+        keys = getattr(cfg, "keys_", {})
+        return mark(make_ctrl(cfg),
+                    {name: keys[field] for name, field in ctrl_fields.items()
+                     if field in keys})
+
+    def record(cfg):
+        params = mark(cfg.params, {f.name: [("params", f.name)]
+                                   for f in fields(ModelParams)})
+        keys = {name: [(section, key)]
+                for section, names in harness.CONFIG_KEYS.items()
+                if section not in ("grid", "params")
+                for key, name in names.items()}
+        keys["grid"] = [("grid", key) for key in harness.CONFIG_KEYS["grid"]]
+        return mark(replace(cfg, params=params), keys)
+
+    monkeypatch.setattr(harness, "replace", replace_)
+    monkeypatch.setattr(harness, "step_control", step_control)
+    monkeypatch.setattr(harness, "serialize_config",
+                        copy(harness.serialize_config))
+    return reads, record
+
+
+# a value off every preset's for each key a test run can take: 16x16 on an
+# anisotropic box, a short t_end, bands with n1 + n2 < 1
+_OFF_BASE = {
+    "run": {"out": "{out}", "observe_every": "2"},
+    "grid": {"nx": "16", "ny": "16", "x_min": "-1.1", "x_max": "1.1",
+             "y_min": "-1.2", "y_max": "1.05"},
+    "params": {"beta1": "0.6", "beta2": "0.2", "eps": "0.2", "m": "20.0",
+               "alpha": "0.002", "g1": "1.5", "g2": "0.5", "p1_star": "6.0",
+               "p2_star": "9.0"},
+    "control": {"dt": "5e-4", "cfl": "0.3", "t_end": "0.002",
+                "velocity_law": "gradient", "scheme": "sharp"},
+    "initial": {"n1": "0.8 -0.6 0.6 -1 0",
+                "n2": "0.8 -1 -0.6 -1 0; 0.8 0.6 1 -1 0"},
+    "q": {"source": "uniform", "value": "0.5", "path": "{q}"},
+    "sweep": {"eps": "0.2, 0.05", "m": "20, 60", "alpha": "0.002, 0.0"},
+}
+# each kind of run: the sections its config sets besides the keys above
+_RUN_BASES = {
+    "ESVM": {"run": {"preset": "fig3-esvm"}},
+    "VM": {"run": {"preset": "fig3-vm"}},
+    "L-ESVM": {"run": {"preset": "fig3-lesvm"}, "q": {"source": "uniform"}},
+    "L-VM": {"run": {"preset": "fig3-lesvm", "model": "L-VM"},
+             "q": {"source": "file", "path": "{q}"}},
+    "STATIONARY": {"run": {"preset": "fig3-lesvm", "model": "STATIONARY"}},
+    "sweep": {"run": {"preset": "fig3-esvm"},
+              "sweep": {"eps": "0.1, 0.05", "m": "30, 60",
+                        "alpha": "1e-3, 5e-4"}},
+}
+
+
+def _ini(sections) -> str:
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n"
+                                              for key, value in keys.items())
+                   for section, keys in sections.items())
+
+
+@pytest.mark.parametrize("run", _RUN_BASES)
+def test_every_setting_accepted_off_its_base_is_read(tmp_path, monkeypatch,
+                                                      run):
+    # each key of _OFF_BASE that parse_config accepts alone on the run's
+    # config is set at once; every key then off the preset must be read
+    paths = {"out": tmp_path / "out", "q": tmp_path / "q.csv"}
+
+    def text(*changes):
+        sections = {name: dict(keys) for name, keys in _RUN_BASES[run].items()}
+        for section, key in changes:
+            sections.setdefault(section, {})[key] = _OFF_BASE[section][key]
+        return _ini(sections).format(**paths)
+
+    def accepted(change):
+        try:
+            parse_config(text(change))
+        except ConfigError:
+            return False
+        return True
+
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(text(*filter(accepted, (
+        (section, key) for section, keys in _OFF_BASE.items()
+        for key in keys))))
+    cfg = parse_config(cfgfile.read_text())
+    fieldio.write_scalar_csv(ScalarField(cfg.grid, np.full(
+        (cfg.grid.nx, cfg.grid.ny), 0.5)), paths["q"])
+    base = PRESETS[cfg.preset]
+    off = {(section, key) for section, keys in harness.CONFIG_KEYS.items()
+           for key, name in keys.items()
+           if getattr(harness._owner(cfg, section), name)
+           != getattr(harness._owner(base, section), name)}
+    reads, record = _recorder(monkeypatch)
+    monkeypatch.setattr(harness, "parse_config", lambda text: record(cfg))
+    assert run_cli(["run", str(cfgfile)]) == 0
+    assert ("grid", "nx") in off and ("run", "out") in off
+    assert off - reads == set()
 
 
 def test_cli_non_finite_field_is_a_solver_failure(tmp_path, capsys,
@@ -632,8 +830,8 @@ _Q_FILE_CONFIG = """
 [run]
 model = {model}
 [grid]
-nx = 24
-ny = 24
+nx = {n}
+ny = {n}
 [params]
 beta1 = 1.0
 beta2 = 1.0
@@ -646,10 +844,20 @@ path = {q_path}
 """
 
 
-def _run_with_q_file(tmp_path, q_path, model="STATIONARY"):
+def _run_with_q_file(tmp_path, q_path, model="STATIONARY", n=24):
     cfgfile = tmp_path / "stat.ini"
-    cfgfile.write_text(_Q_FILE_CONFIG.format(model=model, q_path=q_path))
+    cfgfile.write_text(_Q_FILE_CONFIG.format(model=model, q_path=q_path, n=n))
     return run_cli(["run", str(cfgfile), "--out", str(tmp_path / "stat")])
+
+
+def test_cli_q_file_written_on_the_config_grid_is_read(tmp_path, capsys):
+    # the header records x_min and hx, not x_max; on the default box
+    # x_min + 49*hx is 0.9999999999999998
+    q_path = tmp_path / "q.csv"
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 49, 49)
+    fieldio.write_scalar_csv(ScalarField(grid, np.full((49, 49), 0.5)), q_path)
+    assert _run_with_q_file(tmp_path, q_path, n=49) == 0, capsys.readouterr().err
+    assert _manifest(tmp_path / "stat")["status"] == "ok"
 
 
 @pytest.mark.parametrize("grid", [GridSpec(-1.0, 1.0, -1.0, 1.0, 16, 16),

@@ -2,6 +2,7 @@
 
 import ast
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,20 @@ def test_readme_lists_every_config_key_with_its_default():
                         harness.CONFIG_KEYS[section][key])
         shown = re.match(r"`([^`]*)`", default)
         assert shown is None or shown.group(1) == str(value), (section, key)
+        # the runs that read the key: its READERS row and SWEEP_IGNORES
+        readers = re.search(r"read by ([^;]*?)(, not by a sweep)?$", default)
+        assert (set(re.split(r", | and ", readers.group(1))) if readers
+                else set()) == set(harness.READERS.get((section, key), ())), (
+            section, key)
+        assert (readers is not None and readers.group(2) is not None) == (
+            key in harness.SWEEP_IGNORES.get(section, ())), (section, key)
+        # the q sources with which a model that reads [q] reads the key
+        sources = harness._CHOICES["source"]
+        read_with = [source for source in sources if not harness._unread(
+            replace(harness.DEFAULT, model="STATIONARY", q_source=source),
+            section, key)]
+        assert re.findall(r"with `source = (\w+)`", default) == (
+            [] if len(read_with) == len(sources) else read_with), (section, key)
 
 
 @pytest.mark.parametrize("readme", ["README.md", "demos/README.md"])
