@@ -213,7 +213,8 @@ def _write(section: str, default, val) -> str:
 def _written(cfg: RunConfig, section: str, key: str) -> bool:
     """Whether `serialize_config` writes a key: a limit model has no
     relaxation parameters, [sweep] is written whole or not at all, and the
-    other optional keys are written when they are set or used."""
+    other optional keys are written when they are set (an empty `out`
+    too) or used."""
     if section == "params" and key in RELAXATION_KEYS:
         return cfg.model not in LIMIT_MODELS
     if section == "sweep":
@@ -221,7 +222,7 @@ def _written(cfg: RunConfig, section: str, key: str) -> bool:
     if section == "q" and key != "source":
         return cfg.q_source == ("uniform" if key == "value" else "file")
     if key in ("preset", "out"):
-        return bool(getattr(cfg, key))
+        return getattr(cfg, key) is not None
     return True
 
 

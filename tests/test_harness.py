@@ -138,7 +138,7 @@ def _configs(draw):
         rects1=tuple(rects1), rects2=tuple(rects2), q_source=q_source,
         q_value=read(q_source == "uniform", _NONNEGATIVE, base, "q_value"),
         q_path=read(q_source == "file", _PATH, base, "q_path"),
-        out=draw(st.none() | _PATH),
+        out=draw(st.none() | st.just("") | _PATH),
         sweep_eps=tuple(s[0] for s in sweep),
         sweep_m=tuple(s[1] for s in sweep),
         sweep_alpha=tuple(s[2] for s in sweep))

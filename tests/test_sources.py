@@ -64,6 +64,35 @@ def unused_imports(text: str, rebound=frozenset()) -> list:
                   if name not in read)
 
 
+def defined_names(text: str) -> list:
+    """Functions, classes and assigned names at a module's top level,
+    dunders left out."""
+    names = []
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def read_names(text: str) -> set:
+    """Names a module reads: loaded names and attributes, and the names
+    it imports from other modules."""
+    read = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
 REBOUND = rebound_names((ROOT / "perfbench" / "spans.py").read_text())
 
 
@@ -102,6 +131,34 @@ def test_marked_imports_are_the_tracer_only_names():
     assert marked == {"brinkman": {"spla"},
                       "dynamics": {"cell_laplacian_neumann",
                                    "weighted_cell_flux_divergence"}}
+
+
+def test_every_module_level_name_is_read():
+    # by name: a read anywhere in the repository's Python, or a rebinding
+    # by the benchmark's tracer, counts for a name of any module
+    read = set().union(*REBOUND.values(), *(
+        read_names(path.read_text())
+        for folder in ("src", "tests", "demos", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))))
+    unread = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+              for name in defined_names(path.read_text()) if name not in read]
+    assert unread == []
+
+
+def test_module_level_name_check_sees_what_it_should():
+    text = ("from .grid import GridSpec\n"
+            "_SIGN = (1.0, -1.0)\n"
+            "LO, HI = 0, 1\n"
+            "TOL: float = 1e-10\n"
+            "__version__ = '1'\n"
+            "class Face:\n"
+            "    spec: GridSpec\n"
+            "def trace(face):\n"
+            "    return face.spec.hx * HI\n")
+    assert defined_names(text) == ["_SIGN", "LO", "HI", "TOL", "Face",
+                                   "trace"]
+    assert read_names(text) & set(defined_names(text)) == {"HI"}
+    assert {"GridSpec", "spec", "hx"} <= read_names(text)
 
 
 def test_readme_lists_every_config_key_with_its_default():
