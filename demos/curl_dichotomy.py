@@ -26,8 +26,8 @@ def main(outdir="demo_out/curl_dichotomy", n=48):
                   t_end=0.05)
     _, state = simulate(cfg)
 
-    v_wall = solve_brinkman(state.p2, cfg.params.beta2)
-    v_laminar = solve_brinkman_gradient_form(state.p2, cfg.params.beta2)
+    (v_wall,) = solve_brinkman(state.p2, (cfg.params.beta2,))
+    (v_laminar,) = solve_brinkman_gradient_form(state.p2, (cfg.params.beta2,))
     for name, v in (("wall", v_wall), ("laminar", v_laminar)):
         write_vector_vtk(v, out / f"v2_{name}.vtk")
         write_scalar_vtk(curl2d(v), out / f"curl_{name}.vtk", name="curl")

@@ -9,8 +9,10 @@ which is curl-free up to discretization error.
 All three operators are I + beta*K with K a sum of constant-coefficient
 three-point stencils on the uniform box, so every solve is an exact
 transform solve: sine and cosine transforms diagonalise K, with no
-factorisation and nothing cached.  The assembled K serves only to check
-each solution's relative residual against ``REL_TOL``.
+factorisation and nothing cached.  They diagonalise I + beta*K for every
+beta at once: a solve takes a tuple ``betas``, transforms b forward once
+and inverts the stack of solutions in one call.  The assembled K serves
+only to check each solution's relative residual against ``REL_TOL``.
 ``cell_pressure_operator`` applies D (I + beta*K)^-1 D^T, the Dirichlet
 solve between a cell divergence and its transpose, in the same way
 without leaving the cells; the stationary pressure equation uses it.
@@ -57,31 +59,37 @@ def _eigenvalues(k0: int, m: int, n: int, h: float) -> np.ndarray:
     return (2.0 * np.sin(np.arange(k0, k0 + m) * np.pi / (2 * n)) / h) ** 2
 
 
-def _transform_solve(b: np.ndarray, beta: float, spec: GridSpec,
+def _transform_solve(b: np.ndarray, betas: tuple, spec: GridSpec,
                      walls: tuple, power: int = 1) -> np.ndarray:
-    """Solve (I + beta*K^power) x = b exactly, with b on its 2-D unknown grid."""
+    """Solve (I + beta*K^power) x = b exactly for each of ``betas``, with b
+    on its 2-D unknown grid; returns the stack of solutions."""
     (fx, ix, tx, kx), (fy, iy, ty, ky) = walls
     lx = _eigenvalues(kx, b.shape[0], spec.nx, spec.hx)
     ly = _eigenvalues(ky, b.shape[1], spec.ny, spec.hy)
     y = fy(fx(b, type=tx, axis=0), type=ty, axis=1)
-    y /= 1.0 + beta * (lx[:, None] + ly[None, :]) ** power
-    return ix(iy(y, type=ty, axis=1), type=tx, axis=0)
+    k = (lx[:, None] + ly[None, :]) ** power
+    stack = np.empty((len(betas),) + b.shape)    # inverted in place
+    for out, beta in zip(stack, betas):
+        np.divide(y, 1.0 + beta * k, out=out)
+    return ix(iy(stack, type=ty, axis=2, overwrite_x=True), type=tx, axis=1,
+              overwrite_x=True)
 
 
-def face_brinkman_inverse(b: np.ndarray, beta: float,
+def face_brinkman_inverse(b: np.ndarray, betas: tuple,
                           spec: GridSpec) -> np.ndarray:
-    """Exact (I + beta*K)^-1 b for a stacked interior-face vector b.
+    """Exact (I + beta*K)^-1 b, one row per beta, for a stacked face vector b.
 
-    ``b`` has the layout of ``operators.stack_faces`` and K is the
-    Dirichlet face stiffness of each component: one transform solve per
-    component, with no residual check.
+    ``b`` and each row have the layout of ``operators.stack_faces`` and K
+    is the Dirichlet face stiffness of each component: one transform
+    solve per component, with no residual check.
     """
     nu = (spec.nx - 1) * spec.ny
-    u = _transform_solve(b[:nu].reshape(spec.nx - 1, spec.ny), beta, spec,
+    u = _transform_solve(b[:nu].reshape(spec.nx - 1, spec.ny), betas, spec,
                          (_FACES, _CELLS))
-    v = _transform_solve(b[nu:].reshape(spec.nx, spec.ny - 1), beta, spec,
+    v = _transform_solve(b[nu:].reshape(spec.nx, spec.ny - 1), betas, spec,
                          (_CELLS, _FACES))
-    return np.concatenate([u.ravel(), v.ravel()])
+    m = len(betas)
+    return np.concatenate([u.reshape(m, -1), v.reshape(m, -1)], axis=1)
 
 
 def cell_pressure_operator(betas: tuple, spec: GridSpec):
@@ -115,67 +123,68 @@ def cell_pressure_operator(betas: tuple, spec: GridSpec):
     return apply
 
 
-def neumann_cell_inverse(b: np.ndarray, beta: float, spec: GridSpec,
+def neumann_cell_inverse(b: np.ndarray, betas: tuple, spec: GridSpec,
                          power: int = 1) -> np.ndarray:
-    """Exact (I + beta*K^power)^-1 b for a cell field b of shape (nx, ny).
+    """Exact (I + beta*K^power)^-1 b, one slice per beta, for a cell field b.
 
     K is the negative cell Laplacian with zero-flux walls; power 2 gives
     the biharmonic operator of the fourth-order stage.  One DCT-II pair,
     with no residual check.
     """
-    return _transform_solve(b, beta, spec, (_NEUMANN, _NEUMANN), power)
+    return _transform_solve(b, betas, spec, (_NEUMANN, _NEUMANN), power)
 
 
-def _solve(b: np.ndarray, beta: float, blocks: tuple, inverse,
+def _solve(b: np.ndarray, betas: tuple, blocks: tuple, inverse,
            spec: GridSpec) -> np.ndarray:
-    """Solve (I + beta*K) x = b with K = blockdiag of ``blocks``' matrices.
+    """Stack of the solutions x of (I + beta*K) x = b, K = blockdiag of
+    ``blocks``' matrices, for each of ``betas``.
 
-    ``inverse(b, beta, spec)`` is the exact transform solve, on b's shape.
-    Every block ``(K_k, what)`` is checked on its own rows of the
-    flattened x: a relative residual above ``REL_TOL``, or a NaN one,
+    ``inverse(b, betas, spec)`` is the exact, stacked transform solve.
+    Every block ``(K_k, what)`` of each x is checked on its own rows of
+    the flattened x: a relative residual above ``REL_TOL``, or a NaN one,
     raises SolverFailure.
     """
-    if beta <= 0:
+    if any(beta <= 0 for beta in betas):
         raise ValueError("beta must be positive")
-    x = inverse(b, beta, spec)
-    xf, bf = x.ravel(), b.ravel()
-    stop = 0
-    for K, what in blocks:
-        rows = slice(stop, stop + K.shape[0])
-        stop = rows.stop
-        scale = np.linalg.norm(bf[rows])
-        res = np.linalg.norm(xf[rows] + beta * (K @ xf[rows]) - bf[rows])
-        if not res <= REL_TOL * scale:      # a NaN residual fails too
-            raise SolverFailure(what, res / scale, REL_TOL)
-    return x
+    xs = inverse(b, betas, spec)
+    bf = b.ravel()
+    for beta, x in zip(betas, xs):
+        xf, stop = x.ravel(), 0
+        for K, what in blocks:
+            rows = slice(stop, stop + K.shape[0])
+            stop = rows.stop
+            scale = np.linalg.norm(bf[rows])
+            res = np.linalg.norm(xf[rows] + beta * (K @ xf[rows]) - bf[rows])
+            if not res <= REL_TOL * scale:      # a NaN residual fails too
+                raise SolverFailure(what, res / scale, REL_TOL)
+    return xs
 
 
-def solve_brinkman_rhs(f: VectorField, beta: float) -> VectorField:
-    """Solve -beta*Lap(v) + v = f; boundary faces of f are ignored."""
+def solve_brinkman_rhs(f: VectorField, betas: tuple) -> tuple:
+    """Solve -beta*Lap(v) + v = f per beta; boundary faces of f are ignored."""
     spec = f.spec
     blocks = ((face_stiffness_u(spec), "brinkman u-component"),
               (face_stiffness_v(spec), "brinkman v-component"))
-    x = _solve(stack_faces(f), beta, blocks, face_brinkman_inverse, spec)
-    return unstack_faces(spec, x)
+    xs = _solve(stack_faces(f), betas, blocks, face_brinkman_inverse, spec)
+    return tuple(unstack_faces(spec, x) for x in xs)
 
 
-def solve_brinkman(p: ScalarField, beta: float) -> VectorField:
-    """Dirichlet Brinkman velocity from a cell-centered pressure."""
+def solve_brinkman(p: ScalarField, betas: tuple) -> tuple:
+    """Dirichlet Brinkman velocity per beta from a cell-centered pressure."""
     g = gradient(p)
-    return solve_brinkman_rhs(VectorField(p.spec, -g.u, -g.v), beta)
+    return solve_brinkman_rhs(VectorField(p.spec, -g.u, -g.v), betas)
 
 
-def solve_screened_potential(p: ScalarField, beta: float) -> ScalarField:
-    """Scalar -beta*Lap(K) + K = p with zero-flux walls."""
+def solve_screened_potential(p: ScalarField, betas: tuple) -> tuple:
+    """Scalar -beta*Lap(K) + K = p per beta, with zero-flux walls."""
     spec = p.spec
-    x = _solve(p.values, beta,
-               ((cell_laplacian_neumann(spec), "screened potential"),),
-               neumann_cell_inverse, spec)
-    return ScalarField(spec, x)
+    xs = _solve(p.values, betas,
+                ((cell_laplacian_neumann(spec), "screened potential"),),
+                neumann_cell_inverse, spec)
+    return tuple(ScalarField(spec, x) for x in xs)
 
 
-def solve_brinkman_gradient_form(p: ScalarField, beta: float) -> VectorField:
-    """Gradient-form velocity v = -grad K; laminar (curl-free) by construction."""
-    K = solve_screened_potential(p, beta)
-    g = gradient(K)
-    return VectorField(p.spec, -g.u, -g.v)
+def solve_brinkman_gradient_form(p: ScalarField, betas: tuple) -> tuple:
+    """Gradient-form velocity v = -grad K per beta; laminar by construction."""
+    return tuple(VectorField(p.spec, -g.u, -g.v)
+                 for g in map(gradient, solve_screened_potential(p, betas)))

@@ -1,8 +1,9 @@
 """Semi-implicit finite-volume time stepping for the two-tissue models.
 
 One step: pressures from the current densities, Brinkman solves for the
-velocities (pressure lagged), explicit advection and growth, then the
-fourth-order interface-penalty flux by a linearly stabilised stage: the
+velocities (pressure lagged; one solve for a pressure both tissues
+share), explicit advection and growth, then the fourth-order
+interface-penalty flux by a linearly stabilised stage: the
 constant-coefficient biharmonic part is implicit (one cosine-transform
 solve), the variable-weight remainder explicit, and the resulting face
 fluxes are limited face by face so the densities stay nonnegative and
@@ -13,7 +14,9 @@ maximum taken in two separable passes; both work in one set of scratch
 arrays per grid shape.  The time step is CFL-limited by the face
 velocities.  A step whose total density would push the congestion
 pressure past a cap tied to the homeostatic pressures (beyond roundoff)
-is rejected and retried with half the time step.  The model without
+is rejected and retried with half the time step; the donor-cell
+transport, the growth terms and the fourth-order face weights do not
+depend on dt and are computed once per step.  The model without
 repulsion runs through the same kernel with the repulsion pressure and
 the fourth-order stage switched off, so the two models agree bitwise on
 inputs where the repulsion vanishes.
@@ -95,10 +98,10 @@ class SimState:
         return self.n2.integral()
 
 
-def _solve_velocity(p: ScalarField, beta: float, ctrl: StepControl) -> VectorField:
+def _solve_velocity(p: ScalarField, betas: tuple, ctrl: StepControl) -> tuple:
     if ctrl.velocity_law == "gradient":
-        return solve_brinkman_gradient_form(p, beta)
-    return solve_brinkman(p, beta)
+        return solve_brinkman_gradient_form(p, betas)
+    return solve_brinkman(p, betas)
 
 
 def _upwind_fluxes(n: np.ndarray, vel: VectorField):
@@ -296,13 +299,16 @@ def sharp_flux_divergences(n1: np.ndarray, n2: np.ndarray,
     return tuple(_flux_divergence(*anti, spec, tmp=sc.work) for anti in sc.anti)
 
 
-def _pressures(n1: ScalarField, n2: ScalarField, params: ModelParams,
-               with_repulsion: bool, counter: ClampCounter):
+def _flow(n1: ScalarField, n2: ScalarField, params: ModelParams,
+          with_repulsion: bool, ctrl: StepControl, counter: ClampCounter):
+    """(p1, p2, v1, v2); one velocity solve when both share the pressure."""
     if with_repulsion:
-        return total_pressures(n1, n2, params, counter)
+        p1, p2 = total_pressures(n1, n2, params, counter)
+        return (p1, p2, *_solve_velocity(p1, (params.beta1,), ctrl),
+                *_solve_velocity(p2, (params.beta2,), ctrl))
     total = ScalarField(n1.spec, n1.values + n2.values)
     p = pressure_congestion(total, params.eps, counter)
-    return p, p
+    return (p, p, *_solve_velocity(p, (params.beta1, params.beta2), ctrl))
 
 
 def init_state(n1_0: ScalarField, n2_0: ScalarField, params: ModelParams,
@@ -322,10 +328,8 @@ def init_state(n1_0: ScalarField, n2_0: ScalarField, params: ModelParams,
         raise InitialDataError(f"n1+n2 >= 1 at cell {idx}", cell=idx)
 
     counter = ClampCounter()
-    with_rep = ctrl.model == "ESVM"
-    p1, p2 = _pressures(n1_0, n2_0, params, with_rep, counter)
-    v1 = _solve_velocity(p1, params.beta1, ctrl)
-    v2 = _solve_velocity(p2, params.beta2, ctrl)
+    p1, p2, v1, v2 = _flow(n1_0, n2_0, params, ctrl.model == "ESVM", ctrl,
+                           counter)
     return SimState(t=0.0, n1=n1_0, n2=n2_0, v1=v1, v2=v2, p1=p1, p2=p2,
                     counters=counter)
 
@@ -349,11 +353,19 @@ def step_size(ctrl: StepControl, spec: GridSpec, vmax: float,
     return remaining if 0.0 < remaining < dt else dt
 
 
-def _fourth_order_fluxes(n_star: np.ndarray, n_old: np.ndarray,
-                         spec: GridSpec, alpha: float, dt: float):
+def _face_weights(n_old: np.ndarray, spec: GridSpec):
+    """(wu, wv, S): face means W of ``n_old``, 0 on the walls; S = max(W)."""
+    wu, wv = np.zeros((spec.nx + 1, spec.ny)), np.zeros((spec.nx, spec.ny + 1))
+    wu[1:-1, :] = 0.5 * (n_old[1:, :] + n_old[:-1, :])
+    wv[:, 1:-1] = 0.5 * (n_old[:, 1:] + n_old[:, :-1])
+    return wu, wv, max(wu.max(), wv.max())
+
+
+def _fourth_order_fluxes(n_star: np.ndarray, weights, spec: GridSpec,
+                         alpha: float, dt: float):
     """Unlimited stabilised fourth-order stage of one species.
 
-    With W the arithmetic face means of ``n_old``, S = max(W) and
+    With ``weights`` = (W, S) of the old density (``_face_weights``) and
     B = div(W grad .), the increment delta = n_new - n_star solves
     (I + dt*alpha*S*Lap^2) delta = -dt*alpha*B*Lap n_star (zero-flux
     walls): the constant-weight biharmonic part is implicit, the
@@ -361,32 +373,28 @@ def _fourth_order_fluxes(n_star: np.ndarray, n_old: np.ndarray,
     the face fluxes f = alpha*(W grad Lap n_star + S grad Lap delta), so
     that delta = -dt*div(f).
     """
-    wu = np.zeros((spec.nx + 1, spec.ny))
-    wu[1:-1, :] = 0.5 * (n_old[1:, :] + n_old[:-1, :])
-    wv = np.zeros((spec.nx, spec.ny + 1))
-    wv[:, 1:-1] = 0.5 * (n_old[:, 1:] + n_old[:, :-1])
-    s = max(wu.max(), wv.max())
+    wu, wv, s = weights
     g = gradient(laplacian(ScalarField(spec, n_star)))
     fu, fv = alpha * wu * g.u, alpha * wv * g.v
-    delta = neumann_cell_inverse(-dt * _flux_divergence(fu, fv, spec),
-                                 dt * alpha * s, spec, power=2)
+    (delta,) = neumann_cell_inverse(-dt * _flux_divergence(fu, fv, spec),
+                                    (dt * alpha * s,), spec, power=2)
     g = gradient(laplacian(ScalarField(spec, delta)))
     fu += (alpha * s) * g.u
     fv += (alpha * s) * g.v
     return delta, (fu, fv)
 
 
-def _implicit_fourth_order(n_star, n_old, spec: GridSpec, alpha: float,
+def _implicit_fourth_order(n_star, weights, spec: GridSpec, alpha: float,
                            dt: float, ceiling: float):
     """Fourth-order stage of both species, limited face by face.
 
-    ``n_star`` and ``n_old`` are pairs of density arrays.  The stage's
-    face fluxes (``_fourth_order_fluxes``) are limited against n_star, so
-    mass is conserved, each species stays >= 0 and n1 + n2 stays <=
-    ``ceiling`` wherever n_star does.
+    ``n_star`` is a pair of density arrays, ``weights`` the old densities'
+    ``_face_weights``.  The stage's face fluxes (``_fourth_order_fluxes``)
+    are limited against n_star, so mass is conserved, each species stays
+    >= 0 and n1 + n2 stays <= ``ceiling`` wherever n_star does.
     """
-    fluxes = [_fourth_order_fluxes(ns, no, spec, alpha, dt)[1]
-              for ns, no in zip(n_star, n_old)]
+    fluxes = [_fourth_order_fluxes(ns, w, spec, alpha, dt)[1]
+              for ns, w in zip(n_star, weights)]
     _limit_fluxes(n_star, fluxes, ceiling - (n_star[0] + n_star[1]), dt, spec)
     return [ns - dt * _flux_divergence(fu, fv, spec)
             for ns, (fu, fv) in zip(n_star, fluxes)]
@@ -397,29 +405,21 @@ def pressure_cap(params: ModelParams) -> float:
     return PRESSURE_CAP_FACTOR * max(params.p1_star, params.p2_star)
 
 
-def _tentative_densities(state: SimState, v1: VectorField, v2: VectorField,
-                         p1: ScalarField, p2: ScalarField, params: ModelParams,
-                         scheme: str, alpha: float, dt: float, ceiling: float):
-    """Explicit transport and growth, then the fourth-order stage.
+def _tentative_densities(old, vel, adv, reac, weights, alpha: float,
+                         dt: float, ceiling: float):
+    """One trial: n - dt*adv + dt*reac, then the fourth-order stage.
 
-    Returns (n1, n2, number of cells cut to zero).
+    Each argument before ``alpha`` is a pair made once per step: densities,
+    velocities, donor-cell divergences (None for the sharp scheme, whose
+    transport is done here), growth terms max(n, 0)*G(p) and, when
+    ``alpha`` > 0, ``_face_weights``.  Returns (n1, n2, cells cut to 0).
     """
-    spec = state.n1.spec
-    if scheme == "sharp":
-        adv1, adv2 = sharp_flux_divergences(state.n1.values, state.n2.values,
-                                            v1, v2, dt)
-    else:
-        adv1 = upwind_flux_divergence(state.n1.values, v1)
-        adv2 = upwind_flux_divergence(state.n2.values, v2)
-
-    old = (state.n1.values, state.n2.values)
-    new_densities = []
-    for n, adv, p, which in ((old[0], adv1, p1, 1), (old[1], adv2, p2, 2)):
-        reac = np.maximum(n, 0.0) * growth(p, which, params).values
-        new_densities.append(n - dt * adv + dt * reac)
+    if adv is None:
+        adv = sharp_flux_divergences(*old, *vel, dt)
+    new_densities = [n - dt * a + dt * r for n, a, r in zip(old, adv, reac)]
     if alpha > 0.0:
-        new_densities = _implicit_fourth_order(new_densities, old, spec,
-                                               alpha, dt, ceiling)
+        new_densities = _implicit_fourth_order(new_densities, weights,
+                                               vel[0].spec, alpha, dt, ceiling)
     cut = 0
     for k, n_new in enumerate(new_densities):
         neg = n_new < 0.0
@@ -440,14 +440,14 @@ def _advance(state: SimState, ctrl: StepControl, params: ModelParams,
     dt; the retries share the ``MAX_HALVINGS`` budget below ``ctrl.dt``.
     The fourth-order stage is limited to the same ceiling and to zero, so
     beyond roundoff only transport and growth can cross either.  The
-    negativity cut does not reject.
+    negativity cut does not reject.  Donor-cell transport, growth and face
+    weights are computed once, before the first trial.
     """
     spec = state.n1.spec
     counter = copy.copy(state.counters)
 
-    p1, p2 = _pressures(state.n1, state.n2, params, with_repulsion, counter)
-    v1 = _solve_velocity(p1, params.beta1, ctrl)
-    v2 = _solve_velocity(p2, params.beta2, ctrl)
+    p1, p2, v1, v2 = _flow(state.n1, state.n2, params, with_repulsion, ctrl,
+                           counter)
 
     vmax = max(v1.max_face_speed(), v2.max_face_speed())
     dt = step_size(ctrl, spec, vmax, state.t)
@@ -458,9 +458,15 @@ def _advance(state: SimState, ctrl: StepControl, params: ModelParams,
     ceiling = max(cap / (cap + params.eps),
                   float((state.n1.values + state.n2.values).max()))
     dt_min = ctrl.dt * 0.5 ** MAX_HALVINGS
+    old, vel = (state.n1.values, state.n2.values), (v1, v2)
+    reac = [np.maximum(n, 0.0) * growth(p, which, params).values
+            for n, p, which in zip(old, (p1, p2), (1, 2))]
+    adv = (None if ctrl.scheme == "sharp" else
+           [upwind_flux_divergence(n, v) for n, v in zip(old, vel)])
+    weights = [_face_weights(n, spec) for n in old] if alpha > 0.0 else None
     while True:
         n1_new, n2_new, cut = _tentative_densities(
-            state, v1, v2, p1, p2, params, ctrl.scheme, alpha, dt, ceiling)
+            old, vel, adv, reac, weights, alpha, dt, ceiling)
         total = n1_new + n2_new
         if total.max() <= ceiling + CEILING_ROUNDOFF:
             break

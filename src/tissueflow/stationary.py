@@ -35,8 +35,9 @@ cells, so a product is one forward transform of Pi per velocity
 component and one inverse transform of the stack for both tissues
 (``brinkman.cell_pressure_operator``).
 Nothing is assembled or factorised.  The face velocities x_i are formed
-once, from the converged Pi by exact sine transform solves
-(``brinkman.face_brinkman_inverse``), and the residual of the full
+once, from the converged Pi by one exact sine transform solve of the
+shared D^T Pi for both tissues (``brinkman.face_brinkman_inverse``),
+and the residual of the full
 coupled system is then checked against ``brinkman.REL_TOL``.  GMRES has
 a fixed budget of ``GMRES_ITERATIONS_PER_LINE * (nx + ny)`` inner
 iterations; no tolerance or budget is a parameter.
@@ -387,11 +388,6 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
     c1 = part.chi1.values.ravel() / params.g1
     c2 = part.chi2.values.ravel() / params.g2
 
-    def velocities(pi):
-        y = D.T @ pi
-        return (face_brinkman_inverse(y, params.beta1, spec),
-                face_brinkman_inverse(y, params.beta2, spec))
-
     def coupling(x1, x2):
         # grouped so that swapping the tissue labels is bitwise symmetric
         return c1 * (D @ x1) + c2 * (D @ x2)
@@ -415,7 +411,8 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
 
         budget = GMRES_ITERATIONS_PER_LINE * (spec.nx + spec.ny)
         pi = _gmres(schur_product, f, budget // GMRES_RESTART, history) / d
-        x1, x2 = velocities(pi)
+        x1, x2 = face_brinkman_inverse(D.T @ pi, (params.beta1, params.beta2),
+                                       spec)
         K = _stiffness(spec)
         g = D.T @ coupling(x1, x2) - b
         r = np.concatenate([x1 + params.beta1 * (K @ x1) + g,
@@ -494,6 +491,9 @@ def measure_jump(sol: StationarySolution, part: DomainPartition,
     tissues); ``v1``/``v2`` are velocity magnitudes (jump of the vector,
     predicted 0 by continuity).  The normal-stress balance is
     ``interface_force_residuals``: pointwise derivatives do not converge.
+    The pressure ``residual`` checks no law: on ``gamma1``/``gamma2`` it
+    is 0 by construction, and on ``gamma`` ``_jumps`` traces both laws on
+    tissue 1's side, so it is the jump of div v2 (side 2 minus 1) over g2.
     """
     if quantity not in JUMP_QUANTITIES:
         raise ValueError(f"unknown jump quantity {quantity!r}")

@@ -144,8 +144,8 @@ def test_criterion_01_brinkman_manufactured_convergence():
         def rhs(x, y):
             return (2.0 * beta * np.pi ** 2 + 1.0) * vstar(x, y)
 
-        v = solve_brinkman_rhs(VectorField.from_functions(spec, rhs, rhs),
-                               beta)
+        (v,) = solve_brinkman_rhs(VectorField.from_functions(spec, rhs, rhs),
+                                  (beta,))
         exact = VectorField.from_functions(spec, vstar, vstar)
         return VectorField(spec, v.u - exact.u, v.v - exact.v).l2_norm()
 
@@ -160,9 +160,10 @@ def test_criterion_02_curl_dichotomy():
     # velocity computed from the same pressure.
     cfg, state, _ = _final_state("fig3-esvm", 64, 0.05)
     p2 = state.p2
-    curl_dirichlet = curl2d(solve_brinkman(p2, cfg.params.beta2)).l2_norm()
-    curl_gradient = curl2d(solve_brinkman_gradient_form(
-        p2, cfg.params.beta2)).l2_norm()
+    (v_wall,) = solve_brinkman(p2, (cfg.params.beta2,))
+    (v_laminar,) = solve_brinkman_gradient_form(p2, (cfg.params.beta2,))
+    curl_dirichlet = curl2d(v_wall).l2_norm()
+    curl_gradient = curl2d(v_laminar).l2_norm()
     ratio = curl_dirichlet / curl_gradient
     _report(2, ratio >= 10.0,
             f"curl ratio wall-vortex/laminar = {ratio:.1f}, required >= 10")

@@ -28,7 +28,7 @@ def manufactured_error(n, beta=0.5):
         return (2.0 * beta * np.pi**2 + 1.0) * vstar(x, y)
 
     f = VectorField.from_functions(spec, rhs, rhs)
-    v = solve_brinkman_rhs(f, beta)
+    (v,) = solve_brinkman_rhs(f, (beta,))
     exact = VectorField.from_functions(spec, vstar, vstar)
     diff = VectorField(spec, v.u - exact.u, v.v - exact.v)
     return diff.l2_norm()
@@ -37,7 +37,7 @@ def manufactured_error(n, beta=0.5):
 def test_constant_pressure_gives_zero_velocity():
     spec = GridSpec(nx=16, ny=16)
     p = ScalarField(spec, np.full((16, 16), 4.2))
-    v = solve_brinkman(p, 1.0)
+    (v,) = solve_brinkman(p, (1.0,))
     assert v.max_face_speed() == 0.0
 
 
@@ -50,7 +50,7 @@ def test_manufactured_solution_second_order():
 def test_boundary_faces_exactly_zero():
     spec = GridSpec(nx=16, ny=16)
     p = ScalarField.from_function(spec, lambda x, y: x * y + x**2)
-    v = solve_brinkman(p, 0.3)
+    (v,) = solve_brinkman(p, (0.3,))
     assert np.all(v.u[0, :] == 0.0) and np.all(v.u[-1, :] == 0.0)
     assert np.all(v.v[:, 0] == 0.0) and np.all(v.v[:, -1] == 0.0)
 
@@ -58,8 +58,7 @@ def test_boundary_faces_exactly_zero():
 def test_large_beta_damps_velocity():
     spec = GridSpec(nx=16, ny=16)
     p = ScalarField.from_function(spec, lambda x, y: np.sin(np.pi * x) * y)
-    norms = [solve_brinkman(p, beta).l2_norm()
-             for beta in (1.0, 10.0, 100.0)]
+    norms = [v.l2_norm() for v in solve_brinkman(p, (1.0, 10.0, 100.0))]
     assert norms[0] > norms[1] > norms[2]
     assert norms[2] < 0.2 * norms[0]
 
@@ -70,9 +69,9 @@ def test_solution_linearity_in_pressure():
     pa = ScalarField(spec, rng.standard_normal((12, 12)))
     pb = ScalarField(spec, rng.standard_normal((12, 12)))
     comb = ScalarField(spec, 2.0 * pa.values - 0.5 * pb.values)
-    va = solve_brinkman(pa, 0.7)
-    vb = solve_brinkman(pb, 0.7)
-    vc = solve_brinkman(comb, 0.7)
+    (va,) = solve_brinkman(pa, (0.7,))
+    (vb,) = solve_brinkman(pb, (0.7,))
+    (vc,) = solve_brinkman(comb, (0.7,))
     assert np.allclose(vc.u, 2.0 * va.u - 0.5 * vb.u, atol=1e-9)
 
 
@@ -80,7 +79,7 @@ def test_energy_identity():
     spec = GridSpec(nx=24, ny=24)
     beta = 0.4
     p = ScalarField.from_function(spec, lambda x, y: np.cos(np.pi * x) * y**2)
-    v = solve_brinkman(p, beta)
+    (v,) = solve_brinkman(p, (beta,))
     Au = assembled(face_stiffness_u(spec), beta)
     Av = assembled(face_stiffness_v(spec), beta)
     g = gradient(p)
@@ -112,8 +111,8 @@ def test_transform_solves_match_sparse_solve_on_anisotropic_grid():
     f = VectorField(spec, rng.standard_normal((13, 20)),
                     rng.standard_normal((12, 21)))
     p = ScalarField(spec, rng.standard_normal((12, 20)))
-    v = solve_brinkman_rhs(f, beta)
-    k = solve_screened_potential(p, beta)
+    (v,) = solve_brinkman_rhs(f, (beta,))
+    (k,) = solve_screened_potential(p, (beta,))
     for x, K, b in ((v.u[1:-1, :], face_stiffness_u(spec), f.u[1:-1, :]),
                     (v.v[:, 1:-1], face_stiffness_v(spec), f.v[:, 1:-1]),
                     (k.values, cell_laplacian_neumann(spec), p.values)):
@@ -146,9 +145,9 @@ def test_cell_pressure_operator_matches_sparse_solve_on_anisotropic_grid():
 def test_gradient_form_constant_pressure():
     spec = GridSpec(nx=16, ny=16)
     p = ScalarField(spec, np.full((16, 16), 2.0))
-    k = solve_screened_potential(p, 1.0)
+    (k,) = solve_screened_potential(p, (1.0,))
     assert np.allclose(k.values, 2.0, atol=1e-10)
-    v = solve_brinkman_gradient_form(p, 1.0)
+    (v,) = solve_brinkman_gradient_form(p, (1.0,))
     assert v.max_face_speed() < 1e-10
 
 
@@ -162,7 +161,7 @@ def test_gradient_form_manufactured():
         beta = 0.5
         p = ScalarField.from_function(
             spec, lambda x, y: (1.0 + 2.0 * beta * np.pi**2) * kstar(x, y))
-        v = solve_brinkman_gradient_form(p, beta)
+        (v,) = solve_brinkman_gradient_form(p, (beta,))
         exact = gradient(ScalarField.from_function(spec, kstar))
         diff = VectorField(spec, v.u + exact.u, v.v + exact.v)
         errs.append(diff.l2_norm())
@@ -177,12 +176,12 @@ def test_gradient_form_curl_vanishes_under_refinement():
     for n in (32, 64):
         spec = GridSpec(nx=n, ny=n)
         p = ScalarField.from_function(spec, pfun)
-        v = solve_brinkman_gradient_form(p, 0.5)
+        (v,) = solve_brinkman_gradient_form(p, (0.5,))
         norms.append(curl2d(v).l2_norm())
     assert norms[1] < norms[0]
     # the Dirichlet solve on the same pressure has much larger curl
     spec = GridSpec(nx=64, ny=64)
-    vd = solve_brinkman(ScalarField.from_function(spec, pfun), 0.5)
+    (vd,) = solve_brinkman(ScalarField.from_function(spec, pfun), (0.5,))
     assert curl2d(vd).l2_norm() > 10.0 * norms[1]
 
 
@@ -193,9 +192,9 @@ def test_nonconvergence_is_explicit(monkeypatch):
     p = ScalarField.from_function(spec, lambda x, y: np.sin(3 * x) * y)
     monkeypatch.setattr(brinkman, "REL_TOL", 1e-18)
     with pytest.raises(SolverFailure, match="brinkman u-component") as vec:
-        solve_brinkman(p, 1.0)
+        solve_brinkman(p, (1.0,))
     with pytest.raises(SolverFailure, match="screened potential") as pot:
-        solve_screened_potential(p, 1.0)
+        solve_screened_potential(p, (1.0,))
     # a transform solve has no iterations to report
     for err in (vec, pot):
         assert "iteration" not in str(err.value)
@@ -207,12 +206,12 @@ def test_nan_solution_fails_the_residual_check(monkeypatch):
     spec = GridSpec(nx=16, ny=16)
     p = ScalarField.from_function(spec, lambda x, y: np.sin(3 * x) * y)
 
-    def nan_inverse(b, beta, spec, power=1):
-        return np.full_like(b, np.nan)
+    def nan_inverse(b, betas, spec, power=1):
+        return np.full((len(betas),) + b.shape, np.nan)
 
     monkeypatch.setattr(brinkman, "face_brinkman_inverse", nan_inverse)
     monkeypatch.setattr(brinkman, "neumann_cell_inverse", nan_inverse)
     with pytest.raises(SolverFailure, match="brinkman u-component"):
-        solve_brinkman(p, 1.0)
+        solve_brinkman(p, (1.0,))
     with pytest.raises(SolverFailure, match="screened potential"):
-        solve_screened_potential(p, 1.0)
+        solve_screened_potential(p, (1.0,))

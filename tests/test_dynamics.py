@@ -9,9 +9,9 @@ import scipy.sparse.linalg as spla
 from tissueflow import dynamics
 from tissueflow.constitutive import ModelParams, pressure_congestion
 from tissueflow.dynamics import (InitialDataError, StepControl, StepFailure,
-                                 _fourth_order_fluxes, _implicit_fourth_order,
-                                 init_state, pressure_cap, run, step_esvm,
-                                 step_vm)
+                                 _face_weights, _fourth_order_fluxes,
+                                 _implicit_fourth_order, init_state,
+                                 pressure_cap, run, step_esvm, step_vm)
 from tissueflow.grid import GridSpec, ScalarField, VectorField
 from tissueflow.harness import PRESETS, simulate
 from tissueflow.operators import (cell_laplacian_neumann,
@@ -164,6 +164,36 @@ def test_rejected_step_retries_with_half_dt(monkeypatch):
         step_vm(state, ctrl, params)
 
 
+def test_step_transports_once_and_solves_a_shared_pressure_once(monkeypatch):
+    # the set-up above, where one step takes three trials: the donor-cell
+    # transport does not depend on dt, so it runs once per species and
+    # step; VM's one pressure drives both tissues through one solve
+    spec = GridSpec(nx=8, ny=8)
+    params = ModelParams(alpha=0.0)
+    n1 = ScalarField(spec, np.full((8, 8), 0.9))
+    ctrl = StepControl(dt=0.1, t_end=1.0)
+    state = init_state(n1, ScalarField.zeros(spec), params, ctrl)
+    calls = []
+
+    def counting(name):
+        fn = getattr(dynamics, name)
+
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    for name in ("_solve_velocity", "upwind_flux_divergence",
+                 "_tentative_densities"):
+        monkeypatch.setattr(dynamics, name, counting(name))
+    for step, solves in ((step_vm, 1), (step_esvm, 2)):
+        calls.clear()
+        assert step(state, ctrl, params).dt_last == 0.1 / 4
+        assert calls.count("_tentative_densities") == 3
+        assert calls.count("upwind_flux_divergence") == 2
+        assert calls.count("_solve_velocity") == solves
+
+
 def test_state_above_the_cap_may_relax():
     # zero homeostatic pressures put the cap at 0, below any occupied
     # state; a step that lowers the pressure must still be accepted
@@ -238,7 +268,8 @@ def test_fourth_order_stage_matches_sparse_solve_on_anisotropic_grid(tau):
     rng = np.random.default_rng(5)
     n_star = n_old + 0.05 * rng.random(n_old.shape)
 
-    delta, (fu, fv) = _fourth_order_fluxes(n_star, n_old, spec, 1.0, tau)
+    delta, (fu, fv) = _fourth_order_fluxes(n_star, _face_weights(n_old, spec),
+                                           spec, 1.0, tau)
 
     # (I + tau*S*Lap^2) delta = -tau*B*Lap n_star, S the largest face weight
     B = weighted_cell_flux_divergence(spec, n_old)
@@ -275,11 +306,12 @@ def test_fourth_order_stage_keeps_bounds_at_a_congested_front(mixed):
     n_star = (n_old[0].copy(), n_old[1].copy())
     tau = 1e-3
 
-    unlimited = [ns + _fourth_order_fluxes(ns, no, spec, 1.0, tau)[0]
-                 for ns, no in zip(n_star, n_old)]
+    weights = [_face_weights(no, spec) for no in n_old]
+    unlimited = [ns + _fourth_order_fluxes(ns, w, spec, 1.0, tau)[0]
+                 for ns, w in zip(n_star, weights)]
     assert (unlimited[0] + unlimited[1]).max() > ceiling + 1e-2
 
-    n_new = _implicit_fourth_order(n_star, n_old, spec, 1.0, tau, ceiling)
+    n_new = _implicit_fourth_order(n_star, weights, spec, 1.0, tau, ceiling)
     assert min(n.min() for n in n_new) >= -1e-15
     assert (n_new[0] + n_new[1]).max() <= ceiling + 1e-15
     for n, ns in zip(n_new, n_star):
@@ -498,7 +530,7 @@ def test_trial_one_ulp_over_the_ceiling_is_accepted(monkeypatch):
                        ScalarField.zeros(spec), params, ctrl)
     trials = []
 
-    def tentative(state, v1, v2, p1, p2, params, scheme, alpha, dt, ceiling):
+    def tentative(old, vel, adv, reac, weights, alpha, dt, ceiling):
         trials.append(dt)
         n1 = np.full((8, 8), 0.5)
         n1[3, 4] = np.nextafter(ceiling, 1.0)

@@ -17,9 +17,9 @@ from scipy.ndimage import maximum_filter
 from tissueflow import brinkman
 from tissueflow.constitutive import ModelParams
 from tissueflow.dynamics import (CEILING_ROUNDOFF, StepControl,
-                                 _implicit_fourth_order, init_state,
-                                 sharp_flux_divergences, step_esvm, step_vm,
-                                 upwind_flux_divergence)
+                                 _face_weights, _implicit_fourth_order,
+                                 init_state, sharp_flux_divergences,
+                                 step_esvm, step_vm, upwind_flux_divergence)
 from tissueflow.fieldio import read_scalar_csv, write_scalar_csv
 from tissueflow.freeboundary import init_limit_state, step_limit
 from tissueflow.grid import GridSpec, ScalarField, VectorField, gradient
@@ -103,7 +103,8 @@ def test_fourth_order_stage_keeps_bounds_and_mass(grid, ceiling, alpha, dt):
     spec, rng = grid
     n_old = _densities(spec, rng, ceiling)
     n_star = _densities(spec, rng, ceiling)
-    after = _implicit_fourth_order(n_star, n_old, spec, alpha, dt, ceiling)
+    weights = [_face_weights(n, spec) for n in n_old]
+    after = _implicit_fourth_order(n_star, weights, spec, alpha, dt, ceiling)
     _check_limited(n_star, after, ceiling)
 
 
@@ -112,17 +113,38 @@ def test_fourth_order_stage_keeps_bounds_and_mass(grid, ceiling, alpha, dt):
 def test_velocity_solves_meet_the_tolerance(grid, beta):
     spec, rng = grid
     p = ScalarField(spec, rng.standard_normal((spec.nx, spec.ny)))
-    vel = brinkman.solve_brinkman(p, beta)
+    (vel,) = brinkman.solve_brinkman(p, (beta,))
     g = gradient(p)
     b = stack_faces(VectorField(spec, -g.u, -g.v))
     x = stack_faces(vel)
     nu = (spec.nx - 1) * spec.ny
-    pot = brinkman.solve_screened_potential(p, beta).values.ravel()
+    (pot,) = brinkman.solve_screened_potential(p, (beta,))
+    pot = pot.values.ravel()
     for K, xk, bk in ((face_stiffness_u(spec), x[:nu], b[:nu]),
                       (face_stiffness_v(spec), x[nu:], b[nu:]),
                       (cell_laplacian_neumann(spec), pot, p.values.ravel())):
         residual = np.linalg.norm(xk + beta * (K @ xk) - bk)
         assert residual <= brinkman.REL_TOL * np.linalg.norm(bk)
+
+
+@PROPERTY
+@given(_grids(), st.floats(1e-3, 10.0), st.floats(1e-3, 10.0), st.booleans(),
+       st.sampled_from(["dirichlet", "gradient"]))
+def test_stacked_velocity_solve_equals_the_single_solves(grid, beta1, beta2,
+                                                         same, law):
+    # one forward transform for both viscosities must change no bit of
+    # either velocity, equal viscosities included
+    spec, rng = grid
+    betas = (beta1, beta1 if same else beta2)
+    p = ScalarField(spec, rng.standard_normal((spec.nx, spec.ny)))
+    solve = (brinkman.solve_brinkman if law == "dirichlet" else
+             brinkman.solve_brinkman_gradient_form)
+    stacked = solve(p, betas)
+    assert len(stacked) == 2
+    for vel, beta in zip(stacked, betas):
+        (single,) = solve(p, (beta,))
+        assert np.array_equal(vel.u, single.u)
+        assert np.array_equal(vel.v, single.v)
 
 
 @settings(max_examples=12, derandomize=True, database=None, deadline=None)
