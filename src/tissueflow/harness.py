@@ -480,7 +480,7 @@ def run_stationary(cfg: RunConfig, out: Path) -> dict:
 
     part = initial_partition(cfg)
     sol = solve_stationary(part, cfg.params, q_field(cfg))
-    print(sol.coercivity.warning_line())
+    print(coercivity_check(cfg.params).warning_line())
     fieldio.write_scalar_csv(sol.p, out / "p.csv")
     fieldio.write_vector_csv(sol.v1, out / "v1_u.csv", out / "v1_v.csv")
     fieldio.write_vector_csv(sol.v2, out / "v2_u.csv", out / "v2_v.csv")

@@ -53,11 +53,11 @@ Each interface of a partition (``gamma``: tissue 1 | tissue 2,
 ``gamma1``/``gamma2``: tissue | exterior) is one ``InterfaceFaces``
 record of arrays, built on first read: face indices, midpoints and
 normals, and the flat indices of the two nearest cells on each side.
-Every one-sided trace is one gather from those indices, so the jump
-tables of ``measure_jump`` and the continuity residuals of
-``verify_transmission`` come from the same arrays and the same masked
-faces.  Tissues may touch the walls: a face whose trace would need a
-cell beyond them is masked.  The normal-stress balance has one measure,
+Every one-sided trace is one gather from those indices: ``measure_jump``
+evaluates its cell field once and keeps each interface's traces and
+jumps as arrays, and ``verify_transmission`` reads the v1 and v2 tables.
+Tissues may touch the walls: a face whose trace would need a cell
+beyond them is masked.  The normal-stress balance has one measure,
 ``interface_force_residuals``, whose fits see past the staircase.
 """
 
@@ -73,7 +73,7 @@ import scipy.sparse as sp
 from . import brinkman
 from .brinkman import (SolverFailure, cell_pressure_operator,
                        face_brinkman_inverse)
-from .constitutive import CoercivityReport, ModelParams, coercivity_check
+from .constitutive import ModelParams
 from .grid import GridSpec, ScalarField, VectorField, divergence
 from .operators import (divergence_matrix, face_stiffness_u, face_stiffness_v,
                         stack_faces, unstack_faces)
@@ -86,8 +86,7 @@ GMRES_RESTART = 50
 GMRES_ITERATIONS_PER_LINE = 10
 
 JUMP_CSV_COLUMNS = ("interface", "face_index", "x", "y", "nx", "ny",
-                    "quantity", "left_trace", "right_trace", "jump",
-                    "predicted_jump", "residual")
+                    "quantity", "left_trace", "right_trace", "jump")
 
 
 class PartitionError(ValueError):
@@ -287,14 +286,12 @@ def quadratic_form(part: DomainPartition, params: ModelParams,
 
 @dataclass(frozen=True)
 class StationarySolution:
-    partition: DomainPartition
     params: ModelParams
     q: ScalarField
     v1: VectorField
     v2: VectorField
     p: ScalarField
     rel_residual: float
-    coercivity: CoercivityReport
     iterations: int = 0        # GMRES inner iterations of the solve
 
 
@@ -424,8 +421,7 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
     v1 = unstack_faces(spec, x1)
     v2 = unstack_faces(spec, x2)
     p = reconstruct_pressure(part, params, v1, v2)
-    return StationarySolution(part, params, q, v1, v2, p, rel,
-                              coercivity_check(params), len(history))
+    return StationarySolution(params, q, v1, v2, p, rel, len(history))
 
 
 # ---------------------------------------------------------------------------
@@ -447,94 +443,69 @@ def _traces(values: np.ndarray, faces: InterfaceFaces) -> np.ndarray:
     return 1.5 * flat[faces.near] - 0.5 * flat[faces.far]
 
 
-def _jumps(sol: StationarySolution, name: str, faces: InterfaceFaces,
-           quantity: str):
-    """(left, right, jump, predicted) of a quantity on every face.
-
-    Left/right are the first/second-named regions; on the mutual
-    interface left is tissue 1 and right is tissue 2.  The predicted
-    pressure jump is the difference of the tissues' pressure laws; the
-    velocity is predicted continuous.  Untraceable faces are NaN.
-    """
-    if quantity == "pressure":
-        prm = sol.params
-        d1, d2 = (_traces(divergence(v).values, faces)[0]
-                  for v in (sol.v1, sol.v2))
-        p1, p2 = prm.p1_star - d1 / prm.g1, prm.p2_star - d2 / prm.g2
-        left, right = _traces(sol.p.values, faces)
-        if name != "gamma":
-            right = np.zeros_like(left)     # exterior pressure is exactly 0
-        jump = left - right
-        predicted = {"gamma": p1 - p2, "gamma1": p1, "gamma2": p2}[name]
-    else:
-        vel = sol.v1 if quantity == "v1" else sol.v2
-        (ul, ur), (vl, vr) = (_traces(c, faces) for c in vel.cell_centered())
-        left, right = np.hypot(ul, vl), np.hypot(ur, vr)
-        jump = np.hypot(ul - ur, vl - vr)
-        predicted = np.zeros_like(jump)
-    return tuple(np.where(faces.traceable, v, np.nan)
-                 for v in (left, right, jump, predicted))
-
-
 @dataclass(frozen=True)
 class JumpTable:
     quantity: str
-    rows: tuple            # dict rows in JUMP_CSV_COLUMNS order
-    averages: dict         # interface -> mean |jump| over traceable faces
+    interfaces: dict   # name -> (faces, left, right, jump), NaN untraceable
+    averages: dict     # interface -> mean |jump| over traceable faces
 
 
 def measure_jump(sol: StationarySolution, part: DomainPartition,
                  quantity: str) -> JumpTable:
     """Per-face one-sided traces and jumps of a solution quantity.
 
-    ``pressure`` uses the reconstructed pressure field (0 outside the
-    tissues); ``v1``/``v2`` are velocity magnitudes (jump of the vector,
-    predicted 0 by continuity).  The normal-stress balance is
+    Left/right are the first/second-named regions; on the mutual
+    interface left is tissue 1 and right is tissue 2.  ``pressure`` uses
+    the reconstructed pressure field (0 outside the tissues); ``v1``/``v2``
+    are velocity magnitudes (jump of the vector).  The cell field is
+    evaluated once; each trace is a gather from ``InterfaceFaces`` arrays,
+    NaN at untraceable faces.  The normal-stress balance is
     ``interface_force_residuals``: pointwise derivatives do not converge.
-    The pressure ``residual`` checks no law: on ``gamma1``/``gamma2`` it
-    is 0 by construction, and on ``gamma`` ``_jumps`` traces both laws on
-    tissue 1's side, so it is the jump of div v2 (side 2 minus 1) over g2.
     """
     if quantity not in JUMP_QUANTITIES:
         raise ValueError(f"unknown jump quantity {quantity!r}")
-    rows = []
-    averages = {}
+    if quantity == "pressure":
+        fields = (sol.p.values,)
+    else:
+        fields = (sol.v1 if quantity == "v1" else sol.v2).cell_centered()
+    interfaces, averages = {}, {}
     for name in _REGIONS:
         faces = getattr(part, name)
-        left, right, jump, predicted = _jumps(sol, name, faces, quantity)
-        residual = jump - predicted
-        for k, (x, y, nux, nuy, lt, rt, jp, pj, res, ok) in enumerate(zip(*(
-                v.tolist() for v in (faces.x, faces.y, faces.nux, faces.nuy,
-                                     left, right, jump, predicted, residual,
-                                     faces.traceable)))):
-            rows.append({
-                "interface": name, "face_index": k, "x": x, "y": y,
-                "nx": nux, "ny": nuy, "quantity": quantity,
-                "left_trace": lt, "right_trace": rt, "jump": jp,
-                "predicted_jump": pj, "residual": res,
-                "marker": "" if ok else "untraceable",
-            })
+        traces = [_traces(values, faces) for values in fields]
+        if quantity == "pressure":
+            (left, right), = traces
+            if name != "gamma":
+                right = np.zeros_like(left)     # exterior pressure is 0
+            jump = left - right
+        else:
+            (ul, ur), (vl, vr) = traces
+            left, right = np.hypot(ul, vl), np.hypot(ur, vr)
+            jump = np.hypot(ul - ur, vl - vr)
+        left, right, jump = (np.where(faces.traceable, v, np.nan)
+                             for v in (left, right, jump))
+        interfaces[name] = (faces, left, right, jump)
         # summed in face order, one face at a time
         magnitudes = np.abs(jump[faces.traceable]).tolist()
         total = functools.reduce(float.__add__, magnitudes, 0.0)
         averages[name] = total / len(magnitudes) if magnitudes else np.nan
-    return JumpTable(quantity, tuple(rows), averages)
+    return JumpTable(quantity, interfaces, averages)
 
 
 def write_jump_csv(tables, path) -> None:
+    """One row per face; an untraceable face's traces read ``untraceable``."""
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(JUMP_CSV_COLUMNS)
         for table in tables:
-            for r in table.rows:
-                if r["marker"]:
-                    writer.writerow([r["interface"], r["face_index"],
-                                     r["x"], r["y"], r["nx"], r["ny"],
-                                     r["quantity"]] + ["untraceable"] * 5)
-                else:
-                    writer.writerow([r[c] for c in JUMP_CSV_COLUMNS])
+            for name, (faces, *values) in table.interfaces.items():
+                for k, (x, y, nux, nuy, ok, *traces) in enumerate(zip(*(
+                        v.tolist() for v in (faces.x, faces.y, faces.nux,
+                                             faces.nuy, faces.traceable,
+                                             *values)))):
+                    writer.writerow([name, k, x, y, nux, nuy, table.quantity,
+                                     *(traces if ok else ["untraceable"] * 3)])
 
 
 @dataclass(frozen=True)
@@ -569,8 +540,10 @@ def _largest(values: np.ndarray) -> float:
 
 def verify_transmission(sol: StationarySolution,
                         part: DomainPartition) -> TransmissionReport:
-    """Largest continuity residuals per interface; the force balance is
-    ``interface_force_residuals``."""
+    """Largest continuity residuals per interface, read off the v1 and v2
+    jump tables; the force balance is ``interface_force_residuals``."""
+    tables = {key: measure_jump(sol, part, quantity).interfaces
+              for key, quantity in (("cont1", "v1"), ("cont2", "v2"))}
     residuals = {}
     untraceable = 0
     for name in _REGIONS:
@@ -579,10 +552,8 @@ def verify_transmission(sol: StationarySolution,
             continue
         ok = faces.traceable
         untraceable += len(faces) - int(ok.sum())
-        entry = {}
-        for key, quantity in (("cont1", "v1"), ("cont2", "v2")):
-            jump = _jumps(sol, name, faces, quantity)[2]
-            entry[key] = _largest(jump[ok])
+        entry = {key: _largest(table[name][3][ok])
+                 for key, table in tables.items()}
         if name == "gamma":
             du, dv = sol.v1.u - sol.v2.u, sol.v1.v - sol.v2.v
             u, v = faces.is_u, ~faces.is_u

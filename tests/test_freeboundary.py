@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tissueflow.constitutive import ModelParams, coercivity_check
+from tissueflow.constitutive import ModelParams
 from tissueflow.dynamics import StepControl
 from tissueflow.freeboundary import (LimitState, VanishingSubdomain,
                                      complementarity_closure, init_limit_state,
@@ -88,9 +88,8 @@ def _static_state(part, params, q0):
     """Limit state with a handcrafted zero-velocity, zero-pressure solve."""
     spec = part.spec
     v0 = VectorField.zeros(spec)
-    sol = StationarySolution(part, params, q0, v0, v0,
-                             ScalarField.zeros(spec), 0.0,
-                             coercivity_check(params))
+    sol = StationarySolution(params, q0, v0, v0, ScalarField.zeros(spec),
+                             0.0)
     return LimitState(0.0, part, part.chi1, part.chi2, q0, sol)
 
 

@@ -57,6 +57,15 @@ def _densities(spec, rng, ceiling):
     return n1, np.maximum(total - n1, 0.0)
 
 
+def _segregated(spec, rng, ceiling):
+    """Two nonnegative densities with n1*n2 == 0 and n1 + n2 <= ceiling:
+    random values given cell by cell to one tissue or the other."""
+    shape = (spec.nx, spec.ny)
+    total = ceiling * rng.random(shape) * (rng.random(shape) < 0.8)
+    first = rng.random(shape) < 0.5
+    return np.where(first, total, 0.0), np.where(first, 0.0, total)
+
+
 def _velocity(spec, rng, vmax):
     """A random staggered field with zero wall faces and largest speed vmax."""
     u = rng.standard_normal((spec.nx + 1, spec.ny))
@@ -227,3 +236,35 @@ def test_vm_equals_esvm_without_repulsion_and_alpha(grid, numbers, law,
         for mine, theirs in ((esvm.n1, vm.n1), (esvm.n2, vm.n2),
                              (esvm.p1, vm.p1), (esvm.p2, vm.p2)):
             assert np.array_equal(mine.values, theirs.values)
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(_grids(), st.lists(st.floats(0.1, 2.0), min_size=4, max_size=4),
+       st.sampled_from(["dirichlet", "gradient"]),
+       st.sampled_from(["upwind", "sharp"]))
+def test_esvm_equals_vm_on_segregated_data(grid, numbers, law, scheme):
+    # with n1*n2 == 0 the repulsion pressure is exactly 0, so ESVM's
+    # one-viscosity solve per tissue must give VM's solve of the shared
+    # pressure for both viscosities, bit for bit, at the start and after
+    # one step (which mixes the tissues)
+    spec, rng = grid
+    n1, n2 = (ScalarField(spec, n) for n in _segregated(spec, rng, 0.9))
+    beta1, beta2, g, eps = numbers
+    assume(beta1 != beta2)
+    params = ModelParams(beta1=beta1, beta2=beta2, eps=0.1 * eps, alpha=0.0,
+                         g1=g, g2=1.0 / g)
+    runs = []
+    for model, step in (("ESVM", step_esvm), ("VM", step_vm)):
+        ctrl = StepControl(dt=1e-3, t_end=1.0, model=model, velocity_law=law,
+                           scheme=scheme)
+        state = init_state(n1, n2, params, ctrl)
+        runs.append((state, step(state, ctrl, params)))
+    for esvm, vm in zip(*runs):
+        assert (esvm.t, esvm.dt_last, esvm.counters) == (vm.t, vm.dt_last,
+                                                         vm.counters)
+        for mine, theirs in ((esvm.n1, vm.n1), (esvm.n2, vm.n2),
+                             (esvm.p1, vm.p1), (esvm.p2, vm.p2)):
+            assert np.array_equal(mine.values, theirs.values)
+        for mine, theirs in ((esvm.v1, vm.v1), (esvm.v2, vm.v2)):
+            assert np.array_equal(mine.u, theirs.u)
+            assert np.array_equal(mine.v, theirs.v)

@@ -93,7 +93,36 @@ def read_names(text: str) -> set:
     return read
 
 
+def dataclass_fields(text: str) -> list:
+    """(class, field) of every dataclass at a module's top level."""
+    fields = []
+    for node in ast.parse(text).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in decorators):
+            fields += [(node.name, item.target.id) for item in node.body
+                       if isinstance(item, ast.AnnAssign)]
+    return fields
+
+
+def field_reads(text: str) -> set:
+    """Attribute names a module loads, and its string constants: a
+    ``getattr`` table such as a CSV column list names a field as a string."""
+    read = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
 REBOUND = rebound_names((ROOT / "perfbench" / "spans.py").read_text())
+PYTHON = [path for folder in ("src", "tests", "demos", "perfbench")
+          for path in sorted((ROOT / folder).rglob("*.py"))]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -136,13 +165,44 @@ def test_marked_imports_are_the_tracer_only_names():
 def test_every_module_level_name_is_read():
     # by name: a read anywhere in the repository's Python, or a rebinding
     # by the benchmark's tracer, counts for a name of any module
-    read = set().union(*REBOUND.values(), *(
-        read_names(path.read_text())
-        for folder in ("src", "tests", "demos", "perfbench")
-        for path in sorted((ROOT / folder).rglob("*.py"))))
+    read = set().union(*REBOUND.values(), *(read_names(path.read_text())
+                                            for path in PYTHON))
     unread = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
               for name in defined_names(path.read_text()) if name not in read]
     assert unread == []
+
+
+def test_every_dataclass_field_is_read():
+    # an attribute load or a string naming the field, anywhere in the
+    # repository's Python; a field that is only ever constructed is unread
+    read = set().union(*(field_reads(path.read_text()) for path in PYTHON))
+    unread = [f"{path.name}: {cls}.{name}" for path in sorted(SRC.glob("*.py"))
+              for cls, name in dataclass_fields(path.read_text())
+              if name not in read]
+    assert unread == []
+
+
+def test_dataclass_field_check_sees_what_it_should():
+    text = ("from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class Row:\n"
+            "    x: float\n"
+            "    y: float\n"
+            "    tag: str = ''\n"
+            "    def f(self):\n"
+            "        return self.x\n"
+            "@dataclass\n"
+            "class Count:\n"
+            "    n: int\n"
+            "class Plain:\n"
+            "    z: int\n"
+            "COLUMNS = ('tag',)\n"
+            "row = Row(x=1.0, y=2.0)\n"
+            "row.y = 3.0\n")
+    assert dataclass_fields(text) == [("Row", "x"), ("Row", "y"),
+                                      ("Row", "tag"), ("Count", "n")]
+    read = field_reads(text)
+    assert {"x", "tag"} <= read and not {"y", "n"} & read
 
 
 def test_module_level_name_check_sees_what_it_should():

@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -8,17 +9,17 @@ from hypothesis import strategies as st
 
 from tissueflow import brinkman, stationary
 from tissueflow.brinkman import SolverFailure
-from tissueflow.constitutive import ModelParams
+from tissueflow.constitutive import ModelParams, coercivity_check
 from tissueflow.grid import GridSpec, ScalarField, VectorField, divergence
 from tissueflow.harness import PRESETS, initial_partition
 from tissueflow.operators import stack_faces
-from tissueflow.stationary import (GMRES_RESTART, DomainPartition,
-                                   PartitionError, _gmres,
+from tissueflow.stationary import (GMRES_RESTART, JUMP_CSV_COLUMNS,
+                                   DomainPartition, PartitionError, _gmres,
                                    TransmissionReport, assemble_weak_form,
                                    concentric_partition,
                                    interface_force_residuals, measure_jump,
                                    quadratic_form, solve_stationary,
-                                   verify_transmission)
+                                   verify_transmission, write_jump_csv)
 
 PARAMS = ModelParams(beta1=1.0, beta2=1.0, g1=1.0, g2=1.0,
                      p1_star=5.0, p2_star=10.0)
@@ -172,12 +173,11 @@ def test_quadratic_form_random_fields_coercive():
 
 def test_coercivity_flag_reflects_parameters():
     part = square_partition(GridSpec(nx=16, ny=16))
-    ok = solve_stationary(part, PARAMS)
-    assert ok.coercivity.holds
+    assert coercivity_check(PARAMS).holds
     risky = ModelParams(beta1=0.5, beta2=0.1, g1=1.0, g2=1.0,
                         p1_star=5.0, p2_star=10.0)
+    assert not coercivity_check(risky).holds
     flagged = solve_stationary(part, risky)
-    assert not flagged.coercivity.holds
     assert flagged.rel_residual <= 1e-10  # still solved
 
 
@@ -197,9 +197,9 @@ def test_pressure_jump_on_mutual_interface():
     assert table.averages["gamma"] > 0.5
     # the annulus also jumps against the zero exterior pressure
     assert table.averages["gamma2"] > 0.5
-    rows = [r for r in table.rows if r["interface"] == "gamma"]
-    traceable = [r for r in rows if not r["marker"]]
-    assert len(traceable) > 0.5 * len(rows)
+    faces, left, right, jump = table.interfaces["gamma"]
+    assert len(faces) == left.size == right.size == jump.size
+    assert np.isfinite(jump).sum() > 0.5 * jump.size
 
 
 def test_velocity_jump_refines_away():
@@ -469,10 +469,10 @@ def _reference_trace(values, labels, face, sign, region):
 
 
 def _reference_rows(sol, part, quantity):
-    """Rows and averages of ``measure_jump``, one face at a time."""
+    """Rows of ``jumps.csv`` and averages of ``measure_jump``, one face at
+    a time."""
     regions = {"gamma": (1, 2), "gamma1": (1, 0), "gamma2": (2, 0)}
-    spec, labels, prm = part.spec, part.labels, sol.params
-    d1, d2 = divergence(sol.v1).values, divergence(sol.v2).values
+    spec, labels = part.spec, part.labels
     u1c, v1c = sol.v1.cell_centered()
     u2c, v2c = sol.v2.cell_centered()
     rows, averages = [], {}
@@ -481,34 +481,29 @@ def _reference_rows(sol, part, quantity):
         for k, face in enumerate(_reference_faces(labels, spec, ra, rb)):
             def tr(vals, sign, region):
                 return _reference_trace(vals, labels, face, sign, region)[0]
-            ok = (_reference_trace(d1, labels, face, -1, ra)[1] and
-                  _reference_trace(d1, labels, face, 1, rb)[1])
+            ok = (_reference_trace(sol.p.values, labels, face, -1, ra)[1] and
+                  _reference_trace(sol.p.values, labels, face, 1, rb)[1])
             if quantity == "pressure":
-                p1 = prm.p1_star - tr(d1, -1, ra) / prm.g1
-                p2 = prm.p2_star - tr(d2, -1, ra) / prm.g2
                 left = tr(sol.p.values, -1, ra)
                 right = tr(sol.p.values, 1, rb) if rb else 0.0
-                predicted = {"gamma": p1 - p2, "gamma1": p1, "gamma2": p2}[name]
                 jump = left - right
             else:
                 uc, vc = (u1c, v1c) if quantity == "v1" else (u2c, v2c)
                 ul, vl = tr(uc, -1, ra), tr(vc, -1, ra)
                 ur, vr = tr(uc, 1, rb), tr(vc, 1, rb)
                 left, right = float(np.hypot(ul, vl)), float(np.hypot(ur, vr))
-                predicted = 0.0
                 jump = float(np.hypot(ul - ur, vl - vr))
             if ok:
-                residual, marker = jump - predicted, ""
+                marker = ""
                 total += abs(jump)
                 count += 1
             else:
-                left = right = jump = predicted = residual = np.nan
+                left = right = jump = np.nan
                 marker = "untraceable"
             rows.append({"interface": name, "face_index": k, "x": face[3],
                          "y": face[4], "nx": face[5], "ny": face[6],
                          "quantity": quantity, "left_trace": left,
                          "right_trace": right, "jump": jump,
-                         "predicted_jump": predicted, "residual": residual,
                          "marker": marker})
         averages[name] = total / count if count else np.nan
     return rows, averages
@@ -528,7 +523,7 @@ def _wall_and_strip_partition():
 
 
 @pytest.mark.parametrize("quantity", ["pressure", "v1", "v2"])
-def test_measure_jump_matches_the_per_face_reference(quantity):
+def test_measure_jump_matches_the_per_face_reference(quantity, tmp_path):
     part = _wall_and_strip_partition()
     assert part.gamma and part.gamma1 and part.gamma2
     spec = part.spec
@@ -539,16 +534,22 @@ def test_measure_jump_matches_the_per_face_reference(quantity):
     sol = solve_stationary(part, params, q)
     ref_rows, ref_avg = _reference_rows(sol, part, quantity)
     table = measure_jump(sol, part, quantity)
-    assert len(table.rows) == len(ref_rows)
+    write_jump_csv([table], tmp_path / "jumps.csv")
+    with open(tmp_path / "jumps.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == JUMP_CSV_COLUMNS
+    assert len(rows) == len(ref_rows)
     markers = [r["marker"] for r in ref_rows]
     assert "untraceable" in markers and "" in markers
-    for key in ("interface", "quantity", "marker", "face_index"):
-        assert [r[key] for r in table.rows] == [r[key] for r in ref_rows]
-    for key in ("x", "y", "nx", "ny", "left_trace", "right_trace", "jump",
-                "predicted_jump", "residual"):
-        got = np.array([r[key] for r in table.rows], dtype=float)
-        ref = np.array([r[key] for r in ref_rows], dtype=float)
-        assert np.array_equal(got, ref, equal_nan=True), key
+    traces = ("left_trace", "right_trace", "jump")
+    for row, ref in zip(rows, ref_rows):
+        got = dict(zip(JUMP_CSV_COLUMNS, row, strict=True))
+        marked = [key for key, text in got.items() if text == "untraceable"]
+        assert marked == (list(traces) if ref["marker"] else [])
+        assert (got["interface"], got["quantity"], int(got["face_index"])) == (
+            ref["interface"], ref["quantity"], ref["face_index"])
+        for key in ("x", "y", "nx", "ny") + (() if ref["marker"] else traces):
+            assert float(got[key]) == ref[key], key
     assert table.averages.keys() == ref_avg.keys()
     for name, value in ref_avg.items():
         assert np.array_equal(table.averages[name], value, equal_nan=True)
@@ -624,7 +625,8 @@ def test_transmission_report_skips_nan_entries_and_counts_faces_once():
     assert report.max_residual() == np.nanmax(entries)
     # 16 tissue faces of the strip on each side, each counted once
     table = measure_jump(sol, part, "pressure")
-    marked = sum(1 for r in table.rows if r["marker"])
+    marked = sum(int(np.isnan(jump).sum())
+                 for _, _, _, jump in table.interfaces.values())
     assert report.n_untraceable == marked == 32
 
 
