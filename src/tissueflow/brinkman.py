@@ -16,14 +16,18 @@ only to check each solution's relative residual against ``REL_TOL``.
 ``cell_pressure_operator`` applies D (I + beta*K)^-1 D^T, the Dirichlet
 solve between a cell divergence and its transpose, in the same way
 without leaving the cells; the stationary pressure equation uses it.
+
+Every residual norm, the stationary solve's too, is ``norm``, summed
+without BLAS, so a solve's bytes do not depend on the BLAS thread count.
+``scipy.sparse.linalg`` is imported only when something looks up
+``brinkman.spla``; only the benchmark's tracer does, to count ``splu``
+factorisations, so an untraced run never imports it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.fft as fft
-# unused here; perfbench/spans.py rebinds it to count factorisations
-import scipy.sparse.linalg as spla  # noqa: F401
 
 from .grid import GridSpec, ScalarField, VectorField, gradient
 from .operators import (cell_laplacian_neumann, face_stiffness_u,
@@ -39,6 +43,23 @@ _NEUMANN = (fft.dct, fft.idct, 2, 0)   # n cells, zero-flux walls
 # Relative residual every solve must reach, the stationary one included;
 # read at call time.
 REL_TOL = 1e-10
+
+
+def norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D array, summed without BLAS.
+
+    ``np.linalg.norm`` calls BLAS ``ddot``, whose sum over a long vector
+    is split across threads, so its last bits depend on the thread count.
+    """
+    return float(np.sqrt(np.einsum("i,i->", x, x)))
+
+
+def __getattr__(name: str):
+    # perfbench/spans.py looks spla up to count splu; nothing else does
+    if name == "spla":
+        import scipy.sparse.linalg
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolverFailure(RuntimeError):
@@ -147,14 +168,14 @@ def _solve(b: np.ndarray, betas: tuple, blocks: tuple, inverse,
     if any(beta <= 0 for beta in betas):
         raise ValueError("beta must be positive")
     xs = inverse(b, betas, spec)
-    bf = b.ravel()
-    for beta, x in zip(betas, xs):
-        xf, stop = x.ravel(), 0
-        for K, what in blocks:
-            rows = slice(stop, stop + K.shape[0])
-            stop = rows.stop
-            scale = np.linalg.norm(bf[rows])
-            res = np.linalg.norm(xf[rows] + beta * (K @ xf[rows]) - bf[rows])
+    bf, stop = b.ravel(), 0
+    for K, what in blocks:
+        rows = slice(stop, stop + K.shape[0])
+        stop = rows.stop
+        scale = norm(bf[rows])
+        for beta, x in zip(betas, xs):
+            xf = x.ravel()[rows]
+            res = norm(xf + beta * (K @ xf) - bf[rows])
             if not res <= REL_TOL * scale:      # a NaN residual fails too
                 raise SolverFailure(what, res / scale, REL_TOL)
     return xs

@@ -72,7 +72,7 @@ import scipy.sparse as sp
 
 from . import brinkman
 from .brinkman import (SolverFailure, cell_pressure_operator,
-                       face_brinkman_inverse)
+                       face_brinkman_inverse, norm)
 from .constitutive import ModelParams
 from .grid import GridSpec, ScalarField, VectorField, divergence
 from .operators import (divergence_matrix, face_stiffness_u, face_stiffness_v,
@@ -317,7 +317,7 @@ def _gmres(product, f: np.ndarray, cycles: int, history: list) -> np.ndarray:
     that residual meets the tolerance, at a breakdown, or after
     ``cycles`` cycles.
     """
-    fnorm = np.linalg.norm(f)
+    fnorm = norm(f)
     # D^T amplifies the cell residual in the coupled one, hence 0.01.
     tol = 0.01 * brinkman.REL_TOL * fnorm
     eps = np.finfo(float).eps
@@ -325,18 +325,18 @@ def _gmres(product, f: np.ndarray, cycles: int, history: list) -> np.ndarray:
     x = np.zeros_like(f)
     r = f
     for _ in range(cycles):
-        g = [float(np.linalg.norm(r))]
+        g = [norm(r)]
         np.divide(r, g[0], out=basis[0])
         columns, rotations = [], []     # the rotated Hessenberg triangle
         for j in range(GMRES_RESTART):
             w = product(basis[j])
             v = basis[:j + 1]
-            h0 = np.linalg.norm(w)
+            h0 = norm(w)
             h = v @ w
             w -= h @ v
             h2 = v @ w
             w -= h2 @ v
-            h1 = np.linalg.norm(w)
+            h1 = norm(w)
             breakdown = not h1 > eps * h0        # a NaN breaks down too
             if not breakdown:
                 np.divide(w, h1, out=basis[j + 1])
@@ -344,7 +344,7 @@ def _gmres(product, f: np.ndarray, cycles: int, history: list) -> np.ndarray:
             for k, (c, s) in enumerate(rotations):
                 col[k], col[k + 1] = (c * col[k] + s * col[k + 1],
                                       c * col[k + 1] - s * col[k])
-            a, b = col[j], 0.0 if breakdown else float(h1)
+            a, b = col[j], 0.0 if breakdown else h1
             col[j] = math.copysign(math.hypot(a, b), a)
             c, s = a / col[j], b / col[j]
             columns.append(col)
@@ -360,7 +360,7 @@ def _gmres(product, f: np.ndarray, cycles: int, history: list) -> np.ndarray:
                                for i in range(k + 1, len(y)))) / columns[k][k]
         x += np.array(y) @ basis[:len(y)]
         r = f - product(x)
-        if np.linalg.norm(r) <= tol or breakdown:
+        if norm(r) <= tol or breakdown:
             break
     return x
 
@@ -390,7 +390,7 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
         return c1 * (D @ x1) + c2 * (D @ x2)
 
     b = D.T @ f
-    scale = np.linalg.norm(np.concatenate([b, b]))
+    scale = norm(np.concatenate([b, b]))
     history = []    # one residual norm per GMRES inner iteration
     if scale == 0.0:
         x1 = x2 = np.zeros_like(b)
@@ -414,7 +414,7 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
         g = D.T @ coupling(x1, x2) - b
         r = np.concatenate([x1 + params.beta1 * (K @ x1) + g,
                             x2 + params.beta2 * (K @ x2) + g])
-        rel = float(np.linalg.norm(r) / scale)
+        rel = norm(r) / scale
         if not rel <= rel_tol:          # a NaN residual fails too
             raise SolverFailure("stationary system", rel, rel_tol,
                                 len(history))

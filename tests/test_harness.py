@@ -914,6 +914,28 @@ def test_benchmark_tracer_finds_the_names_it_rebinds(tmp_path):
                    check=True, timeout=300)
 
 
+_UNTRACED_RUNS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from tissueflow import brinkman, harness
+for preset in ("fig3-vm", "fig3-lesvm"):
+    assert harness.run_cli(["run", preset, "--grid", "16x16",
+                            "--out", sys.argv[2] + "/" + preset]) == 0
+assert "scipy.sparse.linalg" not in sys.modules
+import scipy.sparse.linalg
+assert brinkman.spla is scipy.sparse.linalg
+assert not hasattr(brinkman, "no_such_name")
+"""
+
+
+def test_untraced_runs_do_not_import_sparse_linalg(tmp_path):
+    # only the benchmark's tracer asks for brinkman.spla, to count the
+    # factorisations of scipy.sparse.linalg.splu
+    root = Path(__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", _UNTRACED_RUNS, str(root / "src"),
+                    str(tmp_path)], check=True, timeout=300)
+
+
 _ROOT = Path(__file__).resolve().parents[1]
 _WORKLOADS = [w["name"] for w in
               json.loads((_ROOT / "BENCHMARK.json").read_text())["workloads"]]

@@ -157,8 +157,7 @@ def test_marked_imports_are_the_tracer_only_names():
         names = {entry.split(": ")[1] for entry in unused_imports(unmarked)}
         if names:
             marked[path.stem] = names
-    assert marked == {"brinkman": {"spla"},
-                      "dynamics": {"cell_laplacian_neumann",
+    assert marked == {"dynamics": {"cell_laplacian_neumann",
                                    "weighted_cell_flux_divergence"}}
 
 

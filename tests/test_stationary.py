@@ -1,5 +1,9 @@
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,6 +404,38 @@ def test_iteration_counts_do_not_grow_with_the_grid(case, n, q0, iterations):
     sol = solve_stationary(part, params, q)
     assert sol.iterations == iterations
     assert sol.rel_residual <= brinkman.REL_TOL
+
+
+_BANDS_SOLVE = """
+import hashlib, sys
+from dataclasses import replace
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from tissueflow.grid import ScalarField
+from tissueflow.harness import PRESETS, initial_partition
+from tissueflow.stationary import solve_stationary
+cfg = PRESETS["fig3-lesvm"]
+cfg = replace(cfg, grid=replace(cfg.grid, nx=64, ny=64))
+part = initial_partition(cfg)
+sol = solve_stationary(part, cfg.params,
+                       ScalarField(part.spec, np.full((64, 64), 0.5)))
+for a in (np.float64(sol.rel_residual), sol.p.values, sol.v1.u, sol.v1.v,
+          sol.v2.u, sol.v2.v):
+    print(hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+
+def test_stationary_solve_does_not_depend_on_the_blas_thread_count():
+    # a BLAS dot product splits a long sum across threads, so a norm taken
+    # with it differs in its last bits between thread counts; with q = 0.5
+    # the residual of the fig3-lesvm bands showed it (with q = 1 it did not)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    hashes = [subprocess.run([sys.executable, "-c", _BANDS_SOLVE, src],
+                             env=dict(os.environ, OPENBLAS_NUM_THREADS=n),
+                             capture_output=True, text=True, check=True,
+                             timeout=300).stdout
+              for n in ("1", "2")]
+    assert hashes[0] == hashes[1] and len(hashes[0].split()) == 6
 
 
 def test_gmres_restarts_and_breaks_down_happily():
