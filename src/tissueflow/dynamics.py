@@ -493,11 +493,12 @@ def _advance(state: SimState, ctrl: StepControl, params: ModelParams,
                     p1=p1, p2=p2, counters=counter, dt_last=dt)
 
 
-def step_esvm(state: SimState, ctrl: StepControl, params: ModelParams,
-              zero_repulsion: bool = False) -> SimState:
-    """One step of the model with repulsion pressure and interface penalty."""
-    return _advance(state, ctrl, params,
-                    with_repulsion=not zero_repulsion, alpha=params.alpha)
+def step_esvm(state: SimState, ctrl: StepControl, params: ModelParams) -> SimState:
+    """One step of the model with repulsion pressure and interface penalty.
+
+    From segregated densities (n1*n2 == 0) at alpha = 0 it equals
+    ``step_vm``'s step bit for bit: the repulsion pressure is 0."""
+    return _advance(state, ctrl, params, with_repulsion=True, alpha=params.alpha)
 
 
 def step_vm(state: SimState, ctrl: StepControl, params: ModelParams) -> SimState:

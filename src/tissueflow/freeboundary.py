@@ -171,11 +171,6 @@ def complementarity_closure(part: DomainPartition, params: ModelParams,
     return ScalarField(spec, r1), ScalarField(spec, r2)
 
 
-def overlap_cells(part: DomainPartition) -> int:
-    """Number of cells claimed by both tissues (always 0 by construction)."""
-    return int((part.chi1.values * part.chi2.values).sum())
-
-
 def write_partition_csv(part: DomainPartition, path) -> None:
     """0/1/2 cell labels, one row per x index."""
     np.savetxt(path, part.labels, fmt="%d", delimiter=",")

@@ -446,8 +446,8 @@ def run_dynamic(cfg: RunConfig, out: Path) -> dict:
             "overlap": last.overlap, "comp_residual": last.comp_residual}
 
 
-LIMIT_RECORD_COLUMNS = ("t", "area1", "area2", "overlap_cells",
-                        "gmres_iterations", "rel_residual")
+LIMIT_RECORD_COLUMNS = ("t", "area1", "area2", "gmres_iterations",
+                        "rel_residual")
 
 
 def run_limit_model(cfg: RunConfig, out: Path) -> dict:
@@ -455,8 +455,7 @@ def run_limit_model(cfg: RunConfig, out: Path) -> dict:
 
     def observer(s, params):
         a1, a2 = s.areas()
-        rows.append([s.t, a1, a2, freeboundary.overlap_cells(s.part),
-                     s.sol.iterations, s.sol.rel_residual])
+        rows.append([s.t, a1, a2, s.sol.iterations, s.sol.rel_residual])
 
     try:
         _, state = simulate(cfg, [observer], cfg.observe_every)
@@ -469,9 +468,8 @@ def run_limit_model(cfg: RunConfig, out: Path) -> dict:
     fieldio.write_vector_vtk(state.sol.v2, out / "v2.vtk")
     a1, a2 = state.areas()
     return {"t": state.t, "area1": a1, "area2": a2,
-            "overlap_cells": float(rows[-1][3]),
-            "max_gmres_iterations": max(row[4] for row in rows),
-            "max_rel_residual": max(row[5] for row in rows)}
+            "max_gmres_iterations": max(row[3] for row in rows),
+            "max_rel_residual": max(row[4] for row in rows)}
 
 
 def run_stationary(cfg: RunConfig, out: Path) -> dict:
@@ -545,79 +543,20 @@ def run_sweep(cfg: RunConfig, out: Path) -> dict:
     return {"rows": float(len(rows))}
 
 
-# ---------------------------------------------------------------------------
-# self-test battery for the `check` subcommand
-
-def _check_battery(seed: int):
-    """Quick invariant self-tests; returns a list of (name, passed)."""
-    from .grid import VectorField, curl2d, divergence, gradient
-    from .stationary import concentric_partition, solve_stationary
-    from .freeboundary import complementarity_closure
-
-    rng = np.random.default_rng(seed)
-    results = []
-    spec = GridSpec(nx=24, ny=20)
-
-    s = ScalarField(spec, rng.standard_normal((spec.nx, spec.ny)))
-    u = rng.standard_normal((spec.nx + 1, spec.ny))
-    w = rng.standard_normal((spec.nx, spec.ny + 1))
-    u[0, :] = u[-1, :] = 0.0
-    w[:, 0] = w[:, -1] = 0.0
-    v = VectorField(spec, u, w)
-    lhs = (divergence(v).values * s.values).sum() * spec.cell_area
-    g = gradient(s)
-    rhs = -((g.u * v.u).sum() + (g.v * v.v).sum()) * spec.cell_area
-    results.append(("divergence-gradient adjointness",
-                    abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))))
-
-    rot = VectorField.from_functions(spec, lambda x, y: -y, lambda x, y: x)
-    c = curl2d(rot).values
-    results.append(("curl of rigid rotation", np.allclose(c, 2.0)))
-
-    from .constitutive import pressure_congestion
-    n = ScalarField(spec, np.full((spec.nx, spec.ny), 0.9))
-    ident = pressure_congestion(n, 0.1).values * (1.0 - n.values)
-    results.append(("congestion complementarity identity",
-                    np.allclose(ident, 0.1 * 0.9)))
-
-    params = ModelParams(beta1=1.0, beta2=1.0, g1=1.0, g2=1.0,
-                         p1_star=5.0, p2_star=10.0)
-    spec2 = GridSpec(nx=32, ny=32)
-    part = concentric_partition(spec2)
-    sol = solve_stationary(part, params)
-    r1, r2 = complementarity_closure(part, params, sol)
-    results.append(("stationary divergence-law closure",
-                    max(r1.max_norm(), r2.max_norm()) < 1e-8))
-
-    ok_params = coercivity_check(ModelParams(beta1=1.0, beta2=1.0))
-    flagged = coercivity_check(ModelParams())  # beta2*g1 = 0.1 < 1/4
-    results.append(("coercivity condition classified correctly",
-                    ok_params.holds and not flagged.holds))
-
-    import tempfile
-    field = ScalarField(spec, rng.standard_normal((spec.nx, spec.ny)))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "field.csv"
-        fieldio.write_scalar_csv(field, path)
-        back = fieldio.read_scalar_csv(path)
-    results.append(("CSV round trip bit-exact",
-                    np.array_equal(field.values, back.values)))
-    return results
-
-
 def run_cli(argv) -> int:
     """Entry point; returns the process exit code.
 
-    `run` picks the run from the config alone: [sweep] lists, STATIONARY,
-    a limit model or an evolution model.  0 success; 1 config error (an
-    unknown key, a value not finite or not one of its key's words, a bad
-    grid, a step setting out of range, a key the run does not read set
-    off its base's value, a bad [sweep] tuple, initial n1+n2 >= 1, a
-    negative q, a bad q file or one on another grid, an --out that cannot
-    be made); 2 solver failure (a non-finite field included); 3 invariant
-    violation in `check`.  A sweep ends as its first failed run, after
-    writing every row.  Once the run directory exists every outcome writes
-    its manifest, with status ok, config_error or solver_failure.
+    `run` is the only command; it picks the run from the config alone:
+    [sweep] lists, STATIONARY, a limit model or an evolution model.
+    0 success; 1 config error (an unknown key, a value not finite or not
+    one of its key's words, a bad grid, a step setting out of range, a
+    key the run does not read set off its base's value, a bad [sweep]
+    tuple, initial n1+n2 >= 1, a negative q, a bad q file or one on
+    another grid, an --out that cannot be made); 2 solver failure (a
+    non-finite field included).  argparse exits 2 on an unknown command
+    or flag.  A sweep ends as its first failed run, after writing every
+    row.  Once the run directory exists every outcome writes its
+    manifest, with status ok, config_error or solver_failure.
     """
     parser = argparse.ArgumentParser(prog="tissueflow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -625,17 +564,7 @@ def run_cli(argv) -> int:
     p.add_argument("config", help="config file path or preset name")
     p.add_argument("--out", default=None)
     p.add_argument("--grid", default=None, help="override, e.g. 64x64")
-    p = sub.add_parser("check")
-    p.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-
-    if args.command == "check":
-        results = _check_battery(args.seed)
-        passed = sum(ok for _, ok in results)
-        for name, ok in results:
-            print(f"{'ok' if ok else 'FAIL'}  {name}")
-        print(f"invariants passed: {passed}/{len(results)}")
-        return 0 if passed == len(results) else 3
 
     try:
         if args.config in PRESETS:

@@ -161,6 +161,9 @@ def _interface_faces(labels: np.ndarray, spec: GridSpec, a: int,
 class DomainPartition:
     """Disjoint 0/1 indicators of the two tissue subdomains inside the box.
 
+    Construction raises ``PartitionError`` on any overlap, so every
+    partition a run makes is disjoint and no run counts overlap cells.
+
     The supports may touch the outer walls: a face whose one-sided trace
     would need a cell beyond the wall is masked as untraceable in its
     interface record.  The interface face records ``gamma``

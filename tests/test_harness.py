@@ -2,7 +2,6 @@ import csv
 import json
 import subprocess
 import sys
-import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -239,23 +238,13 @@ def test_initial_partition_is_disjoint():
     assert part.cell_counts()[0] > 0 and part.cell_counts()[1] > 0
 
 
-def test_cli_check_passes():
-    assert run_cli(["check"]) == 0
-
-
-def test_cli_check_leaves_no_temp_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    assert run_cli(["check"]) == 0
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("argv", [["run", "fig3-vm", "--seed", "1"],
                                   ["run", "fig3-vm", "--jobs", "2"],
-                                  ["check", "--out", "x"],
+                                  ["check"],
                                   ["stationary", "fig3-lesvm"],
                                   ["sweep", "fig3-esvm"]])
 def test_cli_rejects_flags_nothing_reads(argv):
-    # `run` and `check` are the only commands: the config picks the run
+    # `run` is the only command: the config picks the run
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert exc.value.code == 2
@@ -733,20 +722,19 @@ t_end = 0.01
     assert run_cli(["run", str(cfgfile), "--out", str(out)]) == 0
     with open(out / "records.csv") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "area1", "area2", "overlap_cells",
-                       "gmres_iterations", "rel_residual"]
-    assert all(r[3] == "0" for r in rows[1:])
+    assert rows[0] == ["t", "area1", "area2", "gmres_iterations",
+                       "rel_residual"]
     # each row records the stationary solve on that step's partition
-    assert all(int(r[4]) > 0 for r in rows[1:])
-    assert all(float(r[5]) <= brinkman.REL_TOL for r in rows[1:])
+    assert all(int(r[3]) > 0 for r in rows[1:])
+    assert all(float(r[4]) <= brinkman.REL_TOL for r in rows[1:])
     assert (out / "partition.csv").exists()
     # the manifest carries the worst solve over the recorded rows
     with open(out / "manifest.csv") as fh:
         manifest = dict(zip(*csv.reader(fh)))
     assert manifest["status"] == "ok"
-    assert int(manifest["max_gmres_iterations"]) == max(int(r[4])
+    assert int(manifest["max_gmres_iterations"]) == max(int(r[3])
                                                         for r in rows[1:])
-    assert float(manifest["max_rel_residual"]) == max(float(r[5])
+    assert float(manifest["max_rel_residual"]) == max(float(r[4])
                                                       for r in rows[1:])
 
 

@@ -220,28 +220,6 @@ def test_scalar_csv_round_trips_bit_exactly(grid, drawn):
 @given(_grids(), st.lists(st.floats(0.1, 2.0), min_size=4, max_size=4),
        st.sampled_from(["dirichlet", "gradient"]),
        st.sampled_from(["upwind", "sharp"]))
-def test_vm_equals_esvm_without_repulsion_and_alpha(grid, numbers, law,
-                                                    scheme):
-    spec, rng = grid
-    n1, n2 = (ScalarField(spec, n) for n in _densities(spec, rng, 0.9))
-    beta1, beta2, g, eps = numbers
-    params = ModelParams(beta1=beta1, beta2=beta2, eps=0.1 * eps, alpha=0.0,
-                         g1=g, g2=1.0 / g)
-    ctrl = StepControl(dt=1e-3, t_end=1.0, velocity_law=law, scheme=scheme)
-    esvm = vm = init_state(n1, n2, params, ctrl)
-    for _ in range(3):
-        esvm = step_esvm(esvm, ctrl, params, zero_repulsion=True)
-        vm = step_vm(vm, ctrl, params)
-        assert esvm.t == vm.t
-        for mine, theirs in ((esvm.n1, vm.n1), (esvm.n2, vm.n2),
-                             (esvm.p1, vm.p1), (esvm.p2, vm.p2)):
-            assert np.array_equal(mine.values, theirs.values)
-
-
-@settings(max_examples=12, derandomize=True, database=None, deadline=None)
-@given(_grids(), st.lists(st.floats(0.1, 2.0), min_size=4, max_size=4),
-       st.sampled_from(["dirichlet", "gradient"]),
-       st.sampled_from(["upwind", "sharp"]))
 def test_esvm_equals_vm_on_segregated_data(grid, numbers, law, scheme):
     # with n1*n2 == 0 the repulsion pressure is exactly 0, so ESVM's
     # one-viscosity solve per tissue must give VM's solve of the shared

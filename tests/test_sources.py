@@ -259,3 +259,18 @@ def test_readme_commands_exist(readme):
         with pytest.raises(SystemExit) as exc:
             harness.run_cli([word, "--help"])
         assert exc.value.code == 0, word
+
+
+def test_readme_exit_codes_are_the_cli_status_map():
+    # the README's `- **N**:` bullets list exactly the codes run_cli maps
+    # its statuses to, in order
+    tree = ast.parse((SRC / "harness.py").read_text())
+    (cli,) = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "run_cli"]
+    (status_map,) = [node.value for node in ast.walk(cli)
+                     if isinstance(node, ast.Subscript)
+                     and isinstance(node.value, ast.Dict)]
+    codes = [ast.literal_eval(value) for value in status_map.values]
+    bullets = re.findall(r"^- \*\*(\d+)\*\*:", (ROOT / "README.md").read_text(),
+                         re.M)
+    assert [int(code) for code in bullets] == codes == [0, 1, 2]
