@@ -2,8 +2,9 @@
 
 Runs both evolution models from the three-band initial data and tracks
 the interface overlap integral n1*n2 over time.  With the repulsion
-pressure active the overlap stays smaller; with it switched off the two
-models coincide bitwise.
+pressure active the overlap stays smaller.  On segregated data at
+alpha = 0 the repulsion pressure is 0 and the two models coincide
+bitwise.
 
 Usage: python demos/model_comparison.py [outdir] [n]
 """

@@ -73,7 +73,7 @@ def write_scalar_vtk(field: ScalarField, path, name: str = "field") -> None:
                f"SCALARS {name} double 1\nLOOKUP_TABLE default")
 
 
-def write_vector_vtk(field: VectorField, path, name: str = "velocity") -> None:
+def write_vector_vtk(field: VectorField, path) -> None:
     uc, vc = field.cell_centered()
     _write_vtk(np.stack([uc.T, vc.T, np.zeros_like(uc.T)], axis=-1), field.spec,
-               path, name, f"VECTORS {name} double")
+               path, "velocity", "VECTORS velocity double")

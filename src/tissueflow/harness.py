@@ -35,7 +35,8 @@ from .constitutive import ModelParams, coercivity_check
 from .dynamics import (InitialDataError, StepControl, StepFailure,
                        init_state, run)
 from .grid import GridError, GridSpec, ScalarField
-from .stationary import DomainPartition, PartitionError
+from .stationary import (DomainPartition, PartitionError, measure_jump,
+                         solve_stationary, verify_transmission, write_jump_csv)
 
 MODELS = ("ESVM", "VM", "L-ESVM", "L-VM", "STATIONARY")
 LIMIT_MODELS = ("L-ESVM", "L-VM")
@@ -473,9 +474,6 @@ def run_limit_model(cfg: RunConfig, out: Path) -> dict:
 
 
 def run_stationary(cfg: RunConfig, out: Path) -> dict:
-    from .stationary import (measure_jump, solve_stationary,
-                             verify_transmission, write_jump_csv)
-
     part = initial_partition(cfg)
     sol = solve_stationary(part, cfg.params, q_field(cfg))
     print(coercivity_check(cfg.params).warning_line())

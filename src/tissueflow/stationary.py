@@ -207,15 +207,12 @@ class DomainPartition:
     def cell_counts(self):
         return int(self.chi1.values.sum()), int(self.chi2.values.sum())
 
-    def swapped(self) -> "DomainPartition":
-        return DomainPartition(self.chi2, self.chi1)
 
-
-def concentric_partition(spec: GridSpec, r1: float = 0.45,
-                         r2: float = 0.8) -> DomainPartition:
-    """Disk of radius r1 (tissue 1) inside the annulus r1 < r < r2 (tissue 2)."""
+def concentric_partition(spec: GridSpec) -> DomainPartition:
+    """Disk r < 0.45 (tissue 1) in the annulus 0.45 <= r < 0.8 (tissue 2)."""
     xx, yy = spec.cell_center_mesh()
     rr = np.hypot(xx, yy)
+    r1, r2 = 0.45, 0.8
     chi1 = ScalarField(spec, (rr < r1).astype(float))
     chi2 = ScalarField(spec, ((rr >= r1) & (rr < r2)).astype(float))
     return DomainPartition(chi1, chi2)
@@ -241,15 +238,9 @@ def _source(part: DomainPartition, params: ModelParams,
     return q, f.ravel()
 
 
-@dataclass(frozen=True)
-class AssembledSystem:
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-
-
 def assemble_weak_form(part: DomainPartition, params: ModelParams,
-                       q: ScalarField | None = None) -> AssembledSystem:
-    """The discrete coupled system's matrix and right-hand side."""
+                       q: ScalarField | None = None):
+    """The discrete coupled system's (matrix, right-hand side)."""
     spec = part.spec
     f = _source(part, params, q)[1]
     K = _stiffness(spec)
@@ -263,25 +254,22 @@ def assemble_weak_form(part: DomainPartition, params: ModelParams,
                  [G1, params.beta2 * K + identity + G2]], format="csr")
 
     b_half = D.T @ f
-    rhs = np.concatenate([b_half, b_half])
-    return AssembledSystem(A, rhs)
+    return A, np.concatenate([b_half, b_half])
 
 
 def quadratic_form(part: DomainPartition, params: ModelParams,
-                   v1: VectorField, v2: VectorField,
-                   system: AssembledSystem | None = None):
+                   v1: VectorField, v2: VectorField):
     """Evaluate (energy, gradient-seminorm^2) of the coupled bilinear form.
 
     Both are scaled by the cell area so they approximate the continuum
     integrals; the coercivity bound predicts
     energy >= min(beta1 - 1/(4 g2), beta2 - 1/(4 g1)) * grad2.
-    Pass a preassembled ``system`` to amortize repeated evaluations.
     """
     spec = part.spec
-    sys = system if system is not None else assemble_weak_form(part, params)
+    A, _ = assemble_weak_form(part, params)
     x1, x2 = stack_faces(v1), stack_faces(v2)
     x = np.concatenate([x1, x2])
-    energy = float(x @ (sys.matrix @ x)) * spec.cell_area
+    energy = float(x @ (A @ x)) * spec.cell_area
     K = _stiffness(spec)
     grad2 = float(x1 @ (K @ x1) + x2 @ (K @ x2)) * spec.cell_area
     return energy, grad2
@@ -307,26 +295,25 @@ def reconstruct_pressure(part: DomainPartition, params: ModelParams,
     return ScalarField(part.spec, p)
 
 
-def _gmres(product, f: np.ndarray, cycles: int, history: list) -> np.ndarray:
-    """Restarted GMRES from zero for ``product(x) = f``; returns x.
+def _gmres(product, f: np.ndarray, cycles: int):
+    """Restarted GMRES from zero for ``product(x) = f``; returns x and the
+    number of inner iterations.
 
     The Arnoldi step is classical Gram-Schmidt against the whole basis,
-    twice, and the Givens rotations run on Python floats.  Every inner
-    iteration appends its rotated residual over ||f|| to ``history``.
-    A cycle ends after ``GMRES_RESTART`` iterations, at a rotated
-    residual of at most ``0.01 * brinkman.REL_TOL * ||f||``, or at a
-    breakdown (a new vector of norm at most eps times that of its
-    product), and then checks the true residual.  The solve stops when
-    that residual meets the tolerance, at a breakdown, or after
-    ``cycles`` cycles.
+    twice, and the Givens rotations run on Python floats.  A cycle ends
+    after ``GMRES_RESTART`` iterations, at a rotated residual of at most
+    ``0.01 * brinkman.REL_TOL * ||f||``, or at a breakdown (a new vector
+    of norm at most eps times that of its product), and then checks the
+    true residual.  The solve stops when that residual meets the
+    tolerance, at a breakdown, or after ``cycles`` cycles.
     """
-    fnorm = norm(f)
     # D^T amplifies the cell residual in the coupled one, hence 0.01.
-    tol = 0.01 * brinkman.REL_TOL * fnorm
+    tol = 0.01 * brinkman.REL_TOL * norm(f)
     eps = np.finfo(float).eps
     basis = np.empty((GMRES_RESTART + 1, f.size))
     x = np.zeros_like(f)
     r = f
+    iterations = 0
     for _ in range(cycles):
         g = [norm(r)]
         np.divide(r, g[0], out=basis[0])
@@ -354,7 +341,6 @@ def _gmres(product, f: np.ndarray, cycles: int, history: list) -> np.ndarray:
             rotations.append((c, s))
             g[j], residual = c * g[j], -s * g[j]
             g.append(residual)
-            history.append(abs(residual) / fnorm)
             if abs(residual) <= tol or breakdown:
                 break
         y = g[:len(columns)]            # back substitution on the triangle
@@ -362,10 +348,11 @@ def _gmres(product, f: np.ndarray, cycles: int, history: list) -> np.ndarray:
             y[k] = (y[k] - sum(columns[i][k] * y[i]
                                for i in range(k + 1, len(y)))) / columns[k][k]
         x += np.array(y) @ basis[:len(y)]
+        iterations += len(y)
         r = f - product(x)
         if norm(r) <= tol or breakdown:
             break
-    return x
+    return x, iterations
 
 
 def solve_stationary(part: DomainPartition, params: ModelParams,
@@ -394,10 +381,9 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
 
     b = D.T @ f
     scale = norm(np.concatenate([b, b]))
-    history = []    # one residual norm per GMRES inner iteration
     if scale == 0.0:
         x1 = x2 = np.zeros_like(b)
-        rel = 0.0
+        rel, iterations = 0.0, 0
     else:
         products = cell_pressure_operator((params.beta1, params.beta2), spec)
 
@@ -410,7 +396,8 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
             return pi + (c1 * m[0] + c2 * m[1])     # grouped as in coupling
 
         budget = GMRES_ITERATIONS_PER_LINE * (spec.nx + spec.ny)
-        pi = _gmres(schur_product, f, budget // GMRES_RESTART, history) / d
+        y, iterations = _gmres(schur_product, f, budget // GMRES_RESTART)
+        pi = y / d
         x1, x2 = face_brinkman_inverse(D.T @ pi, (params.beta1, params.beta2),
                                        spec)
         K = _stiffness(spec)
@@ -420,11 +407,11 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
         rel = norm(r) / scale
         if not rel <= rel_tol:          # a NaN residual fails too
             raise SolverFailure("stationary system", rel, rel_tol,
-                                len(history))
+                                iterations)
     v1 = unstack_faces(spec, x1)
     v2 = unstack_faces(spec, x2)
     p = reconstruct_pressure(part, params, v1, v2)
-    return StationarySolution(params, q, v1, v2, p, rel, len(history))
+    return StationarySolution(params, q, v1, v2, p, rel, iterations)
 
 
 # ---------------------------------------------------------------------------

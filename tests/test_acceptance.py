@@ -52,7 +52,7 @@ from tissueflow.dynamics import init_state, step_esvm, step_vm
 from tissueflow.grid import GridSpec, VectorField, curl2d
 from tissueflow.harness import (PRESETS, initial_densities, simulate,
                                 step_control, sweep)
-from tissueflow.stationary import (assemble_weak_form, concentric_partition,
+from tissueflow.stationary import (concentric_partition,
                                    interface_force_residuals, measure_jump,
                                    quadratic_form, solve_stationary)
 
@@ -269,7 +269,6 @@ def test_criterion_07_quadratic_form_coercive_on_random_fields():
     # dominate 0.75x the gradient seminorm on arbitrary discrete fields.
     spec = _square(32)
     part = concentric_partition(spec)
-    system = assemble_weak_form(part, STATIONARY_PARAMS)
     rng = np.random.default_rng(7)
 
     def random_field():
@@ -282,8 +281,7 @@ def test_criterion_07_quadratic_form_coercive_on_random_fields():
     worst = np.inf
     for _ in range(100):
         energy, grad2 = quadratic_form(part, STATIONARY_PARAMS,
-                                       random_field(), random_field(),
-                                       system=system)
+                                       random_field(), random_field())
         worst = min(worst, energy / grad2)
     _report(7, worst >= 0.75,
             f"worst energy/grad^2 over 100 pairs = {worst:.3f}, "

@@ -120,6 +120,66 @@ def field_reads(text: str) -> set:
     return read
 
 
+def parameter_defaults(text: str) -> list:
+    """(function, parameter, position) of every parameter with a default,
+    in every function and method a module defines.
+
+    ``position`` is the index a positional argument takes at a call, the
+    method's ``self`` left out; it is None for a keyword-only parameter.
+    ``__init__`` is listed under its class's name, which its callers call.
+    """
+    tree = ast.parse(text)
+    owners = {item: node.name for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for item in node.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        name, skip = node.name, 0
+        if node in owners:
+            skip = not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                           for d in node.decorator_list)
+            if name == "__init__":
+                name = owners[node]
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found += [(name, arg.arg, k - skip)
+                  for k, arg in enumerate(positional) if k >= first]
+        found += [(name, arg.arg, None)
+                  for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def calls(text: str) -> list:
+    """(callee name, positional count, keyword names) of every call whose
+    callee is a name or an attribute; a call that spreads ``*args`` or
+    ``**kwargs`` has None in place of both."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not isinstance(func, (ast.Name, ast.Attribute)):
+            continue
+        name = func.id if isinstance(func, ast.Name) else func.attr
+        keywords = {k.arg for k in node.keywords}
+        if None in keywords or any(isinstance(a, ast.Starred)
+                                   for a in node.args):
+            found.append((name, None, None))
+        else:
+            found.append((name, len(node.args), keywords))
+    return found
+
+
+def overridden(default: tuple, call: tuple) -> bool:
+    """Whether a call sets the parameter of a ``parameter_defaults`` entry."""
+    (function, parameter, position), (name, count, keywords) = default, call
+    return name == function and (count is None or parameter in keywords or (
+        position is not None and count > position))
+
+
 REBOUND = rebound_names((ROOT / "perfbench" / "spans.py").read_text())
 PYTHON = [path for folder in ("src", "tests", "demos", "perfbench")
           for path in sorted((ROOT / folder).rglob("*.py"))]
@@ -218,6 +278,51 @@ def test_module_level_name_check_sees_what_it_should():
                                    "trace"]
     assert read_names(text) & set(defined_names(text)) == {"HI"}
     assert {"GridSpec", "spec", "hx"} <= read_names(text)
+
+
+def test_every_parameter_default_is_overridden():
+    # by name: a default that no call in the repository's Python sets is
+    # a constant, not a parameter
+    made = [call for path in PYTHON for call in calls(path.read_text())]
+    never = [f"{path.name}: {function}({parameter})"
+             for path in sorted(SRC.glob("*.py"))
+             for function, parameter, position in parameter_defaults(
+                 path.read_text())
+             if not any(overridden((function, parameter, position), call)
+                        for call in made)]
+    assert never == []
+
+
+def test_parameter_default_check_sees_what_it_should():
+    text = ("class Solver:\n"
+            "    def __init__(self, tol=1e-8, *, budget=10):\n"
+            "        pass\n"
+            "    def run(self, x, restart=50):\n"
+            "        pass\n"
+            "    @staticmethod\n"
+            "    def norm(x, ord=2):\n"
+            "        pass\n"
+            "def write(field, path, name='field', *rest, mode='w'):\n"
+            "    pass\n")
+    assert parameter_defaults(text) == [
+        ("write", "name", 2), ("write", "mode", None), ("Solver", "tol", 0),
+        ("Solver", "budget", None), ("run", "restart", 1),
+        ("norm", "ord", 1)]
+    made = calls("Solver(1e-6)\n"
+                 "s.run(x)\n"
+                 "Solver.norm(x, 1)\n"
+                 "write(f, p, mode='a')\n"
+                 "io.write(*args)\n"
+                 "(lambda: 0)()\n")
+    assert made == [("Solver", 1, set()), ("run", 1, set()),
+                    ("norm", 2, set()), ("write", 2, {"mode"}),
+                    ("write", None, None)]
+    never = [entry for entry in parameter_defaults(text)
+             if not any(overridden(entry, call) for call in made)]
+    assert never == [("Solver", "budget", None), ("run", "restart", 1)]
+    # without the spreading call, write's name is never set either
+    assert not any(overridden(("write", "name", 2), call)
+                   for call in made[:-1])
 
 
 def test_readme_lists_every_config_key_with_its_default():

@@ -84,6 +84,7 @@ def test_label_swap_invariance():
     # swapping the labels gives bitwise the same fields, with q or without
     spec = GridSpec(nx=24, ny=24)
     part = square_partition(spec)
+    flipped = DomainPartition(part.chi2, part.chi1)
     params = ModelParams(beta1=1.0, beta2=0.7, g1=1.0, g2=2.0,
                          p1_star=5.0, p2_star=10.0)
     swapped = ModelParams(beta1=0.7, beta2=1.0, g1=2.0, g2=1.0,
@@ -91,7 +92,7 @@ def test_label_swap_invariance():
     for q in (None, ScalarField.from_function(spec,
                                               lambda x, y: 1.0 + x * y + x)):
         a = solve_stationary(part, params, q)
-        b = solve_stationary(part.swapped(), swapped, q)
+        b = solve_stationary(flipped, swapped, q)
         for mine, theirs in ((a.v1, b.v2), (a.v2, b.v1)):
             assert np.array_equal(mine.u, theirs.u)
             assert np.array_equal(mine.v, theirs.v)
@@ -130,7 +131,7 @@ def test_preconditioned_solve_meets_the_tolerance_and_swaps_bitwise(problem):
     swapped = replace(params, beta1=params.beta2, beta2=params.beta1,
                       g1=params.g2, g2=params.g1, p1_star=params.p2_star,
                       p2_star=params.p1_star)
-    b = solve_stationary(part.swapped(), swapped, q)
+    b = solve_stationary(DomainPartition(part.chi2, part.chi1), swapped, q)
     for mine, theirs in ((a.v1, b.v2), (a.v2, b.v1)):
         assert np.array_equal(mine.u, theirs.u)
         assert np.array_equal(mine.v, theirs.v)
@@ -349,8 +350,8 @@ def test_pressure_equation_matches_coupled_system_on_anisotropic_grid():
                          p1_star=5.0, p2_star=10.0)
     q = ScalarField(spec, 1.0 + 0.5 * np.sin(3.0 * xx) * np.cos(2.0 * yy))
     sol = solve_stationary(part, params, q)
-    system = assemble_weak_form(part, params, q)
-    x = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    matrix, rhs = assemble_weak_form(part, params, q)
+    x = spla.spsolve(matrix.tocsc(), rhs)
     half = x.size // 2
     for got, ref in ((sol.v1, x[:half]), (sol.v2, x[half:])):
         err = np.linalg.norm(stack_faces(got) - ref) / np.linalg.norm(ref)
@@ -381,6 +382,22 @@ def test_nan_product_fails_with_its_iteration_count(monkeypatch):
     with pytest.raises(SolverFailure, match="stationary system") as err:
         solve_stationary(part, PARAMS)
     assert err.value.iterations == 1
+
+
+def test_a_wrong_transform_symbol_fails_every_residual_check(monkeypatch):
+    # the residual checks apply the assembled operators, not the transform
+    # eigenvalues: eigenvalues 1e-6 off leave relative residuals near 1e-6
+    spec = GridSpec(nx=48, ny=40)
+    p = ScalarField.from_function(spec, lambda x, y: np.sin(3 * x) * y)
+    eigenvalues = brinkman._eigenvalues
+    monkeypatch.setattr(brinkman, "_eigenvalues",
+                        lambda *args: eigenvalues(*args) * (1.0 + 1e-6))
+    with pytest.raises(SolverFailure, match="brinkman u-component"):
+        brinkman.solve_brinkman(p, (1.0,))
+    with pytest.raises(SolverFailure, match="screened potential"):
+        brinkman.solve_screened_potential(p, (1.0,))
+    with pytest.raises(SolverFailure, match="stationary system"):
+        solve_stationary(concentric_partition(spec), PARAMS)
 
 
 @pytest.mark.parametrize("case, n, q0, iterations", [
@@ -445,18 +462,17 @@ def test_gmres_restarts_and_breaks_down_happily():
     n = 120
     matrix = np.eye(n) + 0.8 * rng.standard_normal((n, n)) / np.sqrt(n)
     f = rng.standard_normal(n)
-    history, reference = [], []
-    x = _gmres(lambda v: matrix @ v, f, 10, history)
+    reference = []
+    x, iterations = _gmres(lambda v: matrix @ v, f, 10)
     spla.gmres(matrix, f, rtol=0.01 * brinkman.REL_TOL, atol=0.0,
                restart=GMRES_RESTART, maxiter=10, callback=reference.append,
                callback_type="pr_norm")
-    assert GMRES_RESTART < len(history) == len(reference)
+    assert GMRES_RESTART < iterations == len(reference)
     tol = 0.01 * brinkman.REL_TOL * np.linalg.norm(f)
     assert np.linalg.norm(f - matrix @ x) <= tol
     # f spans an invariant subspace: one iteration, and it is exact
-    history = []
-    x = _gmres(lambda v: 2.0 * v, f, 10, history)
-    assert len(history) == 1
+    x, iterations = _gmres(lambda v: 2.0 * v, f, 10)
+    assert iterations == 1
     assert np.allclose(x, 0.5 * f, rtol=1e-15, atol=0.0)
 
 
