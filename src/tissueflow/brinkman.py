@@ -69,8 +69,6 @@ class SolverFailure(RuntimeError):
                  iterations: int | None = None):
         after = "" if iterations is None else f" after {iterations} iterations"
         super().__init__(f"{what}: residual {residual:.3e} > tol {tol:.3e}{after}")
-        self.residual = residual
-        self.tol = tol
         self.iterations = iterations
 
 

@@ -19,7 +19,8 @@ transport, the growth terms and the fourth-order face weights do not
 depend on dt and are computed once per step.  The model without
 repulsion runs through the same kernel with the repulsion pressure and
 the fourth-order stage switched off, so the two models agree bitwise on
-inputs where the repulsion vanishes.
+segregated data (n1*n2 == 0) at alpha = 0, where the repulsion pressure
+is 0.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .brinkman import (neumann_cell_inverse, solve_brinkman,
                        solve_brinkman_gradient_form)
 from .constitutive import (DELTA_CLAMP, ClampCounter, ModelParams, growth,
                            pressure_congestion, total_pressures)
-from .grid import GridSpec, ScalarField, VectorField, gradient, laplacian
+from .grid import (GridSpec, ScalarField, VectorField, flux_divergence,
+                   gradient, laplacian)
 # unused here; perfbench/spans.py rebinds both names in this module
 from .operators import cell_laplacian_neumann, weighted_cell_flux_divergence  # noqa: F401
 
@@ -50,9 +52,7 @@ class StepFailure(RuntimeError):
 
 
 class InitialDataError(ValueError):
-    def __init__(self, message, cell=None):
-        super().__init__(message)
-        self.cell = cell
+    """Initial densities a run cannot start from."""
 
 
 @dataclass(frozen=True)
@@ -115,21 +115,10 @@ def _upwind_fluxes(n: np.ndarray, vel: VectorField):
     return fu, fv
 
 
-def _flux_divergence(fu: np.ndarray, fv: np.ndarray, spec: GridSpec,
-                     out=None, tmp=None) -> np.ndarray:
-    """div(f) of full face arrays; ``out`` and ``tmp`` take the x and y parts."""
-    out = np.subtract(fu[1:, :], fu[:-1, :], out=out)
-    out /= spec.hx
-    tmp = np.subtract(fv[:, 1:], fv[:, :-1], out=tmp)
-    tmp /= spec.hy
-    out += tmp
-    return out
-
-
 def upwind_flux_divergence(n: np.ndarray, vel: VectorField) -> np.ndarray:
     """Donor-cell div(n*v)."""
     fu, fv = _upwind_fluxes(n, vel)
-    return _flux_divergence(fu, fv, vel.spec)
+    return flux_divergence(fu, fv, vel.spec)
 
 
 def _part(a: np.ndarray, axis: int, start=None, stop=None) -> np.ndarray:
@@ -286,7 +275,7 @@ def sharp_flux_divergences(n1: np.ndarray, n2: np.ndarray,
     for n, vel, low, anti, n_lo in zip((n1, n2), (v1, v2), sc.low, sc.anti,
                                        sc.n_lo):
         _sharp_face_fluxes(n, vel, dt, low, anti, sc)
-        _flux_divergence(*low, spec, out=n_lo, tmp=sc.work)
+        flux_divergence(*low, spec, out=n_lo, tmp=sc.work)
         np.subtract(n, np.multiply(n_lo, dt, out=n_lo), out=n_lo)
     np.add(*sc.n_lo, out=sc.total)
     # the 3x3 maximum M has max(M(a), M(b)) = M(max(a, b))
@@ -296,7 +285,7 @@ def sharp_flux_divergences(n1: np.ndarray, n2: np.ndarray,
     for low, anti in zip(sc.low, sc.anti):
         for lo, an in zip(low, anti):
             np.add(lo, an, out=an)
-    return tuple(_flux_divergence(*anti, spec, tmp=sc.work) for anti in sc.anti)
+    return tuple(flux_divergence(*anti, spec, tmp=sc.work) for anti in sc.anti)
 
 
 def _flow(n1: ScalarField, n2: ScalarField, params: ModelParams,
@@ -321,11 +310,11 @@ def init_state(n1_0: ScalarField, n2_0: ScalarField, params: ModelParams,
         neg = f.values < 0.0
         if neg.any():
             idx = tuple(int(k) for k in np.argwhere(neg)[0])
-            raise InitialDataError(f"{name} negative at cell {idx}", cell=idx)
+            raise InitialDataError(f"{name} negative at cell {idx}")
     over = n1_0.values + n2_0.values >= 1.0
     if over.any():
         idx = tuple(int(k) for k in np.argwhere(over)[0])
-        raise InitialDataError(f"n1+n2 >= 1 at cell {idx}", cell=idx)
+        raise InitialDataError(f"n1+n2 >= 1 at cell {idx}")
 
     counter = ClampCounter()
     p1, p2, v1, v2 = _flow(n1_0, n2_0, params, ctrl.model == "ESVM", ctrl,
@@ -376,7 +365,7 @@ def _fourth_order_fluxes(n_star: np.ndarray, weights, spec: GridSpec,
     wu, wv, s = weights
     g = gradient(laplacian(ScalarField(spec, n_star)))
     fu, fv = alpha * wu * g.u, alpha * wv * g.v
-    (delta,) = neumann_cell_inverse(-dt * _flux_divergence(fu, fv, spec),
+    (delta,) = neumann_cell_inverse(-dt * flux_divergence(fu, fv, spec),
                                     (dt * alpha * s,), spec, power=2)
     g = gradient(laplacian(ScalarField(spec, delta)))
     fu += (alpha * s) * g.u
@@ -396,7 +385,7 @@ def _implicit_fourth_order(n_star, weights, spec: GridSpec, alpha: float,
     fluxes = [_fourth_order_fluxes(ns, w, spec, alpha, dt)[1]
               for ns, w in zip(n_star, weights)]
     _limit_fluxes(n_star, fluxes, ceiling - (n_star[0] + n_star[1]), dt, spec)
-    return [ns - dt * _flux_divergence(fu, fv, spec)
+    return [ns - dt * flux_divergence(fu, fv, spec)
             for ns, (fu, fv) in zip(n_star, fluxes)]
 
 

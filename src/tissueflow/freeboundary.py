@@ -6,7 +6,8 @@ solves the stationary velocity system on the current 0/1 partition,
 advects each level field with its own tissue velocity, and rethresholds
 at 1/2.  The limit repulsion pressure q rides along: its evolution law
 becomes a plain conservative transport with linear source after the
-substitution s = log(q + 1), which keeps q >= 0 structurally.
+substitution s = log(q + 1), which keeps q >= 0 structurally.  L-VM is
+L-ESVM with q = 0: it starts from q = 0, which transport keeps at 0.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ class VanishingSubdomain(RuntimeError):
         super().__init__(f"tissue {which} support fell to {cells} cells "
                          f"(< {MIN_SUBDOMAIN_CELLS}) at t={t:.6g}")
         self.which = which
-        self.cells = cells
-        self.t = t
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,13 @@ class LimitState:
     part: DomainPartition
     level1: ScalarField        # continuous indicators behind the partition
     level2: ScalarField
-    q: ScalarField             # limit repulsion pressure, 0 outside the tissues
     sol: StationarySolution    # latest stationary solve on `part`
+
+    @property
+    def q(self) -> ScalarField:
+        """Limit repulsion pressure, stored once: the solve's, 0 outside
+        the tissues."""
+        return self.sol.q
 
     @property
     def spec(self) -> GridSpec:
@@ -61,12 +65,11 @@ def init_limit_state(part: DomainPartition, params: ModelParams,
     if q0 is not None and (q0.values < 0).any():
         raise ValueError("limit repulsion pressure must be nonnegative")
     sol = solve_stationary(part, params, q0)
-    return LimitState(0.0, part, part.chi1, part.chi2, sol.q, sol)
+    return LimitState(0.0, part, part.chi1, part.chi2, sol)
 
 
 def _advect_level(level: np.ndarray, vel: VectorField, dt: float) -> np.ndarray:
     """Advective (non-conservative) upwind transport of a level field."""
-    spec = vel.spec
     flux_div = upwind_flux_divergence(level, vel)
     div_v = divergence(vel).values
     # d level/dt + v . grad(level) = flux form minus level * div v
@@ -95,35 +98,32 @@ def transport_q(state: LimitState, dt: float) -> ScalarField:
     On each tissue's subdomain the law transports s = log(q+1) with the
     *other* tissue's velocity and feeds it the other tissue's growth
     rate: ds/dt + div(s v_other) = s * G_other(p).  Exponentiating back
-    keeps q >= 0 for any time step.
+    keeps q >= 0 for any time step, and q = 0 stays exactly 0.  Outside
+    the tissues q is 0 and stays 0; the next solve zeroes it outside the
+    new partition.
     """
-    spec = state.spec
     params = state.sol.params
     s = np.log1p(state.q.values)
-    chi1 = state.part.chi1.values
-    chi2 = state.part.chi2.values
     p = state.sol.p.values
 
     s_new = s.copy()
     for chi, v_other, g_other, p_star in (
-            (chi1, state.sol.v2, params.g2, params.p2_star),
-            (chi2, state.sol.v1, params.g1, params.p1_star)):
+            (state.part.chi1, state.sol.v2, params.g2, params.p2_star),
+            (state.part.chi2, state.sol.v1, params.g1, params.p1_star)):
         growth_other = g_other * (p_star - p)
         upd = s - dt * upwind_flux_divergence(s, v_other) + dt * s * growth_other
-        s_new = np.where(chi == 1.0, upd, s_new)
+        s_new = np.where(chi.values == 1.0, upd, s_new)
     s_new = np.maximum(s_new, 0.0)
-    q = np.expm1(s_new) * (chi1 + chi2)
-    return ScalarField(spec, q)
+    return ScalarField(state.spec, np.expm1(s_new))
 
 
 def step_limit(state: LimitState, ctrl: StepControl,
                params: ModelParams) -> LimitState:
-    """One sharp-interface step: stationary solve, advect, rethreshold.
+    """One sharp-interface step: advect, rethreshold, transport q, solve.
 
-    q is transported unless ``ctrl.model`` is ``"VM"``, the limit model
-    without repulsion memory; the new solve zeroes it outside the new
-    tissues.  Both models share this kernel, so they are bitwise identical
-    whenever q stays zero.
+    Both limit models take this step; L-VM is L-ESVM from q = 0, which
+    ``transport_q`` keeps at 0.  The new solve zeroes q outside the new
+    tissues.
     """
     sol = state.sol
     vmax = max(sol.v1.max_face_speed(), sol.v2.max_face_speed())
@@ -142,10 +142,9 @@ def step_limit(state: LimitState, ctrl: StepControl,
     part = DomainPartition(ScalarField(state.spec, chi1),
                            ScalarField(state.spec, chi2))
 
-    q = state.q if ctrl.model == "VM" else transport_q(state, dt)
-    sol_new = solve_stationary(part, params, q)
+    sol_new = solve_stationary(part, params, transport_q(state, dt))
     return LimitState(t_new, part, ScalarField(state.spec, l1),
-                      ScalarField(state.spec, l2), sol_new.q, sol_new)
+                      ScalarField(state.spec, l2), sol_new)
 
 
 def run_limit(state: LimitState, ctrl: StepControl, params: ModelParams,

@@ -147,11 +147,20 @@ class VectorField:
         return uc, vc
 
 
+def flux_divergence(fu: np.ndarray, fv: np.ndarray, spec: GridSpec,
+                    out=None, tmp=None) -> np.ndarray:
+    """div(f) of full face arrays; ``out`` and ``tmp`` take the x and y parts."""
+    out = np.subtract(fu[1:, :], fu[:-1, :], out=out)
+    out /= spec.hx
+    tmp = np.subtract(fv[:, 1:], fv[:, :-1], out=tmp)
+    tmp /= spec.hy
+    out += tmp
+    return out
+
+
 def divergence(vec: VectorField) -> ScalarField:
     """Cell-centered divergence from face fluxes; exact for linear fields."""
-    spec = vec.spec
-    d = (vec.u[1:, :] - vec.u[:-1, :]) / spec.hx + (vec.v[:, 1:] - vec.v[:, :-1]) / spec.hy
-    return ScalarField(spec, d)
+    return ScalarField(vec.spec, flux_divergence(vec.u, vec.v, vec.spec))
 
 
 def gradient(s: ScalarField) -> VectorField:
@@ -176,8 +185,7 @@ def _ghost_pad(values: np.ndarray) -> np.ndarray:
     g[-1, 1:-1] = values[-1, :]
     g[1:-1, 0] = values[:, 0]
     g[1:-1, -1] = values[:, -1]
-    # corners are never referenced by the 5-point stencil
-    g[0, 0] = g[0, -1] = g[-1, 0] = g[-1, -1] = 0.0
+    # the corners stay unset: the 5-point stencil never reads them
     return g
 
 

@@ -64,7 +64,8 @@ READERS = {("run", "observe_every"): STEPPED_MODELS,
            **{("params", k): ("ESVM",) for k in ("m", "alpha")},
            **{("control", k): STEPPED_MODELS for k in ("dt", "cfl", "t_end")},
            **{("control", k): ("ESVM", "VM") for k in ("velocity_law", "scheme")},
-           ("q", "source"): (*LIMIT_MODELS, "STATIONARY"),
+           # L-VM is L-ESVM with q = 0
+           ("q", "source"): ("L-ESVM", "STATIONARY"),
            **{("sweep", k): ("ESVM",) for k in RELAXATION_KEYS}}
 # a sweep runs its own relaxation tuples and observes every step
 SWEEP_IGNORES = {"params": RELAXATION_KEYS, "run": ("observe_every",)}

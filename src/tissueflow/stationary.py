@@ -63,6 +63,7 @@ beyond them is masked.  The normal-stress balance has one measure,
 
 from __future__ import annotations
 
+import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -87,6 +88,8 @@ GMRES_ITERATIONS_PER_LINE = 10
 
 JUMP_CSV_COLUMNS = ("interface", "face_index", "x", "y", "nx", "ny",
                     "quantity", "left_trace", "right_trace", "jump")
+# each interface's (left, right) labels: tissue 1, tissue 2 or exterior 0
+_REGIONS = {"gamma": (1, 2), "gamma1": (1, 0), "gamma2": (2, 0)}
 
 
 class PartitionError(ValueError):
@@ -186,15 +189,15 @@ class DomainPartition:
 
     @functools.cached_property
     def gamma(self) -> InterfaceFaces:
-        return _interface_faces(self.labels, self.spec, 1, 2)
+        return _interface_faces(self.labels, self.spec, *_REGIONS["gamma"])
 
     @functools.cached_property
     def gamma1(self) -> InterfaceFaces:
-        return _interface_faces(self.labels, self.spec, 1, 0)
+        return _interface_faces(self.labels, self.spec, *_REGIONS["gamma1"])
 
     @functools.cached_property
     def gamma2(self) -> InterfaceFaces:
-        return _interface_faces(self.labels, self.spec, 2, 0)
+        return _interface_faces(self.labels, self.spec, *_REGIONS["gamma2"])
 
     @property
     def spec(self) -> GridSpec:
@@ -417,8 +420,6 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
 # ---------------------------------------------------------------------------
 # one-sided traces and interface jumps
 
-_REGIONS = {"gamma": (1, 2), "gamma1": (1, 0), "gamma2": (2, 0)}
-
 JUMP_QUANTITIES = ("pressure", "v1", "v2")
 
 
@@ -483,8 +484,6 @@ def measure_jump(sol: StationarySolution, part: DomainPartition,
 
 def write_jump_csv(tables, path) -> None:
     """One row per face; an untraceable face's traces read ``untraceable``."""
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(JUMP_CSV_COLUMNS)

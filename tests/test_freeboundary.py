@@ -91,7 +91,7 @@ def _static_state(part, params, q0):
     v0 = VectorField.zeros(spec)
     sol = StationarySolution(params, q0, v0, v0, ScalarField.zeros(spec),
                              0.0)
-    return LimitState(0.0, part, part.chi1, part.chi2, q0, sol)
+    return LimitState(0.0, part, part.chi1, part.chi2, sol)
 
 
 def test_q_transport_matches_growth_ode():
@@ -127,20 +127,24 @@ def test_q_stays_nonnegative_and_zero_stays_zero():
 
 
 def test_limit_models_coincide_without_repulsion_memory():
-    # starting from q = 0, the variant with repulsion memory transports a
-    # zero field, so the two limit models agree bitwise
+    # L-VM is L-ESVM with q = 0: the limit step reads no model name, so
+    # from the same nonzero q0 both step controls give the same states
     spec = GridSpec(nx=24, ny=24)
     part = band_partition(spec)
-    finals = []
-    for model in ("ESVM", "VM"):
-        st = init_limit_state(part, PAR)
-        ctrl = StepControl(dt=2e-3, t_end=0.02, model=model)
-        _, final = run_limit(st, ctrl, PAR)
-        finals.append(final)
+    q0 = ScalarField(spec, np.full((24, 24), 1.5))
+    st = init_limit_state(part, PAR, q0)
+    assert st.q is st.sol.q
+    finals = [run_limit(st, StepControl(dt=2e-3, t_end=0.02, model=model),
+                        PAR)[1] for model in ("ESVM", "VM")]
     a, b = finals
-    assert np.array_equal(a.part.labels, b.part.labels)
-    assert np.array_equal(a.sol.v1.u, b.sol.v1.u)
-    assert np.array_equal(a.sol.p.values, b.sol.p.values)
+    assert a.t == b.t == 0.02
+    assert not any(np.array_equal(f.q.values, st.q.values) for f in finals)
+    for mine, theirs in ((a.level1, b.level1), (a.level2, b.level2),
+                         (a.q, b.q), (a.sol.p, b.sol.p)):
+        assert np.array_equal(mine.values, theirs.values)
+    for mine, theirs in ((a.sol.v1, b.sol.v1), (a.sol.v2, b.sol.v2)):
+        assert np.array_equal(mine.u, theirs.u)
+        assert np.array_equal(mine.v, theirs.v)
 
 
 def test_vanishing_subdomain_is_reported():

@@ -89,7 +89,7 @@ def _configs(draw):
 
     A key the run does not read keeps the base's value; every other key is
     drawn.  [sweep] is drawn only for ESVM, a q source other than zero
-    only for L-ESVM, L-VM and STATIONARY, and the scheme and velocity law
+    only for L-ESVM and STATIONARY, and the scheme and velocity law
     only for ESVM and VM.  ESVM reads the relaxation parameters, VM only
     eps and the limit models none; STATIONARY reads no step setting and
     a sweep neither the relaxation parameters nor observe_every.  A q
@@ -120,7 +120,7 @@ def _configs(draw):
     rects1 = draw(st.lists(_RECT, min_size=1, max_size=3))
     rects2 = draw(st.lists(_RECT, max_size=3,
                            min_size=int(model != "STATIONARY")))
-    q_source = read(model in ("L-ESVM", "L-VM", "STATIONARY"),
+    q_source = read(model in ("L-ESVM", "STATIONARY"),
                     st.sampled_from(["zero", "uniform", "file"]), base,
                     "q_source")
     return RunConfig(
@@ -287,6 +287,10 @@ _UNREAD = {
         "key 'velocity_law' in [control] is not read by model STATIONARY"),
     "q-source": ("fig3-vm", "[q]\nsource = uniform\nvalue = 1.0",
                  "key 'source' in [q] is not read by model VM"),
+    # L-VM is L-ESVM with q = 0
+    "L-VM-q-source": ("fig3-lesvm",
+                      "model = L-VM\n[q]\nsource = uniform\nvalue = 1.0",
+                      "key 'source' in [q] is not read by model L-VM"),
     "sweep": ("fig3-vm", _SWEEP_LINES,
               "key 'eps' in [sweep] is not read by model VM"),
     **{f"VM-{key}": ("fig3-vm", f"[params]\n{key} = {value}",
@@ -436,8 +440,7 @@ _RUN_BASES = {
     "ESVM": {"run": {"preset": "fig3-esvm"}},
     "VM": {"run": {"preset": "fig3-vm"}},
     "L-ESVM": {"run": {"preset": "fig3-lesvm"}, "q": {"source": "uniform"}},
-    "L-VM": {"run": {"preset": "fig3-lesvm", "model": "L-VM"},
-             "q": {"source": "file", "path": "{q}"}},
+    "L-VM": {"run": {"preset": "fig3-lesvm", "model": "L-VM"}},
     "STATIONARY": {"run": {"preset": "fig3-lesvm", "model": "STATIONARY"}},
     "sweep": {"run": {"preset": "fig3-esvm"},
               "sweep": {"eps": "0.1, 0.05", "m": "30, 60",
@@ -851,7 +854,7 @@ def test_cli_q_file_written_on_the_config_grid_is_read(tmp_path, capsys):
 @pytest.mark.parametrize("grid", [GridSpec(-1.0, 1.0, -1.0, 1.0, 16, 16),
                                   GridSpec(-2.0, 2.0, -2.0, 2.0, 24, 24)],
                          ids=["shape", "box"])
-@pytest.mark.parametrize("model", ["STATIONARY", "L-ESVM", "L-VM"])
+@pytest.mark.parametrize("model", ["STATIONARY", "L-ESVM"])
 def test_cli_q_file_on_another_grid_is_a_config_error(tmp_path, capsys,
                                                        model, grid):
     # the config's grid is 24x24 on [-1, 1]^2

@@ -108,6 +108,25 @@ def dataclass_fields(text: str) -> list:
     return fields
 
 
+def stored_attributes(text: str) -> list:
+    """(class, attribute) of every ``self.X = ...`` in a class a module
+    defines, tuple targets included, each once in source order."""
+    stored = []
+    for cls in ast.walk(ast.parse(text)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                stored += [(cls.name, n.attr) for n in ast.walk(target)
+                           if isinstance(n, ast.Attribute)
+                           and isinstance(n.value, ast.Name)
+                           and n.value.id == "self"
+                           and (cls.name, n.attr) not in stored]
+    return stored
+
+
 def field_reads(text: str) -> set:
     """Attribute names a module loads, and its string constants: a
     ``getattr`` table such as a CSV column list names a field as a string."""
@@ -262,6 +281,41 @@ def test_dataclass_field_check_sees_what_it_should():
                                       ("Row", "tag"), ("Count", "n")]
     read = field_reads(text)
     assert {"x", "tag"} <= read and not {"y", "n"} & read
+
+
+def test_every_stored_attribute_is_read():
+    # as for dataclass fields: an attribute that is only ever stored, on
+    # an exception or any other object, is unread
+    read = set().union(*(field_reads(path.read_text()) for path in PYTHON))
+    unread = [f"{path.name}: {cls}.{name}" for path in sorted(SRC.glob("*.py"))
+              for cls, name in stored_attributes(path.read_text())
+              if name not in read]
+    assert unread == []
+
+
+def test_stored_attribute_check_sees_what_it_should():
+    # the names here are read by this file's strings, so none is a name
+    # that src stores
+    text = ("class Failure(RuntimeError):\n"
+            "    def __init__(self, what, slack, tally=None):\n"
+            "        super().__init__(what)\n"
+            "        self.slack = slack\n"
+            "        self.tally = tally\n"
+            "class Scratch:\n"
+            "    def __init__(self, n):\n"
+            "        self.head, (self.tail, self.mid) = n, (n, n)\n"
+            "        self.head = 0\n"
+            "        other.gone = n\n"
+            "        self.spent = self.head + self.tail\n"
+            "COLUMNS = ('mid',)\n"
+            "err.tally\n")
+    assert stored_attributes(text) == [
+        ("Failure", "slack"), ("Failure", "tally"), ("Scratch", "head"),
+        ("Scratch", "tail"), ("Scratch", "mid"), ("Scratch", "spent")]
+    read = field_reads(text)
+    # slack's only load is the parameter's name, not an attribute
+    assert {"tally", "head", "tail", "mid"} <= read
+    assert not {"slack", "spent", "gone"} & read
 
 
 def test_module_level_name_check_sees_what_it_should():
