@@ -9,9 +9,12 @@ which is curl-free up to discretization error.
 All three operators are I + beta*K with K a sum of constant-coefficient
 three-point stencils on the uniform box, so every solve is an exact
 transform solve: sine and cosine transforms diagonalise K, with no
-factorisation and nothing cached.  They diagonalise I + beta*K for every
-beta at once: a solve takes a tuple ``betas``, transforms b forward once
-and inverts the stack of solutions in one call.  The assembled K serves
+factorisation.  They diagonalise I + beta*K for every beta at once: a
+solve takes a tuple ``betas``, transforms b forward once and inverts the
+stack of solutions in one call.  The eigenvalue sums of K (or of K^2,
+for the fourth-order stage) are a read-only table per grid, wall set and
+power, made on first use (``_symbol``).  The Dirichlet solve writes
+-grad p straight into the stacked face vector.  The assembled K serves
 only to check each solution's relative residual against ``REL_TOL``.
 ``cell_pressure_operator`` applies D (I + beta*K)^-1 D^T, the Dirichlet
 solve between a cell divergence and its transpose, in the same way
@@ -25,6 +28,8 @@ factorisations, so an untraced run never imports it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.fft as fft
@@ -78,18 +83,31 @@ def _eigenvalues(k0: int, m: int, n: int, h: float) -> np.ndarray:
     return (2.0 * np.sin(np.arange(k0, k0 + m) * np.pi / (2 * n)) / h) ** 2
 
 
+@functools.lru_cache(maxsize=32)
+def _symbol(spec: GridSpec, walls: tuple, shape: tuple,
+            power: int) -> np.ndarray:
+    """The eigenvalues (lx + ly)^power of K^power on the 2-D unknown grid
+    ``shape`` of ``walls``, one read-only table per grid."""
+    (_, _, _, kx), (_, _, _, ky) = walls
+    lx = _eigenvalues(kx, shape[0], spec.nx, spec.hx)
+    ly = _eigenvalues(ky, shape[1], spec.ny, spec.hy)
+    k = (lx[:, None] + ly[None, :]) ** power
+    k.flags.writeable = False
+    return k
+
+
 def _transform_solve(b: np.ndarray, betas: tuple, spec: GridSpec,
                      walls: tuple, power: int = 1) -> np.ndarray:
     """Solve (I + beta*K^power) x = b exactly for each of ``betas``, with b
     on its 2-D unknown grid; returns the stack of solutions."""
-    (fx, ix, tx, kx), (fy, iy, ty, ky) = walls
-    lx = _eigenvalues(kx, b.shape[0], spec.nx, spec.hx)
-    ly = _eigenvalues(ky, b.shape[1], spec.ny, spec.hy)
+    (fx, ix, tx, _), (fy, iy, ty, _) = walls
+    k = _symbol(spec, walls, b.shape, power)
     y = fy(fx(b, type=tx, axis=0), type=ty, axis=1)
-    k = (lx[:, None] + ly[None, :]) ** power
     stack = np.empty((len(betas),) + b.shape)    # inverted in place
     for out, beta in zip(stack, betas):
-        np.divide(y, 1.0 + beta * k, out=out)
+        np.multiply(k, beta, out=out)
+        out += 1.0
+        np.divide(y, out, out=out)
     return ix(iy(stack, type=ty, axis=2, overwrite_x=True), type=tx, axis=1,
               overwrite_x=True)
 
@@ -179,19 +197,34 @@ def _solve(b: np.ndarray, betas: tuple, blocks: tuple, inverse,
     return xs
 
 
-def solve_brinkman_rhs(f: VectorField, betas: tuple) -> tuple:
-    """Solve -beta*Lap(v) + v = f per beta; boundary faces of f are ignored."""
-    spec = f.spec
+def _solve_faces(b: np.ndarray, betas: tuple, spec: GridSpec) -> tuple:
+    """Velocity per beta from a stacked face right-hand side b."""
     blocks = ((face_stiffness_u(spec), "brinkman u-component"),
               (face_stiffness_v(spec), "brinkman v-component"))
-    xs = _solve(stack_faces(f), betas, blocks, face_brinkman_inverse, spec)
+    xs = _solve(b, betas, blocks, face_brinkman_inverse, spec)
     return tuple(unstack_faces(spec, x) for x in xs)
 
 
+def solve_brinkman_rhs(f: VectorField, betas: tuple) -> tuple:
+    """Solve -beta*Lap(v) + v = f per beta; boundary faces of f are ignored."""
+    return _solve_faces(stack_faces(f), betas, f.spec)
+
+
 def solve_brinkman(p: ScalarField, betas: tuple) -> tuple:
-    """Dirichlet Brinkman velocity per beta from a cell-centered pressure."""
-    g = gradient(p)
-    return solve_brinkman_rhs(VectorField(p.spec, -g.u, -g.v), betas)
+    """Dirichlet Brinkman velocity per beta from a cell-centered pressure.
+
+    The right-hand side -grad p (``grid.gradient``, negated) is written
+    straight into the stacked face vector."""
+    spec, x = p.spec, p.values
+    nu = (spec.nx - 1) * spec.ny
+    b = np.empty(nu + spec.nx * (spec.ny - 1))
+    bu = b[:nu].reshape(spec.nx - 1, spec.ny)
+    bv = b[nu:].reshape(spec.nx, spec.ny - 1)
+    np.subtract(x[1:, :], x[:-1, :], out=bu)
+    bu /= spec.hx
+    np.subtract(x[:, 1:], x[:, :-1], out=bv)
+    bv /= spec.hy
+    return _solve_faces(np.negative(b, out=b), betas, spec)
 
 
 def solve_screened_potential(p: ScalarField, betas: tuple) -> tuple:

@@ -10,17 +10,20 @@ fluxes are limited face by face so the densities stay nonnegative and
 their sum stays under the step's ceiling.  The sharp advection scheme
 corrects donor-cell fluxes toward limited-downwind ones, building only the
 bound on the downwind value's side, under the same limiter and a 3x3
-maximum taken in two separable passes; both work in one set of scratch
-arrays per grid shape.  The time step is CFL-limited by the face
-velocities.  A step whose total density would push the congestion
-pressure past a cap tied to the homeostatic pressures (beyond roundoff)
-is rejected and retried with half the time step; the donor-cell
-transport, the growth terms and the fourth-order face weights do not
-depend on dt and are computed once per step.  The model without
-repulsion runs through the same kernel with the repulsion pressure and
-the fourth-order stage switched off, so the two models agree bitwise on
-segregated data (n1*n2 == 0) at alpha = 0, where the repulsion pressure
-is 0.
+maximum taken in two separable passes.  Both stages and the limiter work
+in one set of scratch arrays per grid shape (``_Scratch``): the
+fourth-order stage writes grad(Lap) and its fluxes there and allocates
+only its two new densities and its transform solves' arrays, and its
+biharmonic symbol is a per-grid table of ``brinkman``.  The time step
+is CFL-limited by the face velocities.  A step whose total density
+would push the congestion pressure past a cap tied to the homeostatic
+pressures (beyond roundoff) is rejected and retried with half the time
+step; the donor-cell transport, the growth terms and the fourth-order
+face weights do not depend on dt and are computed once per step.  The
+model without repulsion runs through the same kernel with the repulsion
+pressure and the fourth-order stage switched off, so the two models
+agree bitwise on segregated data (n1*n2 == 0) at alpha = 0, where the
+repulsion pressure is 0.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from .brinkman import (neumann_cell_inverse, solve_brinkman,
                        solve_brinkman_gradient_form)
 from .constitutive import (DELTA_CLAMP, ClampCounter, ModelParams, growth,
                            pressure_congestion, total_pressures)
-from .grid import (GridSpec, ScalarField, VectorField, flux_divergence,
-                   gradient, laplacian)
-# unused here; perfbench/spans.py rebinds both names in this module
+from .grid import GridSpec, ScalarField, VectorField, flux_divergence
+# unused here; perfbench/spans.py rebinds these names in this module
+from .grid import laplacian  # noqa: F401
 from .operators import cell_laplacian_neumann, weighted_cell_flux_divergence  # noqa: F401
 
 VELOCITY_FLOOR = 1e-12
@@ -133,11 +136,13 @@ def _select(out, cond, a, b):
 
 
 class _Scratch:
-    """Working arrays of the sharp transport and the flux limiter on one
-    grid shape.  Each species' donor-cell (``low``) and antidiffusive
-    (``anti``) fluxes span all faces of an axis and keep zero walls.
-    Every call on the shape shares them, so a call must end before the
-    next one starts; the package steps one state at a time."""
+    """Working arrays of the sharp transport, the fourth-order stage and
+    the flux limiter on one grid shape.  Each species' donor-cell
+    (``low``) and antidiffusive (``anti``) fluxes span all faces of an
+    axis and keep zero walls; ``anti`` holds whatever fluxes go to the
+    limiter, the stage's included, and ``n_lo`` the densities they
+    correct.  Every call on the shape shares them, so a call must end
+    before the next one starts; the package steps one state at a time."""
 
     def __init__(self, nx: int, ny: int):
         faces, inner = ((nx + 1, ny), (nx, ny + 1)), ((nx - 1, ny), (nx, ny - 1))
@@ -160,6 +165,15 @@ class _Scratch:
 _scratch = functools.lru_cache(maxsize=8)(_Scratch)   # one set per grid shape
 
 
+def _mirror_pad(n: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """``pad`` holding ``n`` inside one ring of ghost cells that mirror the
+    edge cells; the corners stay unset."""
+    pad[1:-1, 1:-1] = n
+    pad[0, 1:-1], pad[-1, 1:-1], pad[1:-1, 0], pad[1:-1, -1] = (
+        n[0], n[-1], n[:, 0], n[:, -1])
+    return pad
+
+
 def _sharp_face_fluxes(n, vel: VectorField, dt: float, low, anti, sc):
     """Donor-cell fluxes into ``low`` and limited-downwind minus donor-cell
     fluxes into ``anti``, on the interior faces of each axis.
@@ -171,10 +185,7 @@ def _sharp_face_fluxes(n, vel: VectorField, dt: float, low, anti, sc):
     value's side can bind.  With nu > 1 they swap sides and the interval
     falls back to the donor value, as at nu = 1; so nu is capped at 1.
     """
-    pad = sc.pad
-    pad[1:-1, 1:-1] = n
-    pad[0, 1:-1], pad[-1, 1:-1], pad[1:-1, 0], pad[1:-1, -1] = (
-        n[0], n[-1], n[:, 0], n[:, -1])
+    pad = _mirror_pad(n, sc.pad)
     for axis, (vf, h) in enumerate(((vel.u, vel.spec.hx), (vel.v, vel.spec.hy))):
         line = pad[:, 1:-1] if axis == 0 else pad[1:-1, :]
         left, right, far_left, far_right = (_part(line, axis, a, b) for a, b in
@@ -255,7 +266,7 @@ def _limit_fluxes(n_lo, fluxes, room, dt: float, spec: GridSpec):
             # f > 0 on a face flows from the lower-index cell to the higher one
             np.minimum(_part(r_out, axis, None, -1), _part(r_in, axis, 1), out=fwd)
             np.minimum(_part(r_out, axis, 1), _part(r_in, axis, None, -1), out=back)
-            np.copyto(back, fwd, where=np.greater(f_in, 0.0, out=sc.mask[axis][0]))
+            np.putmask(back, np.greater(f_in, 0.0, out=sc.mask[axis][0]), fwd)
             f_in *= back
 
 
@@ -350,27 +361,53 @@ def _face_weights(n_old: np.ndarray, spec: GridSpec):
     return wu, wv, max(wu.max(), wv.max())
 
 
+def _grad_laplacian(values: np.ndarray, spec: GridSpec, sc: _Scratch):
+    """grad(Lap(values)) on the interior faces, into ``sc.face[0][0]`` and
+    ``sc.face[1][0]``: ``grid.laplacian`` (zero-flux walls by mirror
+    ghost cells), then ``grid.gradient``, operation for operation."""
+    pad = _mirror_pad(values, sc.pad)
+    centre, lap, part = pad[1:-1, 1:-1], sc.flow, sc.work
+    for out, ahead, behind, h in ((lap, pad[2:, 1:-1], pad[:-2, 1:-1], spec.hx),
+                                  (part, pad[1:-1, 2:], pad[1:-1, :-2], spec.hy)):
+        np.subtract(ahead, np.multiply(centre, 2.0, out=out), out=out)
+        out += behind
+        out /= h**2
+    lap += part
+    grads = sc.face[0][0], sc.face[1][0]
+    for axis, (g, h) in enumerate(zip(grads, (spec.hx, spec.hy))):
+        np.subtract(_part(lap, axis, 1), _part(lap, axis, None, -1), out=g)
+        g /= h
+    return grads
+
+
 def _fourth_order_fluxes(n_star: np.ndarray, weights, spec: GridSpec,
-                         alpha: float, dt: float):
+                         alpha: float, dt: float, fluxes) -> np.ndarray:
     """Unlimited stabilised fourth-order stage of one species.
 
     With ``weights`` = (W, S) of the old density (``_face_weights``) and
     B = div(W grad .), the increment delta = n_new - n_star solves
     (I + dt*alpha*S*Lap^2) delta = -dt*alpha*B*Lap n_star (zero-flux
     walls): the constant-weight biharmonic part is implicit, the
-    variable-weight remainder explicit.  Returns (delta, (fu, fv)) with
-    the face fluxes f = alpha*(W grad Lap n_star + S grad Lap delta), so
-    that delta = -dt*div(f).
+    variable-weight remainder explicit.  Writes the face fluxes
+    f = alpha*(W grad Lap n_star + S grad Lap delta), so that
+    delta = -dt*div(f), into the interior faces of ``fluxes``, a pair of
+    full face arrays with zero walls, and returns delta.  The work arrays
+    are the grid's ``_Scratch``; delta is the only new array.
     """
-    wu, wv, s = weights
-    g = gradient(laplacian(ScalarField(spec, n_star)))
-    fu, fv = alpha * wu * g.u, alpha * wv * g.v
-    (delta,) = neumann_cell_inverse(-dt * flux_divergence(fu, fv, spec),
-                                    (dt * alpha * s,), spec, power=2)
-    g = gradient(laplacian(ScalarField(spec, delta)))
-    fu += (alpha * s) * g.u
-    fv += (alpha * s) * g.v
-    return delta, (fu, fv)
+    sc = _scratch(spec.nx, spec.ny)
+    s = weights[2]
+    inner = [_part(a, axis, 1, -1) for axis, a in enumerate(fluxes)]
+    grads = _grad_laplacian(n_star, spec, sc)
+    for axis, (f, w, g) in enumerate(zip(inner, weights[:2], grads)):
+        np.multiply(_part(w, axis, 1, -1), alpha, out=f)
+        f *= g
+    rhs = flux_divergence(*fluxes, spec, out=sc.flow, tmp=sc.work)
+    rhs *= -dt
+    (delta,) = neumann_cell_inverse(rhs, (dt * alpha * s,), spec, power=2)
+    for f, g in zip(inner, _grad_laplacian(delta, spec, sc)):
+        g *= alpha * s
+        f += g
+    return delta
 
 
 def _implicit_fourth_order(n_star, weights, spec: GridSpec, alpha: float,
@@ -378,15 +415,23 @@ def _implicit_fourth_order(n_star, weights, spec: GridSpec, alpha: float,
     """Fourth-order stage of both species, limited face by face.
 
     ``n_star`` is a pair of density arrays, ``weights`` the old densities'
-    ``_face_weights``.  The stage's face fluxes (``_fourth_order_fluxes``)
-    are limited against n_star, so mass is conserved, each species stays
-    >= 0 and n1 + n2 stays <= ``ceiling`` wherever n_star does.
+    ``_face_weights``.  The stage's face fluxes (``_fourth_order_fluxes``,
+    in the scratch's ``anti``) are limited against n_star, so mass is
+    conserved, each species stays >= 0 and n1 + n2 stays <= ``ceiling``
+    wherever n_star does.  Only the two returned arrays and the two
+    transform solves' arrays are new.
     """
-    fluxes = [_fourth_order_fluxes(ns, w, spec, alpha, dt)[1]
-              for ns, w in zip(n_star, weights)]
-    _limit_fluxes(n_star, fluxes, ceiling - (n_star[0] + n_star[1]), dt, spec)
-    return [ns - dt * flux_divergence(fu, fv, spec)
-            for ns, (fu, fv) in zip(n_star, fluxes)]
+    sc = _scratch(spec.nx, spec.ny)
+    for ns, w, fluxes in zip(n_star, weights, sc.anti):
+        _fourth_order_fluxes(ns, w, spec, alpha, dt, fluxes)
+    room = np.subtract(ceiling, np.add(*n_star, out=sc.total), out=sc.upper)
+    _limit_fluxes(n_star, sc.anti, room, dt, spec)
+    new = []
+    for ns, fluxes in zip(n_star, sc.anti):
+        div = flux_divergence(*fluxes, spec, tmp=sc.work)
+        div *= dt
+        new.append(np.subtract(ns, div, out=div))
+    return new
 
 
 def pressure_cap(params: ModelParams) -> float:
@@ -405,16 +450,22 @@ def _tentative_densities(old, vel, adv, reac, weights, alpha: float,
     """
     if adv is None:
         adv = sharp_flux_divergences(*old, *vel, dt)
-    new_densities = [n - dt * a + dt * r for n, a, r in zip(old, adv, reac)]
+    spec = vel[0].spec
+    # the stage returns new arrays, so its input can live in the scratch
+    new_densities = (_scratch(spec.nx, spec.ny).n_lo if alpha > 0.0 else
+                     [np.empty_like(n) for n in old])
+    for n, a, r, out in zip(old, adv, reac, new_densities):
+        np.subtract(n, np.multiply(a, dt, out=out), out=out)
+        out += dt * r
     if alpha > 0.0:
-        new_densities = _implicit_fourth_order(new_densities, weights,
-                                               vel[0].spec, alpha, dt, ceiling)
+        new_densities = _implicit_fourth_order(new_densities, weights, spec,
+                                               alpha, dt, ceiling)
     cut = 0
-    for k, n_new in enumerate(new_densities):
+    for n_new in new_densities:
         neg = n_new < 0.0
         if neg.any():
             cut += int(neg.sum())
-            new_densities[k] = np.where(neg, 0.0, n_new)
+            np.putmask(n_new, neg, 0.0)
     return new_densities[0], new_densities[1], cut
 
 

@@ -21,10 +21,13 @@ _FMT = "%.17g"
 
 
 def _write_csv(arr: np.ndarray, spec: GridSpec, path, names: str) -> None:
+    """The bytes ``np.savetxt`` writes, with the body formatted in one call."""
     n0, n1 = arr.shape
     geometry = " ".join(_FMT % v for v in (spec.hx, spec.hy, spec.x_min, spec.y_min))
-    np.savetxt(path, arr, fmt=_FMT, delimiter=",", comments="# ",
-               header=f"{names} hx hy x_min y_min\n{n0} {n1} {geometry}")
+    row = ",".join([_FMT] * n1) + "\n"
+    with open(path, "w") as fh:
+        fh.write(f"# {names} hx hy x_min y_min\n# {n0} {n1} {geometry}\n")
+        fh.write((row * n0) % tuple(arr.ravel().tolist()))
 
 
 def _write_vtk(data: np.ndarray, spec: GridSpec, path, name: str,

@@ -405,11 +405,14 @@ def _out_dir(cfg: RunConfig, override: str | None) -> Path:
 
 
 def step_control(cfg: RunConfig) -> StepControl:
-    """The step settings of a config; a limit model steps like the
-    evolution model it is the limit of."""
+    """The step settings of a config.  A limit run's step
+    (``freeboundary.step_limit``) reads only ``dt``, ``cfl_number`` and
+    ``t_end``, so its control sets nothing else."""
+    if cfg.model in LIMIT_MODELS:
+        return StepControl(dt=cfg.dt, cfl_number=cfg.cfl, t_end=cfg.t_end)
     return StepControl(dt=cfg.dt, cfl_number=cfg.cfl, t_end=cfg.t_end,
-                       model=cfg.model.removeprefix("L-"),
-                       velocity_law=cfg.velocity_law, scheme=cfg.scheme)
+                       model=cfg.model, velocity_law=cfg.velocity_law,
+                       scheme=cfg.scheme)
 
 
 def simulate(cfg: RunConfig, observers=(), observe_every: int = 1):

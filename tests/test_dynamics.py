@@ -259,6 +259,11 @@ def test_sharp_transport_keeps_each_species_nonnegative(monkeypatch):
     assert min(lowest) >= -1e-14
 
 
+def _face_zeros(spec):
+    """Zero u- and v-face arrays, walls included."""
+    return np.zeros((spec.nx + 1, spec.ny)), np.zeros((spec.nx, spec.ny + 1))
+
+
 @pytest.mark.parametrize("tau", [1e-7, 1e-2])
 def test_fourth_order_stage_matches_sparse_solve_on_anisotropic_grid(tau):
     spec = GridSpec(-1.0, 1.0, 0.0, 3.0, 20, 24)     # hx = 0.1, hy = 0.125
@@ -268,8 +273,9 @@ def test_fourth_order_stage_matches_sparse_solve_on_anisotropic_grid(tau):
     rng = np.random.default_rng(5)
     n_star = n_old + 0.05 * rng.random(n_old.shape)
 
-    delta, (fu, fv) = _fourth_order_fluxes(n_star, _face_weights(n_old, spec),
-                                           spec, 1.0, tau)
+    fu, fv = _face_zeros(spec)
+    delta = _fourth_order_fluxes(n_star, _face_weights(n_old, spec), spec,
+                                 1.0, tau, (fu, fv))
 
     # (I + tau*S*Lap^2) delta = -tau*B*Lap n_star, S the largest face weight
     B = weighted_cell_flux_divergence(spec, n_old)
@@ -307,7 +313,8 @@ def test_fourth_order_stage_keeps_bounds_at_a_congested_front(mixed):
     tau = 1e-3
 
     weights = [_face_weights(no, spec) for no in n_old]
-    unlimited = [ns + _fourth_order_fluxes(ns, w, spec, 1.0, tau)[0]
+    unlimited = [ns + _fourth_order_fluxes(ns, w, spec, 1.0, tau,
+                                           _face_zeros(spec))
                  for ns, w in zip(n_star, weights)]
     assert (unlimited[0] + unlimited[1]).max() > ceiling + 1e-2
 
@@ -518,6 +525,74 @@ def test_warm_sharp_transport_allocates_only_its_results():
     finally:
         tracemalloc.stop()
     assert peak <= 3.4e6 / 3
+
+
+def _stage_inputs(nx, ny, seed):
+    """Arguments of ``_implicit_fourth_order`` at a band edge on an
+    anisotropic nx x ny grid: two tissues side by side under 0.9."""
+    spec = GridSpec(-1.0, 1.0, 0.0, 3.0, nx, ny)
+    xx, yy = spec.cell_center_mesh()
+    rng = np.random.default_rng(seed)
+    band = yy < 1.5 + 0.3 * np.sin(3.0 * xx)
+    n_old = (0.9 * (band & (xx < 0.2)), 0.9 * (band & (xx >= 0.2)))
+    n_star = tuple(n + 0.05 * rng.random(n.shape) for n in n_old)
+    weights = [_face_weights(n, spec) for n in n_old]
+    return n_star, weights, spec, 1e-3, 1e-3, 0.999
+
+
+def test_fourth_order_stage_results_survive_other_species_and_grids():
+    args = _stage_inputs(64, 40, 0)
+    first = [a.copy() for a in _implicit_fourth_order(*args)]
+    (n1, n2), (w1, w2), *rest = args
+    # the species the other way round, then another grid shape
+    swapped = _implicit_fourth_order((n2, n1), (w2, w1), *rest)
+    _implicit_fourth_order(*_stage_inputs(33, 47, 1))
+    out = _implicit_fourth_order(*args)
+    for a, b, c in zip(out, first, swapped[::-1]):
+        assert np.array_equal(a, b)
+        assert np.array_equal(c, b)
+    # the caller owns what it gets back
+    for a in out:
+        a[...] = np.nan
+    again = _implicit_fourth_order(*args)
+    for a, b in zip(again, first):
+        assert np.array_equal(a, b)
+        assert not any(np.shares_memory(a, c) for c in (*out, *swapped))
+
+
+def test_step_results_survive_the_next_step():
+    # a trial's prediction lives in the scratch; the densities a step
+    # returns must not
+    spec = GridSpec(nx=32, ny=32)
+    params = ModelParams(alpha=1e-3)
+    ctrl = StepControl(dt=1e-3, t_end=1.0)
+    state = init_state(*band_data(spec, 0.85), params, ctrl)
+    new = step_esvm(state, ctrl, params)
+    kept = [new.n1.values.copy(), new.n2.values.copy()]
+    newer = step_esvm(new, ctrl, params)
+    again = step_esvm(state, ctrl, params)
+    for a, b, c in zip((new.n1, new.n2), kept, (again.n1, again.n2)):
+        assert np.array_equal(a.values, b)
+        assert np.array_equal(c.values, b)
+        assert not any(np.shares_memory(a.values, d.values)
+                       for d in (newer.n1, newer.n2, again.n1, again.n2))
+
+
+def test_warm_fourth_order_stage_allocates_only_its_results():
+    # the per-call temporaries used to peak at 12 arrays of 128^2 cells; a
+    # warm stage now holds its two results and, while it makes the second,
+    # numpy's iteration buffers (two operands of getbufsize() doubles) for
+    # the strided face differences; the transform solve's two arrays are
+    # gone by then
+    args = _stage_inputs(128, 128, 2)
+    _implicit_fourth_order(*args)
+    tracemalloc.start()
+    try:
+        _implicit_fourth_order(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * 128 * 128 + 2 * 8 * np.getbufsize() + 16 * 1024
 
 
 def test_trial_one_ulp_over_the_ceiling_is_accepted(monkeypatch):

@@ -86,3 +86,18 @@ def test_vector_vtk_structure(tmp_path):
     uc, vc = vec.cell_centered()
     expected = np.stack([uc.T, vc.T], axis=-1).reshape(16, 2)
     assert tuples[:, :2].tobytes() == expected.astype(">f8").tobytes()
+
+
+def test_scalar_csv_bytes_are_savetxt_bytes(tmp_path):
+    spec = GridSpec(-1.0, 1.0, -0.5, 1.0, 6, 9)
+    values = np.random.default_rng(3).standard_normal((6, 9))
+    values[0, :] = 0.0
+    values[1, 2], values[3, 4], values[5, 8] = -0.0, 5e-324, -2.5e-310
+    path = tmp_path / "f.csv"
+    write_scalar_csv(ScalarField(spec, values), path)
+    geometry = " ".join("%.17g" % v for v in (spec.hx, spec.hy, spec.x_min,
+                                               spec.y_min))
+    np.savetxt(tmp_path / "ref.csv", values, fmt="%.17g", delimiter=",",
+               comments="# ", header=f"nx ny hx hy x_min y_min\n6 9 {geometry}")
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert read_scalar_csv(path, spec).values.tobytes() == values.tobytes()

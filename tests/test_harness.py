@@ -741,6 +741,16 @@ t_end = 0.01
                                                       for r in rows[1:])
 
 
+@pytest.mark.parametrize("model", harness.LIMIT_MODELS)
+def test_limit_step_control_sets_only_what_the_limit_step_reads(model):
+    # step_limit reads dt, cfl_number and t_end; the evolution settings of
+    # the config do not reach its control
+    cfg = replace(PRESETS["fig3-lesvm"], model=model, dt=2e-3, cfl=0.3,
+                  t_end=0.05, velocity_law="gradient", scheme="sharp")
+    assert harness.step_control(cfg) == dynamics.StepControl(
+        dt=2e-3, cfl_number=0.3, t_end=0.05)
+
+
 def test_cli_solver_failure_still_writes_the_manifest(tmp_path, monkeypatch,
                                                       capsys):
     # a zero tolerance cannot be met, so the first stationary solve fails
