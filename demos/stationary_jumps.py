@@ -2,8 +2,7 @@
 
 Solves the disk-in-annulus equilibrium at two resolutions and reports
 how the interface-averaged jumps behave under refinement: the pressure
-jump converges to a finite value while the velocity jump vanishes, and
-the viscous-stress jump balances the pressure jump.
+jump converges to a finite value while the velocity jump vanishes.
 
 Usage: python demos/stationary_jumps.py [outdir]
 """
@@ -11,12 +10,9 @@ Usage: python demos/stationary_jumps.py [outdir]
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from tissueflow.constitutive import ModelParams, coercivity_check
 from tissueflow.fieldio import write_scalar_vtk, write_vector_vtk
-from tissueflow.stationary import (concentric_partition,
-                                   interface_force_residuals, measure_jump,
+from tissueflow.stationary import (concentric_partition, measure_jump,
                                    solve_stationary, verify_transmission,
                                    write_jump_csv)
 from tissueflow.grid import GridSpec
@@ -38,8 +34,6 @@ def main(outdir="demo_out/stationary_jumps"):
             avg = table.averages.get("gamma")
             print(f"    avg |jump {table.quantity:>8}| on interface: "
                   f"{avg:.5f}")
-        force = np.max(np.abs(interface_force_residuals(sol, part, which=1)))
-        print(f"    max normal-stress balance residual: {force:.4f}")
         report = verify_transmission(sol, part)
         print(f"    max continuity residual: {report.max_residual():.4f}")
         write_jump_csv(tables, out / f"jumps_{n}.csv")

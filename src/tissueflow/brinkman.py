@@ -14,11 +14,18 @@ solve takes a tuple ``betas``, transforms b forward once and inverts the
 stack of solutions in one call.  The eigenvalue sums of K (or of K^2,
 for the fourth-order stage) are a read-only table per grid, wall set and
 power, made on first use (``_symbol``).  The Dirichlet solve writes
--grad p straight into the stacked face vector.  The assembled K serves
-only to check each solution's relative residual against ``REL_TOL``.
+-grad p straight into the stacked face vector.  Each solution's relative
+residual is checked against ``REL_TOL`` with K applied as a five-point
+stencil (``_residual``), written down apart from the transforms.
 ``cell_pressure_operator`` applies D (I + beta*K)^-1 D^T, the Dirichlet
 solve between a cell divergence and its transpose, in the same way
 without leaving the cells; the stationary pressure equation uses it.
+
+The transforms are the compiled pocketfft kernels that ``scipy.fft``
+calls, bound directly (``_pocketfft``) and called with the arguments
+``scipy.fft`` would pass, so the results are ``scipy.fft``'s bit for bit
+and a run imports neither ``scipy.fft``'s Python layer nor
+``scipy.sparse``.
 
 Every residual norm, the stationary solve's too, is ``norm``, summed
 without BLAS, so a solve's bytes do not depend on the BLAS thread count.
@@ -30,20 +37,59 @@ factorisations, so an untraced run never imports it.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
-import scipy.fft as fft
 
 from .grid import GridSpec, ScalarField, VectorField, gradient
-from .operators import (cell_laplacian_neumann, face_stiffness_u,
-                        face_stiffness_v, stack_faces, unstack_faces)
+from .operators import stack_faces, unstack_faces
+# only perfbench/spans.py reads these here, to time the assembly
+from .operators import (cell_laplacian_neumann, face_stiffness_u,  # noqa: F401
+                        face_stiffness_v)
 
-# Wall condition along one axis of n cells: (transform, inverse, type, k0).
-# The transform diagonalises that axis's stencil [-1, 2, -1]/h^2 with
-# eigenvalues (2 - 2cos(k*pi/n))/h^2 for k = k0, k0+1, ...
-_FACES = (fft.dst, fft.idst, 1, 1)     # n-1 face unknowns, walls on the end faces
-_CELLS = (fft.dst, fft.idst, 2, 1)     # n unknowns, Dirichlet wall half a spacing out
-_NEUMANN = (fft.dct, fft.idct, 2, 0)   # n cells, zero-flux walls
+
+def _pocketfft():
+    """scipy.fft's compiled pocketfft module, without scipy's Python layer.
+
+    The extension is loaded from scipy's install under its own name and
+    registered in ``sys.modules``, so a later ``import scipy.fft`` uses
+    this module rather than loading the extension again.
+    """
+    name = "scipy.fft._pocketfft.pypocketfft"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("tissueflow needs scipy, which is not installed")
+    folder = Path(scipy.submodule_search_locations[0], "fft", "_pocketfft")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"pypocketfft{suffix}"
+        if path.is_file():
+            break
+    else:
+        from importlib.metadata import version
+        raise ImportError(f"scipy {version('scipy')} has no pocketfft "
+                          f"extension in {folder}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_pfft = _pocketfft()
+
+# Wall condition along one axis of n cells: (kernel, forward type, inverse
+# type, k0).  The transform diagonalises that axis's stencil [-1, 2, -1]/h^2
+# with eigenvalues (2 - 2cos(k*pi/n))/h^2 for k = k0, k0+1, ...  A kernel is
+# called as scipy.fft calls it, (x, type, axes, inorm, out, nthreads): inorm
+# 0 forward and 2 (divide by the logical size) inverse, one thread.
+_FACES = (_pfft.dst, 1, 1, 1)     # n-1 face unknowns, walls on the end faces
+_CELLS = (_pfft.dst, 2, 3, 1)     # n unknowns, Dirichlet wall half a spacing out
+_NEUMANN = (_pfft.dct, 2, 3, 0)   # n cells, zero-flux walls
 
 # Relative residual every solve must reach, the stationary one included;
 # read at call time.
@@ -100,16 +146,16 @@ def _transform_solve(b: np.ndarray, betas: tuple, spec: GridSpec,
                      walls: tuple, power: int = 1) -> np.ndarray:
     """Solve (I + beta*K^power) x = b exactly for each of ``betas``, with b
     on its 2-D unknown grid; returns the stack of solutions."""
-    (fx, ix, tx, _), (fy, iy, ty, _) = walls
+    (tr_x, tx, ix, _), (tr_y, ty, iy, _) = walls
     k = _symbol(spec, walls, b.shape, power)
-    y = fy(fx(b, type=tx, axis=0), type=ty, axis=1)
+    y = tr_y(tr_x(b, tx, (0,), 0, None, 1), ty, (1,), 0, None, 1)
     stack = np.empty((len(betas),) + b.shape)    # inverted in place
     for out, beta in zip(stack, betas):
         np.multiply(k, beta, out=out)
         out += 1.0
         np.divide(y, out, out=out)
-    return ix(iy(stack, type=ty, axis=2, overwrite_x=True), type=tx, axis=1,
-              overwrite_x=True)
+    tr_y(stack, iy, (2,), 2, stack, 1)
+    return tr_x(stack, ix, (1,), 2, stack, 1)
 
 
 def face_brinkman_inverse(b: np.ndarray, betas: tuple,
@@ -152,9 +198,10 @@ def cell_pressure_operator(betas: tuple, spec: GridSpec):
 
     def apply(p: np.ndarray) -> np.ndarray:
         m = 0.0
-        for ((fx, ix, tx, _), (fy, iy, ty, _)), symbol in parts:
-            y = fy(fx(p, type=tx, axis=0), type=ty, axis=1) * symbol
-            m = m + ix(iy(y, type=ty, axis=2), type=tx, axis=1)
+        for ((tr_x, tx, ix, _), (tr_y, ty, iy, _)), symbol in parts:
+            y = tr_y(tr_x(p, tx, (0,), 0, None, 1), ty, (1,), 0, None, 1)
+            y = tr_y(y * symbol, iy, (2,), 2, None, 1)
+            m = m + tr_x(y, ix, (1,), 2, None, 1)
         return m
 
     return apply
@@ -171,27 +218,60 @@ def neumann_cell_inverse(b: np.ndarray, betas: tuple, spec: GridSpec,
     return _transform_solve(b, betas, spec, (_NEUMANN, _NEUMANN), power)
 
 
+@functools.lru_cache(maxsize=32)
+def _residual_workspace(shape: tuple) -> np.ndarray:
+    return np.empty((2,) + shape)
+
+
+def _residual(x: np.ndarray, b: np.ndarray, beta: float, ends: tuple,
+              spec: GridSpec) -> np.ndarray:
+    """x + beta*K x - b on x's 2-D grid, in a workspace of its shape.
+
+    K is the negative five-point Laplacian: along each axis the stencil
+    (-1, 2, -1)/h^2, with the neighbours beyond the ends left out and
+    the end diagonals ``ends`` in place of 2.  An end diagonal is 2 next
+    to a wall face, 3 next to a wall half a spacing out and 1 at a
+    zero-flux wall.
+    """
+    r, t = _residual_workspace(x.shape)
+    cx, cy = beta / spec.hx**2, beta / spec.hy**2
+    np.multiply(x, 1.0 + 2.0 * (cx + cy), out=r)
+    r -= b
+    # axis 1 through the transposes; t holds the neighbour sums
+    for c, end, xa, ta, ra in ((cx, ends[0], x, t, r),
+                               (cy, ends[1], x.T, t.T, r.T)):
+        np.add(xa[:-2], xa[2:], out=ta[1:-1])
+        ta[0], ta[-1] = xa[1], xa[-2]
+        ta *= c
+        ra -= ta
+        ra[0] += (c * (end - 2.0)) * xa[0]
+        ra[-1] += (c * (end - 2.0)) * xa[-1]
+    return r
+
+
 def _solve(b: np.ndarray, betas: tuple, blocks: tuple, inverse,
            spec: GridSpec) -> np.ndarray:
-    """Stack of the solutions x of (I + beta*K) x = b, K = blockdiag of
-    ``blocks``' matrices, for each of ``betas``.
+    """Stack of the solutions x of (I + beta*K) x = b for each of
+    ``betas``, K block diagonal over ``blocks``.
 
     ``inverse(b, betas, spec)`` is the exact, stacked transform solve.
-    Every block ``(K_k, what)`` of each x is checked on its own rows of
-    the flattened x: a relative residual above ``REL_TOL``, or a NaN one,
-    raises SolverFailure.
+    Every block ``(shape, ends, what)`` of each x, its next rows of the
+    flattened x on a 2-D grid of ``shape``, is checked with ``_residual``:
+    a relative residual above ``REL_TOL``, or a NaN one, raises
+    SolverFailure.
     """
     if any(beta <= 0 for beta in betas):
         raise ValueError("beta must be positive")
     xs = inverse(b, betas, spec)
     bf, stop = b.ravel(), 0
-    for K, what in blocks:
-        rows = slice(stop, stop + K.shape[0])
+    for shape, ends, what in blocks:
+        rows = slice(stop, stop + shape[0] * shape[1])
         stop = rows.stop
+        bk = bf[rows].reshape(shape)
         scale = norm(bf[rows])
         for beta, x in zip(betas, xs):
-            xf = x.ravel()[rows]
-            res = norm(xf + beta * (K @ xf) - bf[rows])
+            r = _residual(x.ravel()[rows].reshape(shape), bk, beta, ends, spec)
+            res = norm(r.ravel())
             if not res <= REL_TOL * scale:      # a NaN residual fails too
                 raise SolverFailure(what, res / scale, REL_TOL)
     return xs
@@ -199,8 +279,9 @@ def _solve(b: np.ndarray, betas: tuple, blocks: tuple, inverse,
 
 def _solve_faces(b: np.ndarray, betas: tuple, spec: GridSpec) -> tuple:
     """Velocity per beta from a stacked face right-hand side b."""
-    blocks = ((face_stiffness_u(spec), "brinkman u-component"),
-              (face_stiffness_v(spec), "brinkman v-component"))
+    nx, ny = spec.nx, spec.ny
+    blocks = (((nx - 1, ny), (2.0, 3.0), "brinkman u-component"),
+              ((nx, ny - 1), (3.0, 2.0), "brinkman v-component"))
     xs = _solve(b, betas, blocks, face_brinkman_inverse, spec)
     return tuple(unstack_faces(spec, x) for x in xs)
 
@@ -231,7 +312,7 @@ def solve_screened_potential(p: ScalarField, betas: tuple) -> tuple:
     """Scalar -beta*Lap(K) + K = p per beta, with zero-flux walls."""
     spec = p.spec
     xs = _solve(p.values, betas,
-                ((cell_laplacian_neumann(spec), "screened potential"),),
+                (((spec.nx, spec.ny), (1.0, 1.0), "screened potential"),),
                 neumann_cell_inverse, spec)
     return tuple(ScalarField(spec, x) for x in xs)
 

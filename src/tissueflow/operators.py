@@ -1,4 +1,4 @@
-"""Sparse-matrix forms of the discrete operators.
+"""Sparse-matrix forms of the discrete operators, and the face-vector layout.
 
 Velocity components are discretized on their own face grids with the
 boundary (Dirichlet) faces eliminated, so the unknown layouts are:
@@ -8,6 +8,11 @@ boundary (Dirichlet) faces eliminated, so the unknown layouts are:
 
 Walls parallel to a component sit half a spacing away from the first
 face row; the mirror-ghost elimination puts a 3 on those diagonals.
+
+No run builds these matrices: the solves apply the operators as
+transforms and stencils.  They are the tests' independent references
+and the stationary weak form's blocks, so ``scipy.sparse`` is imported
+inside each builder and a run never loads it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import GridSpec, VectorField
 
@@ -35,7 +39,9 @@ def unstack_faces(spec: GridSpec, x: np.ndarray) -> VectorField:
     return VectorField(spec, u, v)
 
 
-def _tridiag(n: int, h: float, end_diag: float) -> sp.csr_matrix:
+def _tridiag(n: int, h: float, end_diag: float):
+    import scipy.sparse as sp
+
     main = np.full(n, 2.0)
     main[0] = main[-1] = end_diag
     off = -np.ones(n - 1)
@@ -43,8 +49,10 @@ def _tridiag(n: int, h: float, end_diag: float) -> sp.csr_matrix:
 
 
 @functools.lru_cache(maxsize=32)
-def face_stiffness_u(spec: GridSpec) -> sp.csr_matrix:
+def face_stiffness_u(spec: GridSpec):
     """Negative Laplacian on the u-face grid with Dirichlet walls."""
+    import scipy.sparse as sp
+
     tx = _tridiag(spec.nx - 1, spec.hx, 2.0)
     ty = _tridiag(spec.ny, spec.hy, 3.0)
     return (sp.kron(tx, sp.identity(spec.ny)) +
@@ -52,8 +60,10 @@ def face_stiffness_u(spec: GridSpec) -> sp.csr_matrix:
 
 
 @functools.lru_cache(maxsize=32)
-def face_stiffness_v(spec: GridSpec) -> sp.csr_matrix:
+def face_stiffness_v(spec: GridSpec):
     """Negative Laplacian on the v-face grid with Dirichlet walls."""
+    import scipy.sparse as sp
+
     tx = _tridiag(spec.nx, spec.hx, 3.0)
     ty = _tridiag(spec.ny - 1, spec.hy, 2.0)
     return (sp.kron(tx, sp.identity(spec.ny - 1)) +
@@ -61,18 +71,22 @@ def face_stiffness_v(spec: GridSpec) -> sp.csr_matrix:
 
 
 @functools.lru_cache(maxsize=32)
-def cell_laplacian_neumann(spec: GridSpec) -> sp.csr_matrix:
+def cell_laplacian_neumann(spec: GridSpec):
     """Negative cell-centered Laplacian with zero-flux walls (PSD)."""
+    import scipy.sparse as sp
+
     return (sp.kron(_tridiag(spec.nx, spec.hx, 1.0), sp.identity(spec.ny)) +
             sp.kron(sp.identity(spec.nx), _tridiag(spec.ny, spec.hy, 1.0))).tocsr()
 
 
 @functools.lru_cache(maxsize=32)
-def divergence_matrix(spec: GridSpec) -> sp.csr_matrix:
+def divergence_matrix(spec: GridSpec):
     """Cells x interior-faces divergence, matching grid.divergence.
 
     Acts on the stacked vector [u_interior.ravel(), v_interior.ravel()].
     """
+    import scipy.sparse as sp
+
     def faces_to_cells(n):
         # face k sits between cells k and k+1: +1 for the cell on its left
         return sp.diags([np.ones(n - 1), -np.ones(n - 1)], [0, -1],
@@ -83,7 +97,7 @@ def divergence_matrix(spec: GridSpec) -> sp.csr_matrix:
     return sp.hstack([du, dv]).tocsr()
 
 
-def weighted_cell_flux_divergence(spec: GridSpec, w: np.ndarray) -> sp.csr_matrix:
+def weighted_cell_flux_divergence(spec: GridSpec, w: np.ndarray):
     """Matrix of s -> div(w * grad s) with zero-flux walls.
 
     ``w`` is a nonnegative cell field; face weights are arithmetic means
@@ -91,6 +105,8 @@ def weighted_cell_flux_divergence(spec: GridSpec, w: np.ndarray) -> sp.csr_matri
     -D diag(w_faces) D^T with D the divergence matrix, since the face
     gradient is the negative transpose of D.
     """
+    import scipy.sparse as sp
+
     wx = 0.5 * (w[1:, :] + w[:-1, :])   # interior vertical faces (nx-1, ny)
     wy = 0.5 * (w[:, 1:] + w[:, :-1])   # interior horizontal faces (nx, ny-1)
     weights = np.concatenate([wx.ravel(), wy.ravel()])

@@ -10,7 +10,8 @@ grad-div term.  Discretely this is
 with A_i = I + beta_i*K, K the face stiffness (Dirichlet walls), D the
 cell divergence, C_i = diag(chi_i / g_i) and
 f = chi1*(p1* + q) + chi2*(p2* + q).  ``assemble_weak_form`` builds this
-2x2 block matrix for the energy form and as a reference.
+2x2 block matrix, with ``scipy.sparse``, for the tests' energy form and
+as their reference.
 
 ``solve_stationary`` never forms it.  Eliminating the face velocities
 leaves a cell-sized equation for the total tissue pressure
@@ -38,7 +39,9 @@ Nothing is assembled or factorised.  The face velocities x_i are formed
 once, from the converged Pi by one exact sine transform solve of the
 shared D^T Pi for both tissues (``brinkman.face_brinkman_inverse``),
 and the residual of the full
-coupled system is then checked against ``brinkman.REL_TOL``.  GMRES has
+coupled system is then checked against ``brinkman.REL_TOL``.  D x, D^T p
+and K x are slice stencils that sum each row as the CSR matrices of
+``operators`` do, so they equal those products bit for bit.  GMRES has
 a fixed budget of ``GMRES_ITERATIONS_PER_LINE * (nx + ny)`` inner
 iterations; no tolerance or budget is a parameter.
 
@@ -57,8 +60,7 @@ Every one-sided trace is one gather from those indices: ``measure_jump``
 evaluates its cell field once and keeps each interface's traces and
 jumps as arrays, and ``verify_transmission`` reads the v1 and v2 tables.
 Tissues may touch the walls: a face whose trace would need a cell
-beyond them is masked.  The normal-stress balance has one measure,
-``interface_force_residuals``, whose fits see past the staircase.
+beyond them is masked.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import brinkman
 from .brinkman import (SolverFailure, cell_pressure_operator,
@@ -77,7 +78,7 @@ from .brinkman import (SolverFailure, cell_pressure_operator,
 from .constitutive import ModelParams
 from .grid import GridSpec, ScalarField, VectorField, divergence
 from .operators import (divergence_matrix, face_stiffness_u, face_stiffness_v,
-                        stack_faces, unstack_faces)
+                        unstack_faces)
 
 # GMRES inner iterations per restart cycle: the basis holds restart + 1
 # vectors, and the pressure equation converges in well under 50 iterations.
@@ -222,9 +223,62 @@ def concentric_partition(spec: GridSpec) -> DomainPartition:
 
 
 @functools.lru_cache(maxsize=32)
-def _stiffness(spec: GridSpec) -> sp.csr_matrix:
+def _stiffness(spec: GridSpec):
+    import scipy.sparse as sp
+
     return sp.block_diag([face_stiffness_u(spec), face_stiffness_v(spec)],
                          format="csr")
+
+
+# D x, D^T p and K x as slice stencils, bitwise the CSR products of
+# ``operators``: each sums its row's stored coefficients times x from +0.0
+# in the row's sorted column order, with zeros where the row has no entry.
+
+def _row_sums(terms, shape: tuple) -> np.ndarray:
+    out = np.zeros(shape)
+    for coef, x in terms:
+        out += coef * x
+    return out
+
+
+def _divergence(x: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """``divergence_matrix(spec) @ x`` for a stacked face vector x."""
+    a, b = 1.0 / spec.hx, 1.0 / spec.hy
+    nx, ny = spec.nx, spec.ny
+    nu = (nx - 1) * ny
+    u, v = np.zeros((nx + 1, ny)), np.zeros((nx, ny + 1))   # zero walls
+    u[1:-1] = x[:nu].reshape(nx - 1, ny)
+    v[:, 1:-1] = x[nu:].reshape(nx, ny - 1)
+    return _row_sums(((-a, u[:-1]), (a, u[1:]), (-b, v[:, :-1]),
+                      (b, v[:, 1:])), (nx, ny)).ravel()
+
+
+def _divergence_transpose(p: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """``divergence_matrix(spec).T @ p`` for a flattened cell field p."""
+    a, b = 1.0 / spec.hx, 1.0 / spec.hy
+    p = p.reshape(spec.nx, spec.ny)
+    u = _row_sums(((a, p[:-1]), (-a, p[1:])), (spec.nx - 1, spec.ny))
+    v = _row_sums(((b, p[:, :-1]), (-b, p[:, 1:])), (spec.nx, spec.ny - 1))
+    return np.concatenate([u.ravel(), v.ravel()])
+
+
+def _stiffness_product(x: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """``_stiffness(spec) @ x`` for a stacked face vector x."""
+    ax, ay = 1.0 / spec.hx**2, 1.0 / spec.hy**2
+    nu = (spec.nx - 1) * spec.ny
+    parts = []
+    for block, ends in ((x[:nu].reshape(spec.nx - 1, spec.ny), (2.0, 3.0)),
+                        (x[nu:].reshape(spec.nx, spec.ny - 1), (3.0, 2.0))):
+        m, n = block.shape
+        dx, dy = np.full(m, 2.0), np.full(n, 2.0)
+        dx[[0, -1]], dy[[0, -1]] = ends
+        diagonal = (dx * ax)[:, None] + (dy * ay)[None, :]
+        pad = np.zeros((m + 2, n + 2))
+        pad[1:-1, 1:-1] = block
+        parts.append(_row_sums(
+            ((-ax, pad[:-2, 1:-1]), (-ay, pad[1:-1, :-2]), (diagonal, block),
+             (-ay, pad[1:-1, 2:]), (-ax, pad[2:, 1:-1])), (m, n)).ravel())
+    return np.concatenate(parts)
 
 
 def _source(part: DomainPartition, params: ModelParams,
@@ -244,6 +298,8 @@ def _source(part: DomainPartition, params: ModelParams,
 def assemble_weak_form(part: DomainPartition, params: ModelParams,
                        q: ScalarField | None = None):
     """The discrete coupled system's (matrix, right-hand side)."""
+    import scipy.sparse as sp
+
     spec = part.spec
     f = _source(part, params, q)[1]
     K = _stiffness(spec)
@@ -258,24 +314,6 @@ def assemble_weak_form(part: DomainPartition, params: ModelParams,
 
     b_half = D.T @ f
     return A, np.concatenate([b_half, b_half])
-
-
-def quadratic_form(part: DomainPartition, params: ModelParams,
-                   v1: VectorField, v2: VectorField):
-    """Evaluate (energy, gradient-seminorm^2) of the coupled bilinear form.
-
-    Both are scaled by the cell area so they approximate the continuum
-    integrals; the coercivity bound predicts
-    energy >= min(beta1 - 1/(4 g2), beta2 - 1/(4 g1)) * grad2.
-    """
-    spec = part.spec
-    A, _ = assemble_weak_form(part, params)
-    x1, x2 = stack_faces(v1), stack_faces(v2)
-    x = np.concatenate([x1, x2])
-    energy = float(x @ (A @ x)) * spec.cell_area
-    K = _stiffness(spec)
-    grad2 = float(x1 @ (K @ x1) + x2 @ (K @ x2)) * spec.cell_area
-    return energy, grad2
 
 
 @dataclass(frozen=True)
@@ -374,15 +412,14 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
     rel_tol = brinkman.REL_TOL
     spec = part.spec
     q, f = _source(part, params, q)
-    D = divergence_matrix(spec)
     c1 = part.chi1.values.ravel() / params.g1
     c2 = part.chi2.values.ravel() / params.g2
 
     def coupling(x1, x2):
         # grouped so that swapping the tissue labels is bitwise symmetric
-        return c1 * (D @ x1) + c2 * (D @ x2)
+        return c1 * _divergence(x1, spec) + c2 * _divergence(x2, spec)
 
-    b = D.T @ f
+    b = _divergence_transpose(f, spec)
     scale = norm(np.concatenate([b, b]))
     if scale == 0.0:
         x1 = x2 = np.zeros_like(b)
@@ -401,12 +438,12 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
         budget = GMRES_ITERATIONS_PER_LINE * (spec.nx + spec.ny)
         y, iterations = _gmres(schur_product, f, budget // GMRES_RESTART)
         pi = y / d
-        x1, x2 = face_brinkman_inverse(D.T @ pi, (params.beta1, params.beta2),
-                                       spec)
-        K = _stiffness(spec)
-        g = D.T @ coupling(x1, x2) - b
-        r = np.concatenate([x1 + params.beta1 * (K @ x1) + g,
-                            x2 + params.beta2 * (K @ x2) + g])
+        x1, x2 = face_brinkman_inverse(_divergence_transpose(pi, spec),
+                                       (params.beta1, params.beta2), spec)
+        g = _divergence_transpose(coupling(x1, x2), spec) - b
+        r = np.concatenate(
+            [x1 + params.beta1 * _stiffness_product(x1, spec) + g,
+             x2 + params.beta2 * _stiffness_product(x2, spec) + g])
         rel = norm(r) / scale
         if not rel <= rel_tol:          # a NaN residual fails too
             raise SolverFailure("stationary system", rel, rel_tol,
@@ -450,8 +487,7 @@ def measure_jump(sol: StationarySolution, part: DomainPartition,
     the reconstructed pressure field (0 outside the tissues); ``v1``/``v2``
     are velocity magnitudes (jump of the vector).  The cell field is
     evaluated once; each trace is a gather from ``InterfaceFaces`` arrays,
-    NaN at untraceable faces.  The normal-stress balance is
-    ``interface_force_residuals``: pointwise derivatives do not converge.
+    NaN at untraceable faces.
     """
     if quantity not in JUMP_QUANTITIES:
         raise ValueError(f"unknown jump quantity {quantity!r}")
@@ -505,10 +541,10 @@ class TransmissionReport:
     'normal_match' (mutual interface only) is |v1.nu - v2.nu| read
     directly off the shared face.  An entry is NaN when its interface
     has no traceable face.  ``n_untraceable`` counts the untraceable
-    faces of all interfaces, each face once.  The normal-stress balance
-    is ``interface_force_residuals``.  On the concentric partition with
-    beta = g = 1 `max_residual` falls 0.0874, 0.0430, 0.0215 from 32^2 to
-    128^2, but with beta2 = 0.3, g2 = 2 normal_match stays near 0.27.
+    faces of all interfaces, each face once.  On the concentric
+    partition with beta = g = 1 `max_residual` falls 0.0874, 0.0430,
+    0.0215 from 32^2 to 128^2, but with beta2 = 0.3, g2 = 2 normal_match
+    stays near 0.27.
     """
 
     residuals: dict
@@ -530,7 +566,7 @@ def _largest(values: np.ndarray) -> float:
 def verify_transmission(sol: StationarySolution,
                         part: DomainPartition) -> TransmissionReport:
     """Largest continuity residuals per interface, read off the v1 and v2
-    jump tables; the force balance is ``interface_force_residuals``."""
+    jump tables."""
     tables = {key: measure_jump(sol, part, quantity).interfaces
               for key, quantity in (("cont1", "v1"), ("cont2", "v2"))}
     residuals = {}
@@ -550,105 +586,3 @@ def verify_transmission(sol: StationarySolution,
                 [du[faces.fi[u], faces.fj[u]], dv[faces.fi[v], faces.fj[v]]])))
         residuals[name] = entry
     return TransmissionReport(residuals, untraceable)
-
-
-# interface_force_residuals: fit cells lie more than FIT_BAND_CELLS from
-# the interface and within FIT_RADIUS_CELLS * hx of the face; the normal
-# comes from an indicator difference smoothed over NORMAL_SMOOTHING_CELLS.
-FIT_BAND_CELLS = 2.5
-FIT_RADIUS_CELLS = 6.0
-NORMAL_SMOOTHING_CELLS = 2.0
-
-
-def interface_force_residuals(sol: StationarySolution, part: DomainPartition,
-                              which: int = 1,
-                              interface: str = "gamma") -> np.ndarray:
-    """Per-face residuals of the normal-stress balance across an interface.
-
-    The normal-normal component of ``beta_i * grad v_i`` must jump across
-    the interface by the pressure jump, corrected by the trace of the
-    limit repulsion pressure from the other tissue's side when that
-    tissue is adjacent.  Pointwise one-sided differences are polluted by
-    the staircase geometry of axis-aligned faces, so both ingredients
-    are built to see only the smooth large-scale fields: one-sided
-    traces come from moving-least-squares linear fits over cells more
-    than ``FIT_BAND_CELLS`` away from the interface within
-    ``FIT_RADIUS_CELLS`` grid spacings of the face, and the interface
-    normal from the gradient of a smoothed indicator difference.  Each
-    fit reads only the box of cells around the disk, in the grid's
-    row-major order.  Returns one residual per traceable face; faces
-    without enough one-sided fit cells are skipped.
-    """
-    from scipy.ndimage import distance_transform_edt, gaussian_filter
-
-    if interface not in _REGIONS:
-        raise ValueError(f"unknown interface {interface!r}")
-    side_a, side_b = _REGIONS[interface]
-    spec = part.spec
-    beta = sol.params.beta1 if which == 1 else sol.params.beta2
-    vel = sol.v1 if which == 1 else sol.v2
-    uc, vc = vel.cell_centered()
-
-    masks = {1: part.chi1.values == 1.0, 2: part.chi2.values == 1.0}
-    masks[0] = ~(masks[1] | masks[2])
-    fit_mask = {r: masks[r] & (distance_transform_edt(masks[r])
-                               > FIT_BAND_CELLS) for r in (side_a, side_b)}
-
-    diff = gaussian_filter(masks[side_b].astype(float)
-                           - masks[side_a].astype(float),
-                           NORMAL_SMOOTHING_CELLS)
-    gx = np.gradient(diff, spec.hx, axis=0)
-    gy = np.gradient(diff, spec.hy, axis=1)
-
-    other = 2 if which == 1 else 1
-    q_sign = {side_a: 1.0, side_b: -1.0}.get(other, 0.0)
-
-    xx, yy = spec.cell_center_mesh()
-    radius = FIT_RADIUS_CELLS * spec.hx
-    # cells from the face's cell to the edge of its fit disk, with a margin
-    ri, rj = int(radius / spec.hx) + 2, int(radius / spec.hy) + 2
-
-    res = []
-    faces = getattr(part, interface)
-    for x0, y0, fi, fj, is_u in zip(*(v.tolist() for v in (
-            faces.x, faces.y, faces.fi, faces.fj, faces.is_u))):
-        ci, cj = fi - is_u, fj - (not is_u)     # the cell before the face
-        norm = np.hypot(gx[ci, cj], gy[ci, cj])
-        if norm < 1e-12:
-            continue
-        nt = np.array([gx[ci, cj], gy[ci, cj]]) / norm
-
-        box = (slice(max(ci - ri, 0), ci + ri + 1),
-               slice(max(cj - rj, 0), cj + rj + 1))
-        bx, by = xx[box], yy[box]
-        dd = (bx - x0) ** 2 + (by - y0) ** 2
-        near = dd < radius * radius
-
-        def fit(vals, region):
-            sel = fit_mask[region][box] & near
-            count = int(sel.sum())
-            if count < 8:
-                return None
-            basis = np.column_stack([np.ones(count), bx[sel] - x0,
-                                     by[sel] - y0])
-            w = 1.0 - np.sqrt(dd[sel]) / radius
-            coef, *_ = np.linalg.lstsq(basis * w[:, None],
-                                       vals[box][sel] * w, rcond=None)
-            return coef
-
-        fits = [fit(f, r) for f, r in
-                ((uc, side_a), (uc, side_b), (vc, side_a), (vc, side_b),
-                 (sol.p.values, side_a), (sol.p.values, side_b))]
-        if any(c is None for c in fits):
-            continue
-        cu_a, cu_b, cv_a, cv_b, cp_a, cp_b = fits
-        grad_jump = np.array([[cu_a[1] - cu_b[1], cv_a[1] - cv_b[1]],
-                              [cu_a[2] - cu_b[2], cv_a[2] - cv_b[2]]])
-        predicted = cp_a[0] - cp_b[0]
-        if q_sign != 0.0:
-            cq = fit(sol.q.values, other)
-            if cq is None:
-                continue
-            predicted += q_sign * cq[0]
-        res.append(abs(beta * (nt @ grad_jump @ nt) - predicted))
-    return np.array(res)

@@ -1,3 +1,8 @@
+import subprocess
+import sys
+from importlib.metadata import version
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -215,3 +220,17 @@ def test_nan_solution_fails_the_residual_check(monkeypatch):
         solve_brinkman(p, (1.0,))
     with pytest.raises(SolverFailure, match="screened potential"):
         solve_screened_potential(p, (1.0,))
+
+
+def test_a_scipy_without_the_pocketfft_extension_names_its_version(tmp_path):
+    # a scipy package whose fft/_pocketfft folder holds no extension
+    (tmp_path / "scipy" / "fft" / "_pocketfft").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path[:0] = sys.argv[1:3]; "
+         "import tissueflow.brinkman", str(tmp_path), str(src)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert (f"ImportError: scipy {version('scipy')} has no pocketfft "
+            "extension in") in proc.stderr

@@ -917,12 +917,18 @@ def test_benchmark_tracer_finds_the_names_it_rebinds(tmp_path):
 
 _UNTRACED_RUNS = """
 import sys
+from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from tissueflow import brinkman, harness
-for preset in ("fig3-vm", "fig3-lesvm"):
-    assert harness.run_cli(["run", preset, "--grid", "16x16",
-                            "--out", sys.argv[2] + "/" + preset]) == 0
-assert "scipy.sparse.linalg" not in sys.modules
+out = Path(sys.argv[2])
+(out / "stationary.ini").write_text(
+    "[run]\\npreset = fig3-lesvm\\nmodel = STATIONARY\\n")
+for config in ("fig3-vm", "fig3-esvm", "fig3-gradient-form", "fig3-lesvm",
+               str(out / "stationary.ini")):
+    assert harness.run_cli(["run", config, "--grid", "16x16", "--out",
+                            str(out / Path(config).stem)]) == 0
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert scipy == ["scipy.fft._pocketfft.pypocketfft"], scipy
 import scipy.sparse.linalg
 assert brinkman.spla is scipy.sparse.linalg
 assert not hasattr(brinkman, "no_such_name")
@@ -930,11 +936,43 @@ assert not hasattr(brinkman, "no_such_name")
 
 
 def test_untraced_runs_do_not_import_sparse_linalg(tmp_path):
-    # only the benchmark's tracer asks for brinkman.spla, to count the
-    # factorisations of scipy.sparse.linalg.splu
+    # an untraced run of every model loads no scipy module but the
+    # pocketfft extension; only the benchmark's tracer asks for
+    # brinkman.spla, to count the factorisations of
+    # scipy.sparse.linalg.splu
     root = Path(__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", _UNTRACED_RUNS, str(root / "src"),
                     str(tmp_path)], check=True, timeout=300)
+
+
+_SCIPY_FFT_AFTER = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+if sys.argv[2] == "before":
+    import scipy.fft
+from tissueflow import brinkman, harness
+if sys.argv[2] == "after":
+    assert harness.run_cli(["run", "fig3-vm", "--grid", "16x16",
+                            "--out", sys.argv[3]]) == 0
+    assert "scipy.fft" not in sys.modules
+    import scipy.fft
+from scipy.fft._pocketfft import realtransforms
+assert realtransforms.pfft is brinkman._pfft
+assert sys.modules["scipy.fft._pocketfft.pypocketfft"] is brinkman._pfft
+x = np.arange(6.0)
+assert np.allclose(scipy.fft.idst(scipy.fft.dst(x, type=2), type=2), x)
+"""
+
+
+@pytest.mark.parametrize("scipy_fft", ["before", "after"])
+def test_scipy_fft_shares_the_pocketfft_module(tmp_path, scipy_fft):
+    # brinkman loads scipy's pocketfft extension under its own name; an
+    # import of scipy.fft after a run reuses it, and one before it is
+    # reused by brinkman, so the extension is never loaded twice
+    root = Path(__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", _SCIPY_FFT_AFTER, str(root / "src"),
+                    scipy_fft, str(tmp_path / "run")], check=True, timeout=300)
 
 
 _ROOT = Path(__file__).resolve().parents[1]

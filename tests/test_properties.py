@@ -11,11 +11,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import maximum_filter
 
-from tissueflow import brinkman
+from tissueflow import brinkman, stationary
 from tissueflow.brinkman import _CELLS, _FACES, _NEUMANN
 from tissueflow.constitutive import ModelParams
 from tissueflow.dynamics import (CEILING_ROUNDOFF, StepControl,
@@ -27,8 +28,9 @@ from tissueflow.fieldio import read_scalar_csv, write_scalar_csv
 from tissueflow.freeboundary import LimitState, transport_q
 from tissueflow.grid import (GridSpec, ScalarField, VectorField,
                              flux_divergence, gradient, laplacian)
-from tissueflow.operators import (cell_laplacian_neumann, face_stiffness_u,
-                                  face_stiffness_v, stack_faces)
+from tissueflow.operators import (cell_laplacian_neumann, divergence_matrix,
+                                  face_stiffness_u, face_stiffness_v,
+                                  stack_faces)
 from tissueflow.stationary import DomainPartition, StationarySolution
 
 NEGATIVE_ROUNDOFF = 1e-15    # a limited stage may leave a density this far below 0
@@ -244,11 +246,22 @@ def test_esvm_equals_vm_on_segregated_data(grid, numbers, law, scheme):
 
 
 # Plain references for the fourth-order stage and the Dirichlet Brinkman
-# solve, with every wrapper, pad and eigenvalue made afresh on each call.
-# The package's workspace kernels must equal them bit for bit.
+# solve, with every wrapper, pad and eigenvalue made afresh on each call,
+# and scipy.fft's public transforms in place of the bound kernels.  The
+# package's workspace kernels must equal them bit for bit.
+
+def _scipy_fft(wall):
+    """scipy.fft's forward and inverse transform and the forward type of
+    one of brinkman's wall tuples."""
+    kernel, forward_type, _, _ = wall
+    pair = {"dst": (scipy.fft.dst, scipy.fft.idst),
+            "dct": (scipy.fft.dct, scipy.fft.idct)}[kernel.__name__]
+    return (*pair, forward_type)
+
 
 def _reference_transform_solve(b, betas, spec, walls, power=1):
-    (fx, ix, tx, kx), (fy, iy, ty, ky) = walls
+    (fx, ix, tx), (fy, iy, ty) = map(_scipy_fft, walls)
+    kx, ky = walls[0][3], walls[1][3]
     lx = brinkman._eigenvalues(kx, b.shape[0], spec.nx, spec.hx)
     ly = brinkman._eigenvalues(ky, b.shape[1], spec.ny, spec.hy)
     y = fy(fx(b, type=tx, axis=0), type=ty, axis=1)
@@ -357,3 +370,72 @@ def test_transform_solves_equal_their_reference_bitwise(grid, beta, power):
             x = brinkman._transform_solve(b, (beta, 2.0 * beta), spec, walls,
                                           power)
             assert x.tobytes() == ref.tobytes()
+
+
+@PROPERTY
+@given(st.integers(1, 48), st.integers(1, 48), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+@example(5, 47, 2, 4)
+def test_bound_kernels_equal_scipy_fft_bitwise(m, n, stack, seed):
+    # every call brinkman makes: forward along either axis of a 2-D array,
+    # inverse along either axis of a stack, into a new array or in place
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n))
+    s = rng.standard_normal((stack, m, n))
+    for wall in (_FACES, _CELLS, _NEUMANN):
+        kernel, forward_type, inverse_type, _ = wall
+        forward, inverse, _ = _scipy_fft(wall)
+        for axis in (0, 1):
+            got = kernel(a, forward_type, (axis,), 0, None, 1)
+            assert got.tobytes() == forward(a, type=forward_type,
+                                            axis=axis).tobytes()
+        for axis in (1, 2):
+            ref = inverse(s, type=forward_type, axis=axis)
+            got = kernel(s, inverse_type, (axis,), 2, None, 1)
+            assert got.tobytes() == ref.tobytes()
+            t = s.copy()
+            assert kernel(t, inverse_type, (axis,), 2, t, 1) is t
+            assert t.tobytes() == ref.tobytes()
+
+
+def _with_zeros(rng, size):
+    """Normal draws with about a third +0.0 and a third -0.0."""
+    x = rng.standard_normal(size)
+    x[rng.random(size) < 0.3] = 0.0
+    x[rng.random(size) < 0.3] = -0.0
+    return x
+
+
+@PROPERTY
+@given(_KERNEL_GRIDS)
+@example((_ODD, np.random.default_rng(5)))
+def test_stationary_stencils_equal_the_csr_products_bitwise(grid):
+    # signed zeros included: a CSR row sums from +0.0
+    spec, rng = grid
+    nf = (spec.nx - 1) * spec.ny + spec.nx * (spec.ny - 1)
+    x, p = _with_zeros(rng, nf), _with_zeros(rng, spec.nx * spec.ny)
+    D = divergence_matrix(spec)
+    for got, ref in ((stationary._divergence(x, spec), D @ x),
+                     (stationary._divergence_transpose(p, spec), D.T @ p),
+                     (stationary._stiffness_product(x, spec),
+                      stationary._stiffness(spec) @ x)):
+        assert got.tobytes() == ref.tobytes()
+
+
+@PROPERTY
+@given(_KERNEL_GRIDS, st.floats(1e-6, 10.0))
+@example((_ODD, np.random.default_rng(6)), 1e-3)
+def test_residual_stencils_equal_the_assembled_residuals(grid, beta):
+    # each solve's residual check applies K as a stencil; the assembled
+    # matrices are the reference, to roundoff
+    spec, rng = grid
+    nx, ny = spec.nx, spec.ny
+    for K, shape, ends in ((face_stiffness_u(spec), (nx - 1, ny), (2.0, 3.0)),
+                           (face_stiffness_v(spec), (nx, ny - 1), (3.0, 2.0)),
+                           (cell_laplacian_neumann(spec), (nx, ny),
+                            (1.0, 1.0))):
+        x, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        ref = x.ravel() + beta * (K @ x.ravel()) - b.ravel()
+        got = brinkman._residual(x, b, beta, ends, spec)
+        assert np.allclose(got.ravel(), ref, rtol=1e-12,
+                           atol=1e-12 * np.abs(ref).max())

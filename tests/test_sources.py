@@ -236,7 +236,9 @@ def test_marked_imports_are_the_tracer_only_names():
         names = {entry.split(": ")[1] for entry in unused_imports(unmarked)}
         if names:
             marked[path.stem] = names
-    assert marked == {"dynamics": {"cell_laplacian_neumann", "laplacian",
+    assert marked == {"brinkman": {"cell_laplacian_neumann", "face_stiffness_u",
+                                   "face_stiffness_v"},
+                      "dynamics": {"cell_laplacian_neumann", "laplacian",
                                    "weighted_cell_flux_divergence"}}
 
 
