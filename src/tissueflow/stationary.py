@@ -246,9 +246,8 @@ def _divergence(x: np.ndarray, spec: GridSpec) -> np.ndarray:
     a, b = 1.0 / spec.hx, 1.0 / spec.hy
     nx, ny = spec.nx, spec.ny
     nu = (nx - 1) * ny
-    u, v = np.zeros((nx + 1, ny)), np.zeros((nx, ny + 1))   # zero walls
-    u[1:-1] = x[:nu].reshape(nx - 1, ny)
-    v[:, 1:-1] = x[nu:].reshape(nx, ny - 1)
+    u = np.pad(x[:nu].reshape(nx - 1, ny), ((1, 1), (0, 0)))  # zero walls
+    v = np.pad(x[nu:].reshape(nx, ny - 1), ((0, 0), (1, 1)))
     return _row_sums(((-a, u[:-1]), (a, u[1:]), (-b, v[:, :-1]),
                       (b, v[:, 1:])), (nx, ny)).ravel()
 
@@ -273,8 +272,7 @@ def _stiffness_product(x: np.ndarray, spec: GridSpec) -> np.ndarray:
         dx, dy = np.full(m, 2.0), np.full(n, 2.0)
         dx[[0, -1]], dy[[0, -1]] = ends
         diagonal = (dx * ax)[:, None] + (dy * ay)[None, :]
-        pad = np.zeros((m + 2, n + 2))
-        pad[1:-1, 1:-1] = block
+        pad = np.pad(block, 1)
         parts.append(_row_sums(
             ((-ax, pad[:-2, 1:-1]), (-ay, pad[1:-1, :-2]), (diagonal, block),
              (-ay, pad[1:-1, 2:]), (-ax, pad[2:, 1:-1])), (m, n)).ravel())
