@@ -13,13 +13,15 @@ factorisation.  They diagonalise I + beta*K for every beta at once: a
 solve takes a tuple ``betas``, transforms b forward once and inverts the
 stack of solutions in one call.  The eigenvalue sums of K (or of K^2,
 for the fourth-order stage) are a read-only table per grid, wall set and
-power, made on first use (``_symbol``).  The Dirichlet solve writes
--grad p straight into the stacked face vector.  Each solution's relative
+power, made on first use (``_symbol``).  The Dirichlet solve's
+right-hand side -grad p = D^T p is written straight into the stacked
+face vector (``divergence_transpose``).  Each solution's relative
 residual is checked against ``REL_TOL`` with K applied as a five-point
 stencil (``_residual``), written down apart from the transforms.
 ``cell_pressure_operator`` applies D (I + beta*K)^-1 D^T, the Dirichlet
 solve between a cell divergence and its transpose, in the same way
-without leaving the cells; the stationary pressure equation uses it.
+without leaving the cells.  The stationary solve uses it, and checks
+its velocities with ``divergence_transpose`` and ``residual_sums``.
 
 The transforms are the compiled pocketfft kernels that ``scipy.fft``
 calls, bound directly (``_pocketfft``) and called with the arguments
@@ -39,6 +41,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -96,13 +99,18 @@ _NEUMANN = (_pfft.dct, 2, 3, 0)   # n cells, zero-flux walls
 REL_TOL = 1e-10
 
 
+def _squares(x: np.ndarray) -> float:
+    """Sum of squares of a 1-D array, summed without BLAS (see ``norm``)."""
+    return float(np.einsum("i,i->", x, x))
+
+
 def norm(x: np.ndarray) -> float:
     """Euclidean norm of a 1-D array, summed without BLAS.
 
     ``np.linalg.norm`` calls BLAS ``ddot``, whose sum over a long vector
     is split across threads, so its last bits depend on the thread count.
     """
-    return float(np.sqrt(np.einsum("i,i->", x, x)))
+    return math.sqrt(_squares(x))
 
 
 def __getattr__(name: str):
@@ -249,41 +257,54 @@ def _residual(x: np.ndarray, b: np.ndarray, beta: float, ends: tuple,
     return r
 
 
+def residual_sums(xs, b: np.ndarray, betas: tuple, blocks: tuple,
+                   spec: GridSpec):
+    """Per block ``(shape, ends, what)`` of K, the next rows of b and of
+    each x on a 2-D grid of ``shape``: ``what``, b's sum of squares there
+    and, per beta, that of x + beta*K x - b (``_residual``)."""
+    bf, stop = b.ravel(), 0
+    for shape, ends, what in blocks:
+        rows = slice(stop, stop + shape[0] * shape[1])
+        stop = rows.stop
+        bk = bf[rows].reshape(shape)
+        yield what, _squares(bf[rows]), [
+            _squares(_residual(x.ravel()[rows].reshape(shape), bk, beta, ends,
+                               spec).ravel())
+            for beta, x in zip(betas, xs)]
+
+
 def _solve(b: np.ndarray, betas: tuple, blocks: tuple, inverse,
            spec: GridSpec) -> np.ndarray:
     """Stack of the solutions x of (I + beta*K) x = b for each of
     ``betas``, K block diagonal over ``blocks``.
 
     ``inverse(b, betas, spec)`` is the exact, stacked transform solve.
-    Every block ``(shape, ends, what)`` of each x, its next rows of the
-    flattened x on a 2-D grid of ``shape``, is checked with ``_residual``:
-    a relative residual above ``REL_TOL``, or a NaN one, raises
-    SolverFailure.
+    Every block of each x is checked (``residual_sums``): a relative
+    residual above ``REL_TOL``, or a NaN one, raises SolverFailure.
     """
     if any(beta <= 0 for beta in betas):
         raise ValueError("beta must be positive")
     xs = inverse(b, betas, spec)
-    bf, stop = b.ravel(), 0
-    for shape, ends, what in blocks:
-        rows = slice(stop, stop + shape[0] * shape[1])
-        stop = rows.stop
-        bk = bf[rows].reshape(shape)
-        scale = norm(bf[rows])
-        for beta, x in zip(betas, xs):
-            r = _residual(x.ravel()[rows].reshape(shape), bk, beta, ends, spec)
-            res = norm(r.ravel())
+    for what, b_squares, r_squares in residual_sums(xs, b, betas, blocks,
+                                                     spec):
+        scale = math.sqrt(b_squares)
+        for res in map(math.sqrt, r_squares):
             if not res <= REL_TOL * scale:      # a NaN residual fails too
                 raise SolverFailure(what, res / scale, REL_TOL)
     return xs
 
 
+def face_blocks(spec: GridSpec) -> tuple:
+    """The Dirichlet face stiffness's u- and v-blocks, for ``_solve``."""
+    nx, ny = spec.nx, spec.ny
+    return (((nx - 1, ny), (2.0, 3.0), "brinkman u-component"),
+            ((nx, ny - 1), (3.0, 2.0), "brinkman v-component"))
+
+
 def _solve_faces(b: np.ndarray, betas: tuple, spec: GridSpec) -> tuple:
     """Velocity per beta from a stacked face right-hand side b."""
-    nx, ny = spec.nx, spec.ny
-    blocks = (((nx - 1, ny), (2.0, 3.0), "brinkman u-component"),
-              ((nx, ny - 1), (3.0, 2.0), "brinkman v-component"))
-    xs = _solve(b, betas, blocks, face_brinkman_inverse, spec)
-    return tuple(unstack_faces(spec, x) for x in xs)
+    xs = _solve(b, betas, face_blocks(spec), face_brinkman_inverse, spec)
+    return tuple(VectorField(spec, *unstack_faces(spec, x)) for x in xs)
 
 
 def solve_brinkman_rhs(f: VectorField, betas: tuple) -> tuple:
@@ -291,21 +312,24 @@ def solve_brinkman_rhs(f: VectorField, betas: tuple) -> tuple:
     return _solve_faces(stack_faces(f), betas, f.spec)
 
 
-def solve_brinkman(p: ScalarField, betas: tuple) -> tuple:
-    """Dirichlet Brinkman velocity per beta from a cell-centered pressure.
-
-    The right-hand side -grad p (``grid.gradient``, negated) is written
-    straight into the stacked face vector."""
-    spec, x = p.spec, p.values
+def divergence_transpose(p: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """D^T p = -grad p (``grid.gradient``, negated) on the interior faces,
+    as a stacked face vector, for a cell array p."""
     nu = (spec.nx - 1) * spec.ny
     b = np.empty(nu + spec.nx * (spec.ny - 1))
     bu = b[:nu].reshape(spec.nx - 1, spec.ny)
     bv = b[nu:].reshape(spec.nx, spec.ny - 1)
-    np.subtract(x[1:, :], x[:-1, :], out=bu)
+    np.subtract(p[1:, :], p[:-1, :], out=bu)
     bu /= spec.hx
-    np.subtract(x[:, 1:], x[:, :-1], out=bv)
+    np.subtract(p[:, 1:], p[:, :-1], out=bv)
     bv /= spec.hy
-    return _solve_faces(np.negative(b, out=b), betas, spec)
+    return np.negative(b, out=b)
+
+
+def solve_brinkman(p: ScalarField, betas: tuple) -> tuple:
+    """Dirichlet Brinkman velocity per beta from a cell-centered pressure,
+    with the right-hand side -grad p (``divergence_transpose``)."""
+    return _solve_faces(divergence_transpose(p.values, p.spec), betas, p.spec)
 
 
 def solve_screened_potential(p: ScalarField, betas: tuple) -> tuple:

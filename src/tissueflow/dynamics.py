@@ -38,7 +38,8 @@ from .brinkman import (neumann_cell_inverse, solve_brinkman,
                        solve_brinkman_gradient_form)
 from .constitutive import (DELTA_CLAMP, ClampCounter, ModelParams, growth,
                            pressure_congestion, total_pressures)
-from .grid import GridSpec, ScalarField, VectorField, flux_divergence
+from .grid import (GridSpec, ScalarField, VectorField, flux_divergence,
+                   mirror_pad)
 # unused here; perfbench/spans.py rebinds these names in this module
 from .grid import laplacian  # noqa: F401
 from .operators import cell_laplacian_neumann, weighted_cell_flux_divergence  # noqa: F401
@@ -165,15 +166,6 @@ class _Scratch:
 _scratch = functools.lru_cache(maxsize=8)(_Scratch)   # one set per grid shape
 
 
-def _mirror_pad(n: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """``pad`` holding ``n`` inside one ring of ghost cells that mirror the
-    edge cells; the corners stay unset."""
-    pad[1:-1, 1:-1] = n
-    pad[0, 1:-1], pad[-1, 1:-1], pad[1:-1, 0], pad[1:-1, -1] = (
-        n[0], n[-1], n[:, 0], n[:, -1])
-    return pad
-
-
 def _sharp_face_fluxes(n, vel: VectorField, dt: float, low, anti, sc):
     """Donor-cell fluxes into ``low`` and limited-downwind minus donor-cell
     fluxes into ``anti``, on the interior faces of each axis.
@@ -185,7 +177,7 @@ def _sharp_face_fluxes(n, vel: VectorField, dt: float, low, anti, sc):
     value's side can bind.  With nu > 1 they swap sides and the interval
     falls back to the donor value, as at nu = 1; so nu is capped at 1.
     """
-    pad = _mirror_pad(n, sc.pad)
+    pad = mirror_pad(n, sc.pad)
     for axis, (vf, h) in enumerate(((vel.u, vel.spec.hx), (vel.v, vel.spec.hy))):
         line = pad[:, 1:-1] if axis == 0 else pad[1:-1, :]
         left, right, far_left, far_right = (_part(line, axis, a, b) for a, b in
@@ -365,7 +357,7 @@ def _grad_laplacian(values: np.ndarray, spec: GridSpec, sc: _Scratch):
     """grad(Lap(values)) on the interior faces, into ``sc.face[0][0]`` and
     ``sc.face[1][0]``: ``grid.laplacian`` (zero-flux walls by mirror
     ghost cells), then ``grid.gradient``, operation for operation."""
-    pad = _mirror_pad(values, sc.pad)
+    pad = mirror_pad(values, sc.pad)
     centre, lap, part = pad[1:-1, 1:-1], sc.flow, sc.work
     for out, ahead, behind, h in ((lap, pad[2:, 1:-1], pad[:-2, 1:-1], spec.hx),
                                   (part, pad[1:-1, 2:], pad[1:-1, :-2], spec.hy)):

@@ -177,22 +177,20 @@ def gradient(s: ScalarField) -> VectorField:
     return VectorField(spec, u, v)
 
 
-def _ghost_pad(values: np.ndarray) -> np.ndarray:
-    """Copy of ``values`` with one ghost ring mirroring the edge cells."""
-    g = np.empty((values.shape[0] + 2, values.shape[1] + 2))
-    g[1:-1, 1:-1] = values
-    g[0, 1:-1] = values[0, :]
-    g[-1, 1:-1] = values[-1, :]
-    g[1:-1, 0] = values[:, 0]
-    g[1:-1, -1] = values[:, -1]
-    # the corners stay unset: the 5-point stencil never reads them
-    return g
+def mirror_pad(values: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """``pad`` holding ``values`` inside one ring of ghost cells that mirror
+    the edge cells; the corners stay unset, as no 5-point stencil reads
+    them."""
+    pad[1:-1, 1:-1] = values
+    pad[0, 1:-1], pad[-1, 1:-1], pad[1:-1, 0], pad[1:-1, -1] = (
+        values[0], values[-1], values[:, 0], values[:, -1])
+    return pad
 
 
 def laplacian(s: ScalarField) -> ScalarField:
     """5-point Laplacian with zero-flux walls, realised by mirror ghost cells."""
     spec = s.spec
-    g = _ghost_pad(s.values)
+    g = mirror_pad(s.values, np.empty((spec.nx + 2, spec.ny + 2)))
     lap = (g[2:, 1:-1] - 2.0 * g[1:-1, 1:-1] + g[:-2, 1:-1]) / spec.hx**2 \
         + (g[1:-1, 2:] - 2.0 * g[1:-1, 1:-1] + g[1:-1, :-2]) / spec.hy**2
     return ScalarField(spec, lap)

@@ -29,14 +29,14 @@ def stack_faces(vec: VectorField) -> np.ndarray:
     return np.concatenate([vec.u[1:-1, :].ravel(), vec.v[:, 1:-1].ravel()])
 
 
-def unstack_faces(spec: GridSpec, x: np.ndarray) -> VectorField:
-    """Staggered field from an interior-face vector; wall faces are 0."""
+def unstack_faces(spec: GridSpec, x: np.ndarray) -> tuple:
+    """Full face arrays (u, v) of an interior-face vector; wall faces are 0."""
     nu = (spec.nx - 1) * spec.ny
     u = np.zeros((spec.nx + 1, spec.ny))
     v = np.zeros((spec.nx, spec.ny + 1))
     u[1:-1, :] = x[:nu].reshape(spec.nx - 1, spec.ny)
     v[:, 1:-1] = x[nu:].reshape(spec.nx, spec.ny - 1)
-    return VectorField(spec, u, v)
+    return u, v
 
 
 def _tridiag(n: int, h: float, end_diag: float):

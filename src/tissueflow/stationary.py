@@ -9,9 +9,9 @@ grad-div term.  Discretely this is
 
 with A_i = I + beta_i*K, K the face stiffness (Dirichlet walls), D the
 cell divergence, C_i = diag(chi_i / g_i) and
-f = chi1*(p1* + q) + chi2*(p2* + q).  ``assemble_weak_form`` builds this
-2x2 block matrix, with ``scipy.sparse``, for the tests' energy form and
-as their reference.
+f = chi1*(p1* + q) + chi2*(p2* + q), q zeroed outside the tissues.
+``assemble_weak_form`` builds this 2x2 block matrix, with
+``scipy.sparse``, for the tests' energy form and as their reference.
 
 ``solve_stationary`` never forms it.  Eliminating the face velocities
 leaves a cell-sized equation for the total tissue pressure
@@ -37,13 +37,9 @@ component and one inverse transform of the stack for both tissues
 (``brinkman.cell_pressure_operator``).
 Nothing is assembled or factorised.  The face velocities x_i are formed
 once, from the converged Pi by one exact sine transform solve of the
-shared D^T Pi for both tissues (``brinkman.face_brinkman_inverse``),
-and the residual of the full
-coupled system is then checked against ``brinkman.REL_TOL``.  D x, D^T p
-and K x are slice stencils that sum each row as the CSR matrices of
-``operators`` do, so they equal those products bit for bit.  GMRES has
-a fixed budget of ``GMRES_ITERATIONS_PER_LINE * (nx + ny)`` inner
-iterations; no tolerance or budget is a parameter.
+shared D^T Pi for both tissues (``brinkman.face_brinkman_inverse``).
+GMRES has a fixed budget of ``GMRES_ITERATIONS_PER_LINE * (nx + ny)``
+inner iterations; no tolerance or budget is a parameter.
 
 The pressure is reconstructed from the velocity divergences,
 
@@ -51,6 +47,13 @@ The pressure is reconstructed from the velocity divergences,
         (p2* - (1/g2) div v2) on the second, 0 outside,
 
 which closes the divergence law div v_i = g_i*(p_i* - p) identically.
+Then f - C1 D x1 - C2 D x2 = p + q on every cell, so the coupled
+residual of tissue i is (I + beta_i K) x_i - D^T (p + q): each velocity
+is checked against the Brinkman law of the total pressure p + q, with
+the Brinkman path's own tools, ``brinkman.divergence_transpose`` for
+D^T = -grad and its five-point residual loop for K, against
+``brinkman.REL_TOL``.  D is ``grid.flux_divergence``, the divergence
+the pressure reconstruction takes.
 
 Each interface of a partition (``gamma``: tissue 1 | tissue 2,
 ``gamma1``/``gamma2``: tissue | exterior) is one ``InterfaceFaces``
@@ -74,9 +77,9 @@ import numpy as np
 
 from . import brinkman
 from .brinkman import (SolverFailure, cell_pressure_operator,
-                       face_brinkman_inverse, norm)
+                       divergence_transpose, face_brinkman_inverse, norm)
 from .constitutive import ModelParams
-from .grid import GridSpec, ScalarField, VectorField, divergence
+from .grid import GridSpec, ScalarField, VectorField, flux_divergence
 from .operators import (divergence_matrix, face_stiffness_u, face_stiffness_v,
                         unstack_faces)
 
@@ -230,55 +233,6 @@ def _stiffness(spec: GridSpec):
                          format="csr")
 
 
-# D x, D^T p and K x as slice stencils, bitwise the CSR products of
-# ``operators``: each sums its row's stored coefficients times x from +0.0
-# in the row's sorted column order, with zeros where the row has no entry.
-
-def _row_sums(terms, shape: tuple) -> np.ndarray:
-    out = np.zeros(shape)
-    for coef, x in terms:
-        out += coef * x
-    return out
-
-
-def _divergence(x: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """``divergence_matrix(spec) @ x`` for a stacked face vector x."""
-    a, b = 1.0 / spec.hx, 1.0 / spec.hy
-    nx, ny = spec.nx, spec.ny
-    nu = (nx - 1) * ny
-    u = np.pad(x[:nu].reshape(nx - 1, ny), ((1, 1), (0, 0)))  # zero walls
-    v = np.pad(x[nu:].reshape(nx, ny - 1), ((0, 0), (1, 1)))
-    return _row_sums(((-a, u[:-1]), (a, u[1:]), (-b, v[:, :-1]),
-                      (b, v[:, 1:])), (nx, ny)).ravel()
-
-
-def _divergence_transpose(p: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """``divergence_matrix(spec).T @ p`` for a flattened cell field p."""
-    a, b = 1.0 / spec.hx, 1.0 / spec.hy
-    p = p.reshape(spec.nx, spec.ny)
-    u = _row_sums(((a, p[:-1]), (-a, p[1:])), (spec.nx - 1, spec.ny))
-    v = _row_sums(((b, p[:, :-1]), (-b, p[:, 1:])), (spec.nx, spec.ny - 1))
-    return np.concatenate([u.ravel(), v.ravel()])
-
-
-def _stiffness_product(x: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """``_stiffness(spec) @ x`` for a stacked face vector x."""
-    ax, ay = 1.0 / spec.hx**2, 1.0 / spec.hy**2
-    nu = (spec.nx - 1) * spec.ny
-    parts = []
-    for block, ends in ((x[:nu].reshape(spec.nx - 1, spec.ny), (2.0, 3.0)),
-                        (x[nu:].reshape(spec.nx, spec.ny - 1), (3.0, 2.0))):
-        m, n = block.shape
-        dx, dy = np.full(m, 2.0), np.full(n, 2.0)
-        dx[[0, -1]], dy[[0, -1]] = ends
-        diagonal = (dx * ax)[:, None] + (dy * ay)[None, :]
-        pad = np.pad(block, 1)
-        parts.append(_row_sums(
-            ((-ax, pad[:-2, 1:-1]), (-ay, pad[1:-1, :-2]), (diagonal, block),
-             (-ay, pad[1:-1, 2:]), (-ax, pad[2:, 1:-1])), (m, n)).ravel())
-    return np.concatenate(parts)
-
-
 def _source(part: DomainPartition, params: ModelParams,
             q: ScalarField | None):
     """(q, f): q defaults to zero, must live on the partition's grid and is
@@ -323,15 +277,6 @@ class StationarySolution:
     p: ScalarField
     rel_residual: float
     iterations: int = 0        # GMRES inner iterations of the solve
-
-
-def reconstruct_pressure(part: DomainPartition, params: ModelParams,
-                         v1: VectorField, v2: VectorField) -> ScalarField:
-    d1 = divergence(v1).values
-    d2 = divergence(v2).values
-    p = (part.chi1.values * (params.p1_star - d1 / params.g1) +
-         part.chi2.values * (params.p2_star - d2 / params.g2))
-    return ScalarField(part.spec, p)
 
 
 def _gmres(product, f: np.ndarray, cycles: int):
@@ -401,55 +346,52 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
     The cell equation S Pi = f is solved by GMRES right-preconditioned
     with the diagonal d = 1 + (c1/beta1 + c2/beta2), c_i = chi_i/g_i, the
     limit of S at high frequency (Saad 2003, section 9.3).
-    ``brinkman.REL_TOL`` bounds the relative residual of the full coupled
-    system, and GMRES gets ``GMRES_ITERATIONS_PER_LINE * (nx + ny)``
-    inner iterations (whole restart cycles).  Raises SolverFailure when
-    the residual is missed.  q defaults to zero and must live on the
-    partition's grid; the solution keeps it zeroed outside the tissues.
+    ``brinkman.REL_TOL`` bounds |r| / |[D^T f, D^T f]|, r the residual of
+    the full coupled system, r_i = (I + beta_i K) x_i - D^T (p + q), and
+    GMRES gets ``GMRES_ITERATIONS_PER_LINE * (nx + ny)`` inner iterations
+    (whole restart cycles).  Raises SolverFailure when the residual is
+    missed.
+    q defaults to zero and must live on the partition's grid; the
+    solution keeps it zeroed outside the tissues.
     """
-    rel_tol = brinkman.REL_TOL
     spec = part.spec
+    betas = (params.beta1, params.beta2)
     q, f = _source(part, params, q)
-    c1 = part.chi1.values.ravel() / params.g1
-    c2 = part.chi2.values.ravel() / params.g2
-
-    def coupling(x1, x2):
-        # grouped so that swapping the tissue labels is bitwise symmetric
-        return c1 * _divergence(x1, spec) + c2 * _divergence(x2, spec)
-
-    b = _divergence_transpose(f, spec)
+    chi1, chi2 = part.chi1.values, part.chi2.values
+    c1, c2 = chi1.ravel() / params.g1, chi2.ravel() / params.g2
+    b = divergence_transpose(f.reshape(spec.nx, spec.ny), spec)
     scale = norm(np.concatenate([b, b]))
-    if scale == 0.0:
-        x1 = x2 = np.zeros_like(b)
-        rel, iterations = 0.0, 0
-    else:
-        products = cell_pressure_operator((params.beta1, params.beta2), spec)
-
-        # the right preconditioner, grouped as in coupling
+    xs, iterations = np.zeros((2, b.size)), 0
+    if scale:
+        products = cell_pressure_operator(betas, spec)
+        # the right preconditioner; every sum over the tissues is grouped
+        # so that swapping their labels is bitwise symmetric
         d = 1.0 + (c1 / params.beta1 + c2 / params.beta2)
 
         def schur_product(y):
             pi = y / d
             m = products(pi.reshape(spec.nx, spec.ny)).reshape(2, f.size)
-            return pi + (c1 * m[0] + c2 * m[1])     # grouped as in coupling
+            return pi + (c1 * m[0] + c2 * m[1])
 
         budget = GMRES_ITERATIONS_PER_LINE * (spec.nx + spec.ny)
         y, iterations = _gmres(schur_product, f, budget // GMRES_RESTART)
-        pi = y / d
-        x1, x2 = face_brinkman_inverse(_divergence_transpose(pi, spec),
-                                       (params.beta1, params.beta2), spec)
-        g = _divergence_transpose(coupling(x1, x2), spec) - b
-        r = np.concatenate(
-            [x1 + params.beta1 * _stiffness_product(x1, spec) + g,
-             x2 + params.beta2 * _stiffness_product(x2, spec) + g])
-        rel = norm(r) / scale
-        if not rel <= rel_tol:          # a NaN residual fails too
-            raise SolverFailure("stationary system", rel, rel_tol,
-                                iterations)
-    v1 = unstack_faces(spec, x1)
-    v2 = unstack_faces(spec, x2)
-    p = reconstruct_pressure(part, params, v1, v2)
-    return StationarySolution(params, q, v1, v2, p, rel, iterations)
+        pi = (y / d).reshape(spec.nx, spec.ny)
+        xs = face_brinkman_inverse(divergence_transpose(pi, spec), betas, spec)
+    faces = [unstack_faces(spec, x) for x in xs]
+    d1, d2 = (flux_divergence(u, v, spec) for u, v in faces)
+    p = (chi1 * (params.p1_star - d1 / params.g1) +
+         chi2 * (params.p2_star - d2 / params.g2))
+    sums = [r for _, _, r in brinkman.residual_sums(
+        xs, divergence_transpose(p + q.values, spec), betas,
+        brinkman.face_blocks(spec), spec)]
+    # each tissue's squares summed on their own: the labels swap bitwise
+    rel = math.sqrt(sum(map(sum, zip(*sums)))) / scale if scale else 0.0
+    if not rel <= brinkman.REL_TOL:     # a NaN residual fails too
+        raise SolverFailure("stationary system", rel, brinkman.REL_TOL,
+                            iterations)
+    v1, v2 = (VectorField(spec, u, v) for u, v in faces)
+    return StationarySolution(params, q, v1, v2, ScalarField(spec, p), rel,
+                              iterations)
 
 
 # ---------------------------------------------------------------------------

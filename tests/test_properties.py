@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import maximum_filter
 
-from tissueflow import brinkman, stationary
+from tissueflow import brinkman
 from tissueflow.brinkman import _CELLS, _FACES, _NEUMANN
 from tissueflow.constitutive import ModelParams
 from tissueflow.dynamics import (CEILING_ROUNDOFF, StepControl,
@@ -398,35 +398,12 @@ def test_bound_kernels_equal_scipy_fft_bitwise(m, n, stack, seed):
             assert t.tobytes() == ref.tobytes()
 
 
-def _with_zeros(rng, size):
-    """Normal draws with about a third +0.0 and a third -0.0."""
-    x = rng.standard_normal(size)
-    x[rng.random(size) < 0.3] = 0.0
-    x[rng.random(size) < 0.3] = -0.0
-    return x
-
-
-@PROPERTY
-@given(_KERNEL_GRIDS)
-@example((_ODD, np.random.default_rng(5)))
-def test_stationary_stencils_equal_the_csr_products_bitwise(grid):
-    # signed zeros included: a CSR row sums from +0.0
-    spec, rng = grid
-    nf = (spec.nx - 1) * spec.ny + spec.nx * (spec.ny - 1)
-    x, p = _with_zeros(rng, nf), _with_zeros(rng, spec.nx * spec.ny)
-    D = divergence_matrix(spec)
-    for got, ref in ((stationary._divergence(x, spec), D @ x),
-                     (stationary._divergence_transpose(p, spec), D.T @ p),
-                     (stationary._stiffness_product(x, spec),
-                      stationary._stiffness(spec) @ x)):
-        assert got.tobytes() == ref.tobytes()
-
-
 @PROPERTY
 @given(_KERNEL_GRIDS, st.floats(1e-6, 10.0))
 @example((_ODD, np.random.default_rng(6)), 1e-3)
 def test_residual_stencils_equal_the_assembled_residuals(grid, beta):
-    # each solve's residual check applies K as a stencil; the assembled
+    # each solve's residual check applies K as a stencil, and the Dirichlet
+    # and stationary solves apply D^T as the stacked -grad; the assembled
     # matrices are the reference, to roundoff
     spec, rng = grid
     nx, ny = spec.nx, spec.ny
@@ -439,3 +416,14 @@ def test_residual_stencils_equal_the_assembled_residuals(grid, beta):
         got = brinkman._residual(x, b, beta, ends, spec)
         assert np.allclose(got.ravel(), ref, rtol=1e-12,
                            atol=1e-12 * np.abs(ref).max())
+    p = rng.standard_normal((nx, ny))
+    ref = divergence_matrix(spec).T @ p.ravel()
+    assert np.allclose(brinkman.divergence_transpose(p, spec), ref,
+                       rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    # bit for bit when hx and hy are powers of two, as on the benchmark's
+    # grids (no two cells of p are equal, where a CSR row would give +0.0)
+    hx, hy = 2.0 ** rng.integers(-6, 3, size=2)
+    exact = GridSpec(0.0, nx * hx, 0.0, ny * hy, nx, ny)
+    assert (exact.hx, exact.hy) == (hx, hy)
+    assert (brinkman.divergence_transpose(p, exact).tobytes() ==
+            (divergence_matrix(exact).T @ p.ravel()).tobytes())

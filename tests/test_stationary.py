@@ -137,6 +137,7 @@ def test_preconditioned_solve_meets_the_tolerance_and_swaps_bitwise(problem):
         assert np.array_equal(mine.u, theirs.u)
         assert np.array_equal(mine.v, theirs.v)
     assert np.array_equal(a.p.values, b.p.values)
+    assert a.rel_residual == b.rel_residual
 
 
 def test_uniform_q_changes_solution():
@@ -359,6 +360,26 @@ def test_pressure_equation_matches_coupled_system_on_anisotropic_grid():
         assert err <= 1e-9
     assert sol.rel_residual <= brinkman.REL_TOL
     assert 0 < sol.iterations <= 10 * (spec.nx + spec.ny)
+
+
+def test_the_check_reads_the_coupled_residual_away_from_the_solution(
+        monkeypatch):
+    # the check forms (I + beta_i K) x_i - D^T (p + q) from the
+    # reconstructed pressure; that is the coupled system's residual for any
+    # velocities, not only at convergence.  An infinite tolerance stops
+    # GMRES after one iteration, far from the solution.
+    spec = GridSpec(-1.0, 1.0, -1.0, 1.2, 20, 24)
+    part = concentric_partition(spec)
+    params = ModelParams(beta1=1.0, beta2=0.3, g1=1.0, g2=2.0,
+                         p1_star=5.0, p2_star=10.0)
+    q = ScalarField.from_function(spec, lambda x, y: 1.0 + 0.5 * x * y)
+    monkeypatch.setattr(brinkman, "REL_TOL", np.inf)
+    sol = solve_stationary(part, params, q)
+    matrix, rhs = assemble_weak_form(part, params, q)
+    x = np.concatenate([stack_faces(sol.v1), stack_faces(sol.v2)])
+    ref = np.linalg.norm(matrix @ x - rhs) / np.linalg.norm(rhs)
+    assert sol.iterations == 1 and ref > 1e-3
+    assert sol.rel_residual == pytest.approx(ref, rel=1e-9)
 
 
 def test_iteration_budget_bounds_inner_iterations(monkeypatch):
