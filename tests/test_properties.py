@@ -420,8 +420,18 @@ def test_residual_stencils_equal_the_assembled_residuals(grid, beta):
     ref = divergence_matrix(spec).T @ p.ravel()
     assert np.allclose(brinkman.divergence_transpose(p, spec), ref,
                        rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-    # bit for bit when hx and hy are powers of two, as on the benchmark's
-    # grids (no two cells of p are equal, where a CSR row would give +0.0)
+
+
+@PROPERTY
+@given(_KERNEL_GRIDS)
+@example((_ODD, np.random.default_rng(5)))
+def test_stationary_stencils_equal_the_csr_products_bitwise(grid):
+    # the stationary solve's D^T is the stacked -grad: bit for bit when hx
+    # and hy are powers of two, as on the benchmark's grids (no two cells
+    # of p are equal, where a CSR row would give +0.0)
+    spec, rng = grid
+    nx, ny = spec.nx, spec.ny
+    p = rng.standard_normal((nx, ny))
     hx, hy = 2.0 ** rng.integers(-6, 3, size=2)
     exact = GridSpec(0.0, nx * hx, 0.0, ny * hy, nx, ny)
     assert (exact.hx, exact.hy) == (hx, hy)
