@@ -20,7 +20,8 @@ residual is checked against ``REL_TOL`` with K applied as a five-point
 stencil (``_residual``), written down apart from the transforms.
 ``cell_pressure_operator`` applies D (I + beta*K)^-1 D^T, the Dirichlet
 solve between a cell divergence and its transpose, in the same way
-without leaving the cells.  The stationary solve uses it, and checks
+without leaving the cells, in float64 or float32 with one cached
+operator per (betas, grid).  The stationary solve uses it, and checks
 its velocities with ``divergence_transpose`` and ``residual_sums``.
 
 The transforms are the compiled pocketfft kernels that ``scipy.fft``
@@ -183,6 +184,7 @@ def face_brinkman_inverse(b: np.ndarray, betas: tuple,
     return np.concatenate([u.reshape(m, -1), v.reshape(m, -1)], axis=1)
 
 
+@functools.lru_cache(maxsize=32)
 def cell_pressure_operator(betas: tuple, spec: GridSpec):
     """The map p -> stack of D (I + beta_i*K)^-1 D^T p over ``betas``.
 
@@ -192,21 +194,26 @@ def cell_pressure_operator(betas: tuple, spec: GridSpec):
     the cosine modes of the cells with singular values sqrt(lambda), so
     the u part is diagonal in DCT-II along x times DST-II along y with
     symbol lx/(1 + beta*(lx + ly)), and the v part in the transposed
-    bases with symbol ly/(1 + beta*(lx + ly)).  The symbols are computed
-    here, once; each call transforms p forward once per basis and
-    transforms the whole stack back.
+    bases with symbol ly/(1 + beta*(lx + ly)).  The symbols are
+    read-only tables, made once per (betas, grid) with a float32 copy;
+    each call transforms p forward once per basis and transforms the
+    whole stack back, in p's precision, float64 or float32.
     """
     beta = np.asarray(betas, dtype=float)[:, None, None]
-    parts = []
+    parts = {np.dtype(np.float64): [], np.dtype(np.float32): []}
     for walls, along in (((_NEUMANN, _CELLS), 0), ((_CELLS, _NEUMANN), 1)):
         (_, _, _, kx), (_, _, _, ky) = walls
         lx = _eigenvalues(kx, spec.nx, spec.nx, spec.hx)[:, None]
         ly = _eigenvalues(ky, spec.ny, spec.ny, spec.hy)[None, :]
-        parts.append((walls, (lx, ly)[along] / (1.0 + beta * (lx + ly))))
+        symbol = (lx, ly)[along] / (1.0 + beta * (lx + ly))
+        for dtype, tables in parts.items():
+            table = symbol.astype(dtype)
+            table.flags.writeable = False
+            tables.append((walls, table))
 
     def apply(p: np.ndarray) -> np.ndarray:
         m = 0.0
-        for ((tr_x, tx, ix, _), (tr_y, ty, iy, _)), symbol in parts:
+        for ((tr_x, tx, ix, _), (tr_y, ty, iy, _)), symbol in parts[p.dtype]:
             y = tr_y(tr_x(p, tx, (0,), 0, None, 1), ty, (1,), 0, None, 1)
             y = tr_y(y * symbol, iy, (2,), 2, None, 1)
             m = m + tr_x(y, ix, (1,), 2, None, 1)

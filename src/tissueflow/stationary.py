@@ -21,12 +21,17 @@ Pi = f - (C1 D x1 + C2 D x2),
 
 whose operator is bounded independently of h because D A_i^-1 D^T acts
 like -Lap (I - beta_i Lap)^-1 <= 1/beta_i.  A restarted GMRES (``_gmres``;
-Saad & Schultz 1986) solves it matrix-free and never leaves the cells.
-It is right-preconditioned by the operator's high-frequency limit, the
-diagonal d = 1 + chi1/(g1 beta1) + chi2/(g2 beta2): GMRES solves
-S (y / d) = f and Pi = y / d, so its residual is still the true residual
-of S Pi = f (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed.,
-SIAM 2003, section 9.3).
+Saad & Schultz 1986) solves it matrix-free and never leaves the cells,
+as iterative refinement in two precisions (Carson & Higham, SIAM J. Sci.
+Comput. 39, 2017): each restart cycle solves the correction equation
+for the current residual in float32, until it has reduced that residual
+by ``CYCLE_REDUCTION``, and the solution, its residual and the stopping
+test are float64.  On the fig3-lesvm bands two cycles reach the float64
+tolerance.  GMRES is right-preconditioned by the operator's
+high-frequency limit, the diagonal d = 1 + chi1/(g1 beta1) +
+chi2/(g2 beta2): it solves S (y / d) = f and Pi = y / d, so its residual
+is still the true residual of S Pi = f (Saad, Iterative Methods for
+Sparse Linear Systems, 2nd ed., SIAM 2003, section 9.3).
 Its Arnoldi step orthogonalises against the whole basis in two pairs of
 matrix-vector products, classical Gram-Schmidt with one
 reorthogonalisation (as stable as modified Gram-Schmidt; Giraud, Langou
@@ -39,7 +44,8 @@ Nothing is assembled or factorised.  The face velocities x_i are formed
 once, from the converged Pi by one exact sine transform solve of the
 shared D^T Pi for both tissues (``brinkman.face_brinkman_inverse``).
 GMRES has a fixed budget of ``GMRES_ITERATIONS_PER_LINE * (nx + ny)``
-inner iterations; no tolerance or budget is a parameter.
+inner iterations, counted across its cycles; no tolerance or budget is a
+parameter.
 
 The pressure is reconstructed from the velocity divergences,
 
@@ -86,9 +92,13 @@ from .operators import (divergence_matrix, face_stiffness_u, face_stiffness_v,
 # GMRES inner iterations per restart cycle: the basis holds restart + 1
 # vectors, and the pressure equation converges in well under 50 iterations.
 GMRES_RESTART = 50
-# GMRES inner iterations allowed per grid line: the budget is 10*(nx+ny),
-# rounded down to whole restart cycles.
+# GMRES inner iterations allowed per grid line: the budget is 10*(nx+ny)
+# inner iterations, counted across restart cycles.
 GMRES_ITERATIONS_PER_LINE = 10
+# A restart cycle runs in CYCLE_DTYPE and stops once it has reduced the
+# residual it corrects by CYCLE_REDUCTION, which float32 resolves.
+CYCLE_DTYPE = np.float32
+CYCLE_REDUCTION = 1e-6
 
 JUMP_CSV_COLUMNS = ("interface", "face_index", "x", "y", "nx", "ny",
                     "quantity", "left_trace", "right_trace", "jump")
@@ -279,30 +289,37 @@ class StationarySolution:
     iterations: int = 0        # GMRES inner iterations of the solve
 
 
-def _gmres(product, f: np.ndarray, cycles: int):
-    """Restarted GMRES from zero for ``product(x) = f``; returns x and the
-    number of inner iterations.
+def _gmres(product, f: np.ndarray, budget: int):
+    """GMRES iterative refinement from zero for ``product(x) = f``; returns
+    x and the number of inner iterations.
 
-    The Arnoldi step is classical Gram-Schmidt against the whole basis,
-    twice, and the Givens rotations run on Python floats.  A cycle ends
-    after ``GMRES_RESTART`` iterations, at a rotated residual of at most
-    ``0.01 * brinkman.REL_TOL * ||f||``, or at a breakdown (a new vector
-    of norm at most eps times that of its product), and then checks the
-    true residual.  The solve stops when that residual meets the
-    tolerance, at a breakdown, or after ``cycles`` cycles.
+    Each restart cycle solves the correction equation ``product(e) = r``
+    for the true residual r = f - product(x) by GMRES in ``CYCLE_DTYPE``:
+    the basis, the Arnoldi products and ``product`` itself run in
+    float32, whose transforms take about half the time, so ``product``
+    returns its argument's dtype.  The Arnoldi step is classical
+    Gram-Schmidt against the whole basis, twice, and the Givens rotations
+    run on Python floats.  A cycle ends after ``GMRES_RESTART``
+    iterations, once its rotated residual is at most
+    ``CYCLE_REDUCTION * ||r||`` or ``0.01 * brinkman.REL_TOL * ||f||``,
+    or at a breakdown (a new vector of norm at most float32 eps times
+    that of its product).  Then x += e and r are formed in float64, from
+    a float64 product.  The solve stops when ||r|| meets the tolerance,
+    when it is NaN, or after ``budget`` inner iterations in all.
     """
     # D^T amplifies the cell residual in the coupled one, hence 0.01.
     tol = 0.01 * brinkman.REL_TOL * norm(f)
-    eps = np.finfo(float).eps
-    basis = np.empty((GMRES_RESTART + 1, f.size))
+    eps = np.finfo(CYCLE_DTYPE).eps
+    basis = np.empty((GMRES_RESTART + 1, f.size), dtype=CYCLE_DTYPE)
     x = np.zeros_like(f)
     r = f
     iterations = 0
-    for _ in range(cycles):
+    while iterations < budget:
         g = [norm(r)]
+        target = max(CYCLE_REDUCTION * g[0], tol)
         np.divide(r, g[0], out=basis[0])
         columns, rotations = [], []     # the rotated Hessenberg triangle
-        for j in range(GMRES_RESTART):
+        for j in range(min(GMRES_RESTART, budget - iterations)):
             w = product(basis[j])
             v = basis[:j + 1]
             h0 = norm(w)
@@ -325,16 +342,16 @@ def _gmres(product, f: np.ndarray, cycles: int):
             rotations.append((c, s))
             g[j], residual = c * g[j], -s * g[j]
             g.append(residual)
-            if abs(residual) <= tol or breakdown:
+            if abs(residual) <= target or breakdown:
                 break
         y = g[:len(columns)]            # back substitution on the triangle
         for k in reversed(range(len(y))):
             y[k] = (y[k] - sum(columns[i][k] * y[i]
                                for i in range(k + 1, len(y)))) / columns[k][k]
-        x += np.array(y) @ basis[:len(y)]
+        x += np.array(y, dtype=CYCLE_DTYPE) @ basis[:len(y)]
         iterations += len(y)
         r = f - product(x)
-        if norm(r) <= tol or breakdown:
+        if not norm(r) > tol:           # a NaN residual ends the solve too
             break
     return x, iterations
 
@@ -345,11 +362,12 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
 
     The cell equation S Pi = f is solved by GMRES right-preconditioned
     with the diagonal d = 1 + (c1/beta1 + c2/beta2), c_i = chi_i/g_i, the
-    limit of S at high frequency (Saad 2003, section 9.3).
+    limit of S at high frequency (Saad 2003, section 9.3), in float32
+    cycles that refine a float64 Pi (``_gmres``).
     ``brinkman.REL_TOL`` bounds |r| / |[D^T f, D^T f]|, r the residual of
     the full coupled system, r_i = (I + beta_i K) x_i - D^T (p + q), and
     GMRES gets ``GMRES_ITERATIONS_PER_LINE * (nx + ny)`` inner iterations
-    (whole restart cycles).  Raises SolverFailure when the residual is
+    over all its cycles.  Raises SolverFailure when the residual is
     missed.
     q defaults to zero and must live on the partition's grid; the
     solution keeps it zeroed outside the tissues.
@@ -367,14 +385,18 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
         # the right preconditioner; every sum over the tissues is grouped
         # so that swapping their labels is bitwise symmetric
         d = 1.0 + (c1 / params.beta1 + c2 / params.beta2)
+        # the diagonals in each precision a product runs in
+        diagonals = {np.dtype(t): tuple(a.astype(t) for a in (d, c1, c2))
+                     for t in (np.float64, CYCLE_DTYPE)}
 
         def schur_product(y):
-            pi = y / d
+            dy, c1y, c2y = diagonals[y.dtype]
+            pi = y / dy
             m = products(pi.reshape(spec.nx, spec.ny)).reshape(2, f.size)
-            return pi + (c1 * m[0] + c2 * m[1])
+            return pi + (c1y * m[0] + c2y * m[1])
 
         budget = GMRES_ITERATIONS_PER_LINE * (spec.nx + spec.ny)
-        y, iterations = _gmres(schur_product, f, budget // GMRES_RESTART)
+        y, iterations = _gmres(schur_product, f, budget)
         pi = (y / d).reshape(spec.nx, spec.ny)
         xs = face_brinkman_inverse(divergence_transpose(pi, spec), betas, spec)
     faces = [unstack_faces(spec, x) for x in xs]

@@ -147,6 +147,20 @@ def test_cell_pressure_operator_matches_sparse_solve_on_anisotropic_grid():
             assert np.linalg.norm(got.ravel() - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_cell_pressure_operator_is_cached_and_applies_float32_in_float32():
+    # one operator per (betas, grid); a float32 field is transformed in
+    # float32, to float32's resolution
+    spec = GridSpec(-1.0, 1.0, 0.0, 3.0, nx=20, ny=24)
+    apply = cell_pressure_operator((1.0, 0.3), spec)
+    assert cell_pressure_operator((1.0, 0.3), spec) is apply
+    p = np.random.default_rng(12).standard_normal((20, 24))
+    m = apply(p)
+    m32 = apply(p.astype(np.float32))
+    assert m.dtype == np.float64 and m32.dtype == np.float32
+    eps = np.finfo(np.float32).eps
+    assert np.abs(m32 - m).max() <= 100 * eps * np.abs(m).max()
+
+
 def test_gradient_form_constant_pressure():
     spec = GridSpec(nx=16, ny=16)
     p = ScalarField(spec, np.full((16, 16), 2.0))

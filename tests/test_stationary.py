@@ -16,7 +16,7 @@ from tissueflow.brinkman import SolverFailure
 from tissueflow.constitutive import ModelParams, coercivity_check
 from tissueflow.grid import GridSpec, ScalarField, VectorField, divergence
 from tissueflow.harness import PRESETS, initial_partition
-from tissueflow.operators import stack_faces
+from tissueflow.operators import stack_faces, unstack_faces
 from tissueflow.stationary import (GMRES_RESTART, JUMP_CSV_COLUMNS,
                                    DomainPartition, PartitionError, _gmres,
                                    TransmissionReport, assemble_weak_form,
@@ -362,6 +362,34 @@ def test_pressure_equation_matches_coupled_system_on_anisotropic_grid():
     assert 0 < sol.iterations <= 10 * (spec.nx + spec.ny)
 
 
+def test_no_float32_reaches_the_solution():
+    # the GMRES cycles run in float32, but every field of the solution
+    # matches the sparse direct solve far below float32's resolution (a
+    # field rounded to float32 is about 3e-8 off), and meets the tolerance
+    spec = GridSpec(-1.0, 1.0, 0.0, 3.0, 20, 24)
+    xx, yy = spec.cell_center_mesh()
+    chi1 = (np.abs(xx) < 0.5) & (yy > 0.5) & (yy < 1.5)
+    chi2 = (np.abs(xx) < 0.7) & (yy >= 1.5) & (yy < 2.6)
+    part = DomainPartition(ScalarField(spec, chi1.astype(float)),
+                           ScalarField(spec, chi2.astype(float)))
+    params = ModelParams(beta1=1.0, beta2=0.3, g1=1.0, g2=2.0,
+                         p1_star=5.0, p2_star=10.0)
+    q = ScalarField(spec, 1.0 + 0.5 * np.sin(3.0 * xx) * np.cos(2.0 * yy))
+    sol = solve_stationary(part, params, q)
+    assert sol.rel_residual <= brinkman.REL_TOL
+    matrix, rhs = assemble_weak_form(part, params, q)
+    v1, v2 = (VectorField(spec, *unstack_faces(spec, x))
+              for x in np.split(spla.spsolve(matrix.tocsc(), rhs), 2))
+    p = (chi1 * (params.p1_star - divergence(v1).values / params.g1) +
+         chi2 * (params.p2_star - divergence(v2).values / params.g2))
+    for got, want in ((sol.p.values, p),
+                      (sol.q.values, (chi1 | chi2) * q.values),
+                      (sol.v1.u, v1.u), (sol.v1.v, v1.v),
+                      (sol.v2.u, v2.u), (sol.v2.v, v2.v)):
+        assert got.dtype == np.float64
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
 def test_the_check_reads_the_coupled_residual_away_from_the_solution(
         monkeypatch):
     # the check forms (I + beta_i K) x_i - D^T (p + q) from the
@@ -422,14 +450,33 @@ def test_a_wrong_transform_symbol_fails_every_residual_check(monkeypatch):
         solve_stationary(concentric_partition(spec), PARAMS)
 
 
-@pytest.mark.parametrize("case, n, q0, iterations", [
+def _float64_cycles(monkeypatch):
+    """GMRES without the second precision: float64 cycles, each run to the
+    tolerance."""
+    monkeypatch.setattr(stationary, "CYCLE_DTYPE", np.float64)
+    monkeypatch.setattr(stationary, "CYCLE_REDUCTION", 0.0)
+
+
+# inner iterations of the two-precision solve, summed over its cycles
+_REFINED_ITERATIONS = {
+    ("concentric", 32, 0.0): 8, ("concentric", 64, 0.0): 8,
+    ("concentric", 128, 0.0): 8, ("unequal", 64, 0.0): 10,
+    ("bands", 64, 0.0): 22, ("bands", 64, 1.0): 22,
+    ("bands", 128, 0.0): 23, ("bands", 256, 1.0): 24}
+
+
+@pytest.mark.parametrize("case, n, q0, float64_iterations", [
     ("concentric", 32, 0.0, 6), ("concentric", 64, 0.0, 6),
     ("concentric", 128, 0.0, 6), ("unequal", 64, 0.0, 8),
     ("bands", 64, 0.0, 18), ("bands", 64, 1.0, 18),
     ("bands", 128, 0.0, 19), ("bands", 256, 1.0, 20)])
-def test_iteration_counts_do_not_grow_with_the_grid(case, n, q0, iterations):
-    # the counts the README quotes; "unequal" is the concentric partition
-    # with a diagonal preconditioner that differs between the tissues
+def test_iteration_counts_do_not_grow_with_the_grid(case, n, q0,
+                                                    float64_iterations,
+                                                    monkeypatch):
+    # the counts the README quotes: the two-precision solve's, and those of
+    # the same GMRES with float64 cycles run to the tolerance; "unequal" is
+    # the concentric partition with a diagonal preconditioner that differs
+    # between the tissues
     if case == "concentric":
         part, params = concentric_partition(GridSpec(nx=n, ny=n)), PARAMS
     elif case == "unequal":
@@ -441,7 +488,11 @@ def test_iteration_counts_do_not_grow_with_the_grid(case, n, q0, iterations):
         part, params = initial_partition(cfg), cfg.params
     q = ScalarField(part.spec, np.full((n, n), q0))
     sol = solve_stationary(part, params, q)
-    assert sol.iterations == iterations
+    assert sol.iterations == _REFINED_ITERATIONS[case, n, q0]
+    assert sol.rel_residual <= brinkman.REL_TOL
+    _float64_cycles(monkeypatch)
+    sol = solve_stationary(part, params, q)
+    assert sol.iterations == float64_iterations
     assert sol.rel_residual <= brinkman.REL_TOL
 
 
@@ -453,11 +504,12 @@ import numpy as np
 from tissueflow.grid import ScalarField
 from tissueflow.harness import PRESETS, initial_partition
 from tissueflow.stationary import solve_stationary
+n = int(sys.argv[2])
 cfg = PRESETS["fig3-lesvm"]
-cfg = replace(cfg, grid=replace(cfg.grid, nx=64, ny=64))
+cfg = replace(cfg, grid=replace(cfg.grid, nx=n, ny=n))
 part = initial_partition(cfg)
 sol = solve_stationary(part, cfg.params,
-                       ScalarField(part.spec, np.full((64, 64), 0.5)))
+                       ScalarField(part.spec, np.full((n, n), 0.5)))
 for a in (np.float64(sol.rel_residual), sol.p.values, sol.v1.u, sol.v1.v,
           sol.v2.u, sol.v2.v):
     print(hashlib.sha256(a.tobytes()).hexdigest())
@@ -467,33 +519,42 @@ for a in (np.float64(sol.rel_residual), sol.p.values, sol.v1.u, sol.v1.v,
 def test_stationary_solve_does_not_depend_on_the_blas_thread_count():
     # a BLAS dot product splits a long sum across threads, so a norm taken
     # with it differs in its last bits between thread counts; with q = 0.5
-    # the residual of the fig3-lesvm bands showed it (with q = 1 it did not)
+    # the residual of the fig3-lesvm bands showed it at 64^2 (with q = 1 it
+    # did not); at 128^2 float64 Arnoldi products on BLAS moved every field
     src = str(Path(__file__).resolve().parents[1] / "src")
-    hashes = [subprocess.run([sys.executable, "-c", _BANDS_SOLVE, src],
-                             env=dict(os.environ, OPENBLAS_NUM_THREADS=n),
-                             capture_output=True, text=True, check=True,
-                             timeout=300).stdout
-              for n in ("1", "2")]
-    assert hashes[0] == hashes[1] and len(hashes[0].split()) == 6
+    for grid in ("64", "128"):
+        hashes = [subprocess.run([sys.executable, "-c", _BANDS_SOLVE, src,
+                                  grid],
+                                 env=dict(os.environ, OPENBLAS_NUM_THREADS=n),
+                                 capture_output=True, text=True, check=True,
+                                 timeout=300).stdout
+                  for n in ("1", "2")]
+        assert hashes[0] == hashes[1] and len(hashes[0].split()) == 6
 
 
-def test_gmres_restarts_and_breaks_down_happily():
-    # a nonsymmetric operator that needs a second restart cycle takes as
-    # many inner iterations as scipy's GMRES, the solver it replaced
+def test_gmres_restarts_and_breaks_down_happily(monkeypatch):
+    # a nonsymmetric operator that needs a second restart cycle: the
+    # float32 refinement meets the tolerance, and with float64 cycles run
+    # to the tolerance it takes as many inner iterations as scipy's GMRES
     rng = np.random.default_rng(3)
     n = 120
     matrix = np.eye(n) + 0.8 * rng.standard_normal((n, n)) / np.sqrt(n)
     f = rng.standard_normal(n)
+    tol = 0.01 * brinkman.REL_TOL * np.linalg.norm(f)
+    budget = 10 * GMRES_RESTART
+    x, _ = _gmres(lambda v: matrix.astype(v.dtype) @ v, f, budget)
+    assert x.dtype == np.float64
+    assert np.linalg.norm(f - matrix @ x) <= tol
+    _float64_cycles(monkeypatch)
     reference = []
-    x, iterations = _gmres(lambda v: matrix @ v, f, 10)
+    x, iterations = _gmres(lambda v: matrix @ v, f, budget)
     spla.gmres(matrix, f, rtol=0.01 * brinkman.REL_TOL, atol=0.0,
                restart=GMRES_RESTART, maxiter=10, callback=reference.append,
                callback_type="pr_norm")
     assert GMRES_RESTART < iterations == len(reference)
-    tol = 0.01 * brinkman.REL_TOL * np.linalg.norm(f)
     assert np.linalg.norm(f - matrix @ x) <= tol
     # f spans an invariant subspace: one iteration, and it is exact
-    x, iterations = _gmres(lambda v: 2.0 * v, f, 10)
+    x, iterations = _gmres(lambda v: 2.0 * v, f, budget)
     assert iterations == 1
     assert np.allclose(x, 0.5 * f, rtol=1e-15, atol=0.0)
 
