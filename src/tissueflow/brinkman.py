@@ -13,11 +13,15 @@ factorisation.  They diagonalise I + beta*K for every beta at once: a
 solve takes a tuple ``betas``, transforms b forward once and inverts the
 stack of solutions in one call.  The eigenvalue sums of K (or of K^2,
 for the fourth-order stage) are a read-only table per grid, wall set and
-power, made on first use (``_symbol``).  The Dirichlet solve's
-right-hand side -grad p = D^T p is written straight into the stacked
-face vector (``divergence_transpose``).  Each solution's relative
-residual is checked against ``REL_TOL`` with K applied as a five-point
-stencil (``_residual``), written down apart from the transforms.
+power, made on first use (``_symbol``).  The Dirichlet solve works on
+the face arrays: its right-hand side -grad p = D^T p is the interior-face
+pair (bu, bv) (``divergence_transpose``), and ``face_brinkman_inverse``
+copies each component's solutions into new face arrays with +0.0 walls.
+Each wall tuple also carries K's end diagonal, so one table of the two
+face blocks (``FACE_BLOCKS``) drives both the transform solve and the
+check each solve makes after it (``_check``): every relative residual
+against ``REL_TOL``, with K applied as a five-point stencil written down
+apart from the transforms (``_residual``).
 ``cell_pressure_operator`` applies D (I + beta*K)^-1 D^T, the Dirichlet
 solve between a cell divergence and its transpose, in the same way
 without leaving the cells, in float64 or float32 with one cached
@@ -49,7 +53,6 @@ from pathlib import Path
 import numpy as np
 
 from .grid import GridSpec, ScalarField, VectorField, gradient
-from .operators import stack_faces, unstack_faces
 # only perfbench/spans.py reads these here, to time the assembly
 from .operators import (cell_laplacian_neumann, face_stiffness_u,  # noqa: F401
                         face_stiffness_v)
@@ -87,13 +90,19 @@ def _pocketfft():
 _pfft = _pocketfft()
 
 # Wall condition along one axis of n cells: (kernel, forward type, inverse
-# type, k0).  The transform diagonalises that axis's stencil [-1, 2, -1]/h^2
-# with eigenvalues (2 - 2cos(k*pi/n))/h^2 for k = k0, k0+1, ...  A kernel is
+# type, k0, end).  The transform diagonalises that axis's stencil
+# [-1, 2, -1]/h^2, whose first and last diagonal entries are ``end``, with
+# eigenvalues (2 - 2cos(k*pi/n))/h^2 for k = k0, k0+1, ...  A kernel is
 # called as scipy.fft calls it, (x, type, axes, inorm, out, nthreads): inorm
 # 0 forward and 2 (divide by the logical size) inverse, one thread.
-_FACES = (_pfft.dst, 1, 1, 1)     # n-1 face unknowns, walls on the end faces
-_CELLS = (_pfft.dst, 2, 3, 1)     # n unknowns, Dirichlet wall half a spacing out
-_NEUMANN = (_pfft.dct, 2, 3, 0)   # n cells, zero-flux walls
+_FACES = (_pfft.dst, 1, 1, 1, 2.0)    # n-1 face unknowns, walls on end faces
+_CELLS = (_pfft.dst, 2, 3, 1, 3.0)    # n unknowns, wall half a spacing out
+_NEUMANN = (_pfft.dct, 2, 3, 0, 1.0)  # n cells, zero-flux walls
+
+# The Dirichlet face stiffness's blocks, u then v: (walls along x and y,
+# the index of the unknowns in a face array or a stack of them, name).
+FACE_BLOCKS = (((_FACES, _CELLS), np.s_[..., 1:-1, :], "brinkman u-component"),
+               ((_CELLS, _FACES), np.s_[..., 1:-1], "brinkman v-component"))
 
 # Relative residual every solve must reach, the stationary one included;
 # read at call time.
@@ -143,7 +152,7 @@ def _symbol(spec: GridSpec, walls: tuple, shape: tuple,
             power: int) -> np.ndarray:
     """The eigenvalues (lx + ly)^power of K^power on the 2-D unknown grid
     ``shape`` of ``walls``, one read-only table per grid."""
-    (_, _, _, kx), (_, _, _, ky) = walls
+    (*_, kx, _), (*_, ky, _) = walls
     lx = _eigenvalues(kx, shape[0], spec.nx, spec.hx)
     ly = _eigenvalues(ky, shape[1], spec.ny, spec.hy)
     k = (lx[:, None] + ly[None, :]) ** power
@@ -155,7 +164,7 @@ def _transform_solve(b: np.ndarray, betas: tuple, spec: GridSpec,
                      walls: tuple, power: int = 1) -> np.ndarray:
     """Solve (I + beta*K^power) x = b exactly for each of ``betas``, with b
     on its 2-D unknown grid; returns the stack of solutions."""
-    (tr_x, tx, ix, _), (tr_y, ty, iy, _) = walls
+    (tr_x, tx, ix, *_), (tr_y, ty, iy, *_) = walls
     k = _symbol(spec, walls, b.shape, power)
     y = tr_y(tr_x(b, tx, (0,), 0, None, 1), ty, (1,), 0, None, 1)
     stack = np.empty((len(betas),) + b.shape)    # inverted in place
@@ -167,21 +176,22 @@ def _transform_solve(b: np.ndarray, betas: tuple, spec: GridSpec,
     return tr_x(stack, ix, (1,), 2, stack, 1)
 
 
-def face_brinkman_inverse(b: np.ndarray, betas: tuple,
-                          spec: GridSpec) -> np.ndarray:
-    """Exact (I + beta*K)^-1 b, one row per beta, for a stacked face vector b.
+def face_brinkman_inverse(b: tuple, betas: tuple, spec: GridSpec) -> tuple:
+    """Exact (I + beta*K)^-1 b for each of ``betas``, K the Dirichlet face
+    stiffness, with no residual check.
 
-    ``b`` and each row have the layout of ``operators.stack_faces`` and K
-    is the Dirichlet face stiffness of each component: one transform
-    solve per component, with no residual check.
+    ``b`` is the pair of right-hand sides on the interior faces, shapes
+    (nx-1, ny) and (nx, ny-1).  Returns the stacks of full face arrays
+    (u, v), shapes (m, nx+1, ny) and (m, nx, ny+1) for m betas, with +0.0
+    on the wall faces: one transform solve per component, copied into
+    the interior of new arrays.
     """
-    nu = (spec.nx - 1) * spec.ny
-    u = _transform_solve(b[:nu].reshape(spec.nx - 1, spec.ny), betas, spec,
-                         (_FACES, _CELLS))
-    v = _transform_solve(b[nu:].reshape(spec.nx, spec.ny - 1), betas, spec,
-                         (_CELLS, _FACES))
     m = len(betas)
-    return np.concatenate([u.reshape(m, -1), v.reshape(m, -1)], axis=1)
+    faces = (np.zeros((m, spec.nx + 1, spec.ny)),
+             np.zeros((m, spec.nx, spec.ny + 1)))
+    for x, bk, (walls, interior, _) in zip(faces, b, FACE_BLOCKS):
+        x[interior] = _transform_solve(bk, betas, spec, walls)
+    return faces
 
 
 @functools.lru_cache(maxsize=32)
@@ -202,7 +212,7 @@ def cell_pressure_operator(betas: tuple, spec: GridSpec):
     beta = np.asarray(betas, dtype=float)[:, None, None]
     parts = {np.dtype(np.float64): [], np.dtype(np.float32): []}
     for walls, along in (((_NEUMANN, _CELLS), 0), ((_CELLS, _NEUMANN), 1)):
-        (_, _, _, kx), (_, _, _, ky) = walls
+        (*_, kx, _), (*_, ky, _) = walls
         lx = _eigenvalues(kx, spec.nx, spec.nx, spec.hx)[:, None]
         ly = _eigenvalues(ky, spec.ny, spec.ny, spec.hy)[None, :]
         symbol = (lx, ly)[along] / (1.0 + beta * (lx + ly))
@@ -213,7 +223,7 @@ def cell_pressure_operator(betas: tuple, spec: GridSpec):
 
     def apply(p: np.ndarray) -> np.ndarray:
         m = 0.0
-        for ((tr_x, tx, ix, _), (tr_y, ty, iy, _)), symbol in parts[p.dtype]:
+        for ((tr_x, tx, ix, *_), (tr_y, ty, iy, *_)), symbol in parts[p.dtype]:
             y = tr_y(tr_x(p, tx, (0,), 0, None, 1), ty, (1,), 0, None, 1)
             y = tr_y(y * symbol, iy, (2,), 2, None, 1)
             m = m + tr_x(y, ix, (1,), 2, None, 1)
@@ -238,23 +248,21 @@ def _residual_workspace(shape: tuple) -> np.ndarray:
     return np.empty((2,) + shape)
 
 
-def _residual(x: np.ndarray, b: np.ndarray, beta: float, ends: tuple,
+def _residual(x: np.ndarray, b: np.ndarray, beta: float, walls: tuple,
               spec: GridSpec) -> np.ndarray:
     """x + beta*K x - b on x's 2-D grid, in a workspace of its shape.
 
     K is the negative five-point Laplacian: along each axis the stencil
     (-1, 2, -1)/h^2, with the neighbours beyond the ends left out and
-    the end diagonals ``ends`` in place of 2.  An end diagonal is 2 next
-    to a wall face, 3 next to a wall half a spacing out and 1 at a
-    zero-flux wall.
+    that axis's end diagonal from ``walls`` in place of 2.
     """
     r, t = _residual_workspace(x.shape)
     cx, cy = beta / spec.hx**2, beta / spec.hy**2
     np.multiply(x, 1.0 + 2.0 * (cx + cy), out=r)
     r -= b
     # axis 1 through the transposes; t holds the neighbour sums
-    for c, end, xa, ta, ra in ((cx, ends[0], x, t, r),
-                               (cy, ends[1], x.T, t.T, r.T)):
+    for c, (*_, end), xa, ta, ra in ((cx, walls[0], x, t, r),
+                                     (cy, walls[1], x.T, t.T, r.T)):
         np.add(xa[:-2], xa[2:], out=ta[1:-1])
         ta[0], ta[-1] = xa[1], xa[-2]
         ta *= c
@@ -264,73 +272,53 @@ def _residual(x: np.ndarray, b: np.ndarray, beta: float, ends: tuple,
     return r
 
 
-def residual_sums(xs, b: np.ndarray, betas: tuple, blocks: tuple,
-                   spec: GridSpec):
-    """Per block ``(shape, ends, what)`` of K, the next rows of b and of
-    each x on a 2-D grid of ``shape``: ``what``, b's sum of squares there
-    and, per beta, that of x + beta*K x - b (``_residual``)."""
-    bf, stop = b.ravel(), 0
-    for shape, ends, what in blocks:
-        rows = slice(stop, stop + shape[0] * shape[1])
-        stop = rows.stop
-        bk = bf[rows].reshape(shape)
-        yield what, _squares(bf[rows]), [
-            _squares(_residual(x.ravel()[rows].reshape(shape), bk, beta, ends,
-                               spec).ravel())
-            for beta, x in zip(betas, xs)]
+def residual_sums(xs, b, betas: tuple, blocks: tuple, spec: GridSpec):
+    """Per block ``(walls, interior, what)`` of K, with ``xs`` and ``b`` its
+    stack of solutions and its right-hand side: ``what``, b's sum of
+    squares and, per beta, that of x + beta*K x - b on the unknowns
+    ``x[interior]`` (``_residual``)."""
+    for x, bk, (walls, interior, what) in zip(xs, b, blocks):
+        yield what, _squares(bk.ravel()), [
+            _squares(_residual(xi[interior], bk, beta, walls, spec).ravel())
+            for beta, xi in zip(betas, x)]
 
 
-def _solve(b: np.ndarray, betas: tuple, blocks: tuple, inverse,
-           spec: GridSpec) -> np.ndarray:
-    """Stack of the solutions x of (I + beta*K) x = b for each of
-    ``betas``, K block diagonal over ``blocks``.
-
-    ``inverse(b, betas, spec)`` is the exact, stacked transform solve.
-    Every block of each x is checked (``residual_sums``): a relative
-    residual above ``REL_TOL``, or a NaN one, raises SolverFailure.
-    """
+def _check(xs, b, betas: tuple, blocks: tuple, spec: GridSpec) -> None:
+    """Check the stacks ``xs`` of a block-diagonal solve of (I + beta*K) x
+    = b, one per block (``residual_sums``): a relative residual above
+    ``REL_TOL``, or a NaN one, raises SolverFailure, and a beta that is
+    not positive ValueError."""
     if any(beta <= 0 for beta in betas):
         raise ValueError("beta must be positive")
-    xs = inverse(b, betas, spec)
     for what, b_squares, r_squares in residual_sums(xs, b, betas, blocks,
                                                      spec):
         scale = math.sqrt(b_squares)
         for res in map(math.sqrt, r_squares):
             if not res <= REL_TOL * scale:      # a NaN residual fails too
                 raise SolverFailure(what, res / scale, REL_TOL)
-    return xs
 
 
-def face_blocks(spec: GridSpec) -> tuple:
-    """The Dirichlet face stiffness's u- and v-blocks, for ``_solve``."""
-    nx, ny = spec.nx, spec.ny
-    return (((nx - 1, ny), (2.0, 3.0), "brinkman u-component"),
-            ((nx, ny - 1), (3.0, 2.0), "brinkman v-component"))
-
-
-def _solve_faces(b: np.ndarray, betas: tuple, spec: GridSpec) -> tuple:
-    """Velocity per beta from a stacked face right-hand side b."""
-    xs = _solve(b, betas, face_blocks(spec), face_brinkman_inverse, spec)
-    return tuple(VectorField(spec, *unstack_faces(spec, x)) for x in xs)
+def _solve_faces(b: tuple, betas: tuple, spec: GridSpec) -> tuple:
+    """Velocity per beta from the interior-face right-hand sides b."""
+    faces = face_brinkman_inverse(b, betas, spec)
+    _check(faces, b, betas, FACE_BLOCKS, spec)
+    return tuple(VectorField(spec, u, v) for u, v in zip(*faces))
 
 
 def solve_brinkman_rhs(f: VectorField, betas: tuple) -> tuple:
     """Solve -beta*Lap(v) + v = f per beta; boundary faces of f are ignored."""
-    return _solve_faces(stack_faces(f), betas, f.spec)
+    return _solve_faces((f.u[1:-1, :], f.v[:, 1:-1]), betas, f.spec)
 
 
-def divergence_transpose(p: np.ndarray, spec: GridSpec) -> np.ndarray:
+def divergence_transpose(p: np.ndarray, spec: GridSpec) -> tuple:
     """D^T p = -grad p (``grid.gradient``, negated) on the interior faces,
-    as a stacked face vector, for a cell array p."""
-    nu = (spec.nx - 1) * spec.ny
-    b = np.empty(nu + spec.nx * (spec.ny - 1))
-    bu = b[:nu].reshape(spec.nx - 1, spec.ny)
-    bv = b[nu:].reshape(spec.nx, spec.ny - 1)
-    np.subtract(p[1:, :], p[:-1, :], out=bu)
+    as the pair (bu, bv) of shapes (nx-1, ny) and (nx, ny-1), for a cell
+    array p."""
+    bu = np.subtract(p[1:, :], p[:-1, :])
     bu /= spec.hx
-    np.subtract(p[:, 1:], p[:, :-1], out=bv)
+    bv = np.subtract(p[:, 1:], p[:, :-1])
     bv /= spec.hy
-    return np.negative(b, out=b)
+    return np.negative(bu, out=bu), np.negative(bv, out=bv)
 
 
 def solve_brinkman(p: ScalarField, betas: tuple) -> tuple:
@@ -341,11 +329,10 @@ def solve_brinkman(p: ScalarField, betas: tuple) -> tuple:
 
 def solve_screened_potential(p: ScalarField, betas: tuple) -> tuple:
     """Scalar -beta*Lap(K) + K = p per beta, with zero-flux walls."""
-    spec = p.spec
-    xs = _solve(p.values, betas,
-                (((spec.nx, spec.ny), (1.0, 1.0), "screened potential"),),
-                neumann_cell_inverse, spec)
-    return tuple(ScalarField(spec, x) for x in xs)
+    xs = neumann_cell_inverse(p.values, betas, p.spec)
+    _check((xs,), (p.values,), betas,
+           (((_NEUMANN, _NEUMANN), ..., "screened potential"),), p.spec)
+    return tuple(ScalarField(p.spec, x) for x in xs)
 
 
 def solve_brinkman_gradient_form(p: ScalarField, betas: tuple) -> tuple:

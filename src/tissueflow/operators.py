@@ -1,7 +1,8 @@
-"""Sparse-matrix forms of the discrete operators, and the face-vector layout.
+"""Sparse-matrix forms of the discrete operators, the tests' references.
 
 Velocity components are discretized on their own face grids with the
-boundary (Dirichlet) faces eliminated, so the unknown layouts are:
+boundary (Dirichlet) faces eliminated.  The matrices act on the stacked
+interior-face vector [u.ravel(), v.ravel()], with
 
   u-component: interior vertical faces, shape (nx-1, ny), row-major;
   v-component: interior horizontal faces, shape (nx, ny-1), row-major.
@@ -9,10 +10,11 @@ boundary (Dirichlet) faces eliminated, so the unknown layouts are:
 Walls parallel to a component sit half a spacing away from the first
 face row; the mirror-ghost elimination puts a 3 on those diagonals.
 
-No run builds these matrices: the solves apply the operators as
-transforms and stencils.  They are the tests' independent references
-and the stationary weak form's blocks, so ``scipy.sparse`` is imported
-inside each builder and a run never loads it.
+No run builds these matrices or uses the stacked layout: the solves
+apply the operators as transforms and stencils on the face arrays.  The
+matrices are the tests' independent references and the stationary weak
+form's blocks, so ``scipy.sparse`` is imported inside each builder and a
+run never loads it.
 """
 
 from __future__ import annotations
@@ -21,22 +23,7 @@ import functools
 
 import numpy as np
 
-from .grid import GridSpec, VectorField
-
-
-def stack_faces(vec: VectorField) -> np.ndarray:
-    """Interior-face vector [u.ravel(), v.ravel()] of a staggered field."""
-    return np.concatenate([vec.u[1:-1, :].ravel(), vec.v[:, 1:-1].ravel()])
-
-
-def unstack_faces(spec: GridSpec, x: np.ndarray) -> tuple:
-    """Full face arrays (u, v) of an interior-face vector; wall faces are 0."""
-    nu = (spec.nx - 1) * spec.ny
-    u = np.zeros((spec.nx + 1, spec.ny))
-    v = np.zeros((spec.nx, spec.ny + 1))
-    u[1:-1, :] = x[:nu].reshape(spec.nx - 1, spec.ny)
-    v[:, 1:-1] = x[nu:].reshape(spec.nx, spec.ny - 1)
-    return u, v
+from .grid import GridSpec
 
 
 def _tridiag(n: int, h: float, end_diag: float):

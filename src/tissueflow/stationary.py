@@ -42,7 +42,8 @@ component and one inverse transform of the stack for both tissues
 (``brinkman.cell_pressure_operator``).
 Nothing is assembled or factorised.  The face velocities x_i are formed
 once, from the converged Pi by one exact sine transform solve of the
-shared D^T Pi for both tissues (``brinkman.face_brinkman_inverse``).
+shared D^T Pi for both tissues (``brinkman.face_brinkman_inverse``),
+which returns them as the tissues' full face arrays.
 GMRES has a fixed budget of ``GMRES_ITERATIONS_PER_LINE * (nx + ny)``
 inner iterations, counted across its cycles; no tolerance or budget is a
 parameter.
@@ -57,8 +58,8 @@ Then f - C1 D x1 - C2 D x2 = p + q on every cell, so the coupled
 residual of tissue i is (I + beta_i K) x_i - D^T (p + q): each velocity
 is checked against the Brinkman law of the total pressure p + q, with
 the Brinkman path's own tools, ``brinkman.divergence_transpose`` for
-D^T = -grad and its five-point residual loop for K, against
-``brinkman.REL_TOL``.  D is ``grid.flux_divergence``, the divergence
+D^T = -grad and its residual sums over ``brinkman.FACE_BLOCKS`` for K,
+against ``brinkman.REL_TOL``.  D is ``grid.flux_divergence``, the divergence
 the pressure reconstruction takes.
 
 Each interface of a partition (``gamma``: tissue 1 | tissue 2,
@@ -82,12 +83,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import brinkman
-from .brinkman import (SolverFailure, cell_pressure_operator,
+from .brinkman import (FACE_BLOCKS, SolverFailure, cell_pressure_operator,
                        divergence_transpose, face_brinkman_inverse, norm)
 from .constitutive import ModelParams
 from .grid import GridSpec, ScalarField, VectorField, flux_divergence
-from .operators import (divergence_matrix, face_stiffness_u, face_stiffness_v,
-                        unstack_faces)
+from .operators import divergence_matrix, face_stiffness_u, face_stiffness_v
 
 # GMRES inner iterations per restart cycle: the basis holds restart + 1
 # vectors, and the pressure equation converges in well under 50 iterations.
@@ -378,8 +378,10 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
     chi1, chi2 = part.chi1.values, part.chi2.values
     c1, c2 = chi1.ravel() / params.g1, chi2.ravel() / params.g2
     b = divergence_transpose(f.reshape(spec.nx, spec.ny), spec)
-    scale = norm(np.concatenate([b, b]))
-    xs, iterations = np.zeros((2, b.size)), 0
+    scale = norm(np.concatenate([bk.ravel() for bk in b + b]))  # |[b, b]|
+    faces = (np.zeros((2, spec.nx + 1, spec.ny)),
+             np.zeros((2, spec.nx, spec.ny + 1)))
+    iterations = 0
     if scale:
         products = cell_pressure_operator(betas, spec)
         # the right preconditioner; every sum over the tissues is grouped
@@ -398,20 +400,20 @@ def solve_stationary(part: DomainPartition, params: ModelParams,
         budget = GMRES_ITERATIONS_PER_LINE * (spec.nx + spec.ny)
         y, iterations = _gmres(schur_product, f, budget)
         pi = (y / d).reshape(spec.nx, spec.ny)
-        xs = face_brinkman_inverse(divergence_transpose(pi, spec), betas, spec)
-    faces = [unstack_faces(spec, x) for x in xs]
-    d1, d2 = (flux_divergence(u, v, spec) for u, v in faces)
+        faces = face_brinkman_inverse(divergence_transpose(pi, spec), betas,
+                                      spec)
+    d1, d2 = (flux_divergence(u, v, spec) for u, v in zip(*faces))
     p = (chi1 * (params.p1_star - d1 / params.g1) +
          chi2 * (params.p2_star - d2 / params.g2))
     sums = [r for _, _, r in brinkman.residual_sums(
-        xs, divergence_transpose(p + q.values, spec), betas,
-        brinkman.face_blocks(spec), spec)]
+        faces, divergence_transpose(p + q.values, spec), betas,
+        FACE_BLOCKS, spec)]
     # each tissue's squares summed on their own: the labels swap bitwise
     rel = math.sqrt(sum(map(sum, zip(*sums)))) / scale if scale else 0.0
     if not rel <= brinkman.REL_TOL:     # a NaN residual fails too
         raise SolverFailure("stationary system", rel, brinkman.REL_TOL,
                             iterations)
-    v1, v2 = (VectorField(spec, u, v) for u, v in faces)
+    v1, v2 = (VectorField(spec, u, v) for u, v in zip(*faces))
     return StationarySolution(params, q, v1, v2, ScalarField(spec, p), rel,
                               iterations)
 

@@ -1,7 +1,10 @@
 """Reference measures of the stationary problem that no run computes.
 
-``quadratic_form`` evaluates the coupled bilinear form from its assembled
-matrix (criterion 07 and the coercivity tests).  ``interface_force_residuals``
+``stack_faces`` and ``unstack_faces`` convert between a staggered field's
+face arrays and the stacked interior-face vector that the sparse
+references in ``tissueflow.operators`` act on.  ``quadratic_form``
+evaluates the coupled bilinear form from its assembled matrix (criterion
+07 and the coercivity tests).  ``interface_force_residuals``
 measures the normal-stress balance across an interface with
 moving-least-squares fits (criterion 09); the full-grid reference in
 ``test_stationary`` checks it.
@@ -11,11 +14,25 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt, gaussian_filter
 
 from tissueflow.constitutive import ModelParams
-from tissueflow.grid import VectorField
-from tissueflow.operators import stack_faces
+from tissueflow.grid import GridSpec, VectorField
 from tissueflow.stationary import (_REGIONS, DomainPartition,
                                    StationarySolution, _stiffness,
                                    assemble_weak_form)
+
+
+def stack_faces(vec: VectorField) -> np.ndarray:
+    """Interior-face vector [u.ravel(), v.ravel()] of a staggered field."""
+    return np.concatenate([vec.u[1:-1, :].ravel(), vec.v[:, 1:-1].ravel()])
+
+
+def unstack_faces(spec: GridSpec, x: np.ndarray) -> tuple:
+    """Full face arrays (u, v) of an interior-face vector; wall faces are 0."""
+    nu = (spec.nx - 1) * spec.ny
+    u = np.zeros((spec.nx + 1, spec.ny))
+    v = np.zeros((spec.nx, spec.ny + 1))
+    u[1:-1, :] = x[:nu].reshape(spec.nx - 1, spec.ny)
+    v[:, 1:-1] = x[nu:].reshape(spec.nx, spec.ny - 1)
+    return u, v
 
 
 def quadratic_form(part: DomainPartition, params: ModelParams,

@@ -12,10 +12,12 @@ from tissueflow import brinkman
 from tissueflow.brinkman import (SolverFailure, cell_pressure_operator,
                                  solve_brinkman, solve_brinkman_gradient_form,
                                  solve_brinkman_rhs, solve_screened_potential)
+from tissueflow.constitutive import ModelParams
 from tissueflow.grid import (GridSpec, ScalarField, VectorField, curl2d,
                              gradient, laplacian)
 from tissueflow.operators import (cell_laplacian_neumann, divergence_matrix,
                                   face_stiffness_u, face_stiffness_v)
+from tissueflow.stationary import concentric_partition, solve_stationary
 
 
 def assembled(K, beta):
@@ -58,6 +60,39 @@ def test_boundary_faces_exactly_zero():
     (v,) = solve_brinkman(p, (0.3,))
     assert np.all(v.u[0, :] == 0.0) and np.all(v.u[-1, :] == 0.0)
     assert np.all(v.v[:, 0] == 0.0) and np.all(v.v[:, -1] == 0.0)
+
+
+def test_each_velocity_owns_zero_walled_face_arrays():
+    # a run keeps velocities across steps, so every solve returns new face
+    # arrays: no two share memory, within a solve or with the next one,
+    # the next solve leaves them as they were, and every wall face is +0.0
+    spec = GridSpec(-1.0, 1.0, -1.0, 1.2, 20, 24)
+    p = ScalarField.from_function(spec, lambda x, y: np.sin(3 * x) * y)
+    f = VectorField.from_functions(spec, lambda x, y: np.cos(x) * y,
+                                   lambda x, y: x * y + x)
+    params = ModelParams(beta1=1.0, beta2=0.3, g1=1.0, g2=2.0,
+                         p1_star=5.0, p2_star=10.0)
+    part = concentric_partition(spec)
+
+    def stationary():
+        sol = solve_stationary(part, params)
+        return sol.v1, sol.v2
+
+    for solve in (lambda: solve_brinkman(p, (1.0, 0.3)),
+                  lambda: solve_brinkman_rhs(f, (1.0, 0.3)), stationary):
+        first = solve()
+        saved = [(vel.u.tobytes(), vel.v.tobytes()) for vel in first]
+        second = solve()
+        arrays = [a for vel in first + second for a in (vel.u, vel.v)]
+        assert len(arrays) == 8
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        assert [(vel.u.tobytes(), vel.v.tobytes()) for vel in first] == saved
+        for vel in first + second:
+            walls = np.concatenate([vel.u[[0, -1]].ravel(),
+                                    vel.v[:, [0, -1]].ravel()])
+            assert np.all(walls == 0.0) and not np.signbit(walls).any()
 
 
 def test_large_beta_damps_velocity():
@@ -228,7 +263,11 @@ def test_nan_solution_fails_the_residual_check(monkeypatch):
     def nan_inverse(b, betas, spec, power=1):
         return np.full((len(betas),) + b.shape, np.nan)
 
-    monkeypatch.setattr(brinkman, "face_brinkman_inverse", nan_inverse)
+    def nan_faces(b, betas, spec):
+        return tuple(np.full_like(x, np.nan) for x in faces(b, betas, spec))
+
+    faces = brinkman.face_brinkman_inverse
+    monkeypatch.setattr(brinkman, "face_brinkman_inverse", nan_faces)
     monkeypatch.setattr(brinkman, "neumann_cell_inverse", nan_inverse)
     with pytest.raises(SolverFailure, match="brinkman u-component"):
         solve_brinkman(p, (1.0,))

@@ -29,9 +29,10 @@ from tissueflow.freeboundary import LimitState, transport_q
 from tissueflow.grid import (GridSpec, ScalarField, VectorField,
                              flux_divergence, gradient, laplacian)
 from tissueflow.operators import (cell_laplacian_neumann, divergence_matrix,
-                                  face_stiffness_u, face_stiffness_v,
-                                  stack_faces)
+                                  face_stiffness_u, face_stiffness_v)
 from tissueflow.stationary import DomainPartition, StationarySolution
+
+from stationary_reference import stack_faces
 
 NEGATIVE_ROUNDOFF = 1e-15    # a limited stage may leave a density this far below 0
 MASS_ROUNDOFF = 1e-13        # relative change of a species' mass in one stage
@@ -253,7 +254,7 @@ def test_esvm_equals_vm_on_segregated_data(grid, numbers, law, scheme):
 def _scipy_fft(wall):
     """scipy.fft's forward and inverse transform and the forward type of
     one of brinkman's wall tuples."""
-    kernel, forward_type, _, _ = wall
+    kernel, forward_type, *_ = wall
     pair = {"dst": (scipy.fft.dst, scipy.fft.idst),
             "dct": (scipy.fft.dct, scipy.fft.idct)}[kernel.__name__]
     return (*pair, forward_type)
@@ -383,7 +384,7 @@ def test_bound_kernels_equal_scipy_fft_bitwise(m, n, stack, seed):
     a = rng.standard_normal((m, n))
     s = rng.standard_normal((stack, m, n))
     for wall in (_FACES, _CELLS, _NEUMANN):
-        kernel, forward_type, inverse_type, _ = wall
+        kernel, forward_type, inverse_type, *_ = wall
         forward, inverse, _ = _scipy_fft(wall)
         for axis in (0, 1):
             got = kernel(a, forward_type, (axis,), 0, None, 1)
@@ -398,6 +399,11 @@ def test_bound_kernels_equal_scipy_fft_bitwise(m, n, stack, seed):
             assert t.tobytes() == ref.tobytes()
 
 
+def _stacked(faces):
+    """The pair (bu, bv) of D^T p as one stacked interior-face vector."""
+    return np.concatenate([f.ravel() for f in faces])
+
+
 @PROPERTY
 @given(_KERNEL_GRIDS, st.floats(1e-6, 10.0))
 @example((_ODD, np.random.default_rng(6)), 1e-3)
@@ -407,18 +413,20 @@ def test_residual_stencils_equal_the_assembled_residuals(grid, beta):
     # matrices are the reference, to roundoff
     spec, rng = grid
     nx, ny = spec.nx, spec.ny
-    for K, shape, ends in ((face_stiffness_u(spec), (nx - 1, ny), (2.0, 3.0)),
-                           (face_stiffness_v(spec), (nx, ny - 1), (3.0, 2.0)),
-                           (cell_laplacian_neumann(spec), (nx, ny),
-                            (1.0, 1.0))):
+    for K, shape, walls in ((face_stiffness_u(spec), (nx - 1, ny),
+                             (_FACES, _CELLS)),
+                            (face_stiffness_v(spec), (nx, ny - 1),
+                             (_CELLS, _FACES)),
+                            (cell_laplacian_neumann(spec), (nx, ny),
+                             (_NEUMANN, _NEUMANN))):
         x, b = rng.standard_normal(shape), rng.standard_normal(shape)
         ref = x.ravel() + beta * (K @ x.ravel()) - b.ravel()
-        got = brinkman._residual(x, b, beta, ends, spec)
+        got = brinkman._residual(x, b, beta, walls, spec)
         assert np.allclose(got.ravel(), ref, rtol=1e-12,
                            atol=1e-12 * np.abs(ref).max())
     p = rng.standard_normal((nx, ny))
     ref = divergence_matrix(spec).T @ p.ravel()
-    assert np.allclose(brinkman.divergence_transpose(p, spec), ref,
+    assert np.allclose(_stacked(brinkman.divergence_transpose(p, spec)), ref,
                        rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
@@ -435,5 +443,5 @@ def test_stationary_stencils_equal_the_csr_products_bitwise(grid):
     hx, hy = 2.0 ** rng.integers(-6, 3, size=2)
     exact = GridSpec(0.0, nx * hx, 0.0, ny * hy, nx, ny)
     assert (exact.hx, exact.hy) == (hx, hy)
-    assert (brinkman.divergence_transpose(p, exact).tobytes() ==
+    assert (_stacked(brinkman.divergence_transpose(p, exact)).tobytes() ==
             (divergence_matrix(exact).T @ p.ravel()).tobytes())

@@ -16,7 +16,6 @@ from tissueflow.brinkman import SolverFailure
 from tissueflow.constitutive import ModelParams, coercivity_check
 from tissueflow.grid import GridSpec, ScalarField, VectorField, divergence
 from tissueflow.harness import PRESETS, initial_partition
-from tissueflow.operators import stack_faces, unstack_faces
 from tissueflow.stationary import (GMRES_RESTART, JUMP_CSV_COLUMNS,
                                    DomainPartition, PartitionError, _gmres,
                                    TransmissionReport, assemble_weak_form,
@@ -24,7 +23,8 @@ from tissueflow.stationary import (GMRES_RESTART, JUMP_CSV_COLUMNS,
                                    solve_stationary, verify_transmission,
                                    write_jump_csv)
 
-from stationary_reference import interface_force_residuals, quadratic_form
+from stationary_reference import (interface_force_residuals, quadratic_form,
+                                  stack_faces, unstack_faces)
 
 PARAMS = ModelParams(beta1=1.0, beta2=1.0, g1=1.0, g2=1.0,
                      p1_star=5.0, p2_star=10.0)
