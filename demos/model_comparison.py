@@ -28,14 +28,15 @@ def main(outdir="demo_out/model_comparison", n=48):
                       t_end=0.1)
         records, _ = simulate(cfg, [observe], observe_every=5)
         series[preset] = records
-        print(f"{preset}: final overlap {records[-1].overlap:.5f}, "
-              f"mass {records[-1].mass1 + records[-1].mass2:.4f}")
+        last = records[-1]
+        print(f"{preset}: final overlap {last['overlap']:.5f}, "
+              f"mass {last['mass1'] + last['mass2']:.4f}")
 
     with open(out / "overlap.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "overlap_esvm", "overlap_vm"])
         for ra, rb in zip(series["fig3-esvm"], series["fig3-vm"]):
-            writer.writerow([ra.t, ra.overlap, rb.overlap])
+            writer.writerow([ra["t"], ra["overlap"], rb["overlap"]])
     print(f"overlap series written to {out}/overlap.csv")
 
 

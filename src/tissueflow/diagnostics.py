@@ -17,24 +17,11 @@ from .constitutive import DELTA_CLAMP, ModelParams, pressure_congestion
 from .grid import ScalarField, VectorField, curl2d
 
 PRESSURE_ACTIVE_THRESHOLD = 1e-10
-
-
-@dataclass(frozen=True)
-class DiagnosticRecord:
-    t: float
-    mass1: float
-    mass2: float
-    overlap: float
-    comp_residual: float
-    max_abs_curl_v2: float
-    min_curl_v2: float
-    clamp_count: int
-
-    CSV_COLUMNS = ("t", "mass1", "mass2", "overlap", "comp_residual",
-                   "max_abs_curl_v2", "min_curl_v2", "clamp_count")
-
-    def row(self):
-        return [getattr(self, c) for c in self.CSV_COLUMNS]
+# the columns of records.csv, of an evolution run and of a limit run
+RECORD_COLUMNS = ("t", "mass1", "mass2", "overlap", "comp_residual",
+                  "max_abs_curl_v2", "min_curl_v2", "clamp_count")
+LIMIT_RECORD_COLUMNS = ("t", "area1", "area2", "gmres_iterations",
+                        "rel_residual")
 
 
 def segregation_metric(n1: ScalarField, n2: ScalarField) -> float:
@@ -58,33 +45,41 @@ def mixedness(n: ScalarField) -> float:
     return float((n.values * (1.0 - n.values)).sum() * n.spec.cell_area)
 
 
-def observe(state, params: ModelParams) -> DiagnosticRecord:
-    """Standard observer for dynamics.run."""
+def observe(state, params: ModelParams) -> dict:
+    """Standard observer for dynamics.run: a row keyed by RECORD_COLUMNS."""
     curl = curl2d(state.v2)
-    return DiagnosticRecord(
-        t=state.t,
-        mass1=state.mass1,
-        mass2=state.mass2,
-        overlap=segregation_metric(state.n1, state.n2),
-        comp_residual=complementarity_residual(
+    return {
+        "t": state.t,
+        "mass1": state.mass1,
+        "mass2": state.mass2,
+        "overlap": segregation_metric(state.n1, state.n2),
+        "comp_residual": complementarity_residual(
             ScalarField(state.n1.spec, state.n1.values + state.n2.values),
             params.eps),
-        max_abs_curl_v2=float(np.abs(curl.values).max()),
-        min_curl_v2=float(curl.values.min()),
-        clamp_count=state.counters.total,
-    )
+        "max_abs_curl_v2": float(np.abs(curl.values).max()),
+        "min_curl_v2": float(curl.values.min()),
+        "clamp_count": state.counters.total,
+    }
 
 
-def write_records_csv(records, path, columns=None) -> None:
-    """DiagnosticRecords, or plain rows under `columns`, one per line;
-    floats with 17 significant digits, so they read back bit-exact."""
-    rows = records if columns else [rec.row() for rec in records]
+def observe_limit(state, params: ModelParams) -> dict:
+    """Observer for freeboundary.run_limit: a row keyed by
+    LIMIT_RECORD_COLUMNS, the step's areas and its stationary solve."""
+    area1, area2 = state.areas()
+    return {"t": state.t, "area1": area1, "area2": area2,
+            "gmres_iterations": state.sol.iterations,
+            "rel_residual": state.sol.rel_residual}
+
+
+def write_records_csv(rows, path, columns) -> None:
+    """Row dicts under the header `columns`, one per line; floats with 17
+    significant digits, so they read back bit-exact."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns or DiagnosticRecord.CSV_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow(["%.17g" % v if isinstance(v, float) else v
-                             for v in row])
+            writer.writerow(["%.17g" % row[c] if isinstance(row[c], float)
+                             else row[c] for c in columns])
 
 
 @dataclass(frozen=True)

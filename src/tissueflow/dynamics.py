@@ -48,6 +48,8 @@ VELOCITY_FLOOR = 1e-12
 PRESSURE_CAP_FACTOR = 10.0   # pressure cap in units of max(p1*, p2*)
 CEILING_ROUNDOFF = 1e-15     # n1+n2 a limited stage may leave over its ceiling
 MAX_HALVINGS = 20            # a step's dt may fall to ctrl.dt / 2**MAX_HALVINGS
+VELOCITY_LAWS = ("dirichlet", "gradient")   # StepControl's words, which
+SCHEMES = ("upwind", "sharp")               # configs read too
 
 
 class StepFailure(RuntimeError):
@@ -65,8 +67,8 @@ class StepControl:
     cfl_number: float = 0.4
     t_end: float = 0.1
     model: str = "ESVM"                 # "ESVM" | "VM"
-    velocity_law: str = "dirichlet"     # "dirichlet" | "gradient"
-    scheme: str = "upwind"              # "upwind" | "sharp"
+    velocity_law: str = "dirichlet"     # one of VELOCITY_LAWS
+    scheme: str = "upwind"              # one of SCHEMES
 
     def __post_init__(self):
         if not (0.0 < self.cfl_number <= 1.0):
@@ -75,9 +77,9 @@ class StepControl:
             raise ValueError("dt must be positive")
         if self.model not in ("ESVM", "VM"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.velocity_law not in ("dirichlet", "gradient"):
+        if self.velocity_law not in VELOCITY_LAWS:
             raise ValueError(f"unknown velocity law {self.velocity_law!r}")
-        if self.scheme not in ("sharp", "upwind"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown advection scheme {self.scheme!r}")
 
 

@@ -32,8 +32,8 @@ import numpy as np
 from . import diagnostics, fieldio, freeboundary
 from .brinkman import SolverFailure
 from .constitutive import ModelParams, coercivity_check
-from .dynamics import (InitialDataError, StepControl, StepFailure,
-                       init_state, run)
+from .dynamics import (SCHEMES, VELOCITY_LAWS, InitialDataError,
+                       StepControl, StepFailure, init_state, run)
 from .grid import GridError, GridSpec, ScalarField
 from .stationary import (DomainPartition, PartitionError, measure_jump,
                          solve_stationary, verify_transmission, write_jump_csv)
@@ -71,8 +71,8 @@ READERS = {("run", "observe_every"): STEPPED_MODELS,
 SWEEP_IGNORES = {"params": RELAXATION_KEYS, "run": ("observe_every",)}
 
 # the words a word-valued key may take
-_CHOICES = {"model": MODELS, "velocity_law": ("dirichlet", "gradient"),
-            "scheme": ("upwind", "sharp"), "source": ("zero", "uniform", "file")}
+_CHOICES = {"model": MODELS, "velocity_law": VELOCITY_LAWS, "scheme": SCHEMES,
+            "source": ("zero", "uniform", "file")}
 
 
 class ConfigError(ValueError):
@@ -384,17 +384,11 @@ def q_field(cfg: RunConfig) -> ScalarField:
 
 def _write_manifest(out: Path, cfg: RunConfig, wall: float, final: dict,
                     status: str):
-    with open(out / "manifest.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        cols = ["config_hash", "model", "nx", "ny", "status", "wall_time_s"]
-        vals = [config_hash(cfg), cfg.model, cfg.grid.nx, cfg.grid.ny,
-                status, "%.3f" % wall]
-        for key in sorted(final):
-            cols.append(key)
-            vals.append("%.17g" % final[key] if isinstance(final[key], float)
-                        else final[key])
-        writer.writerow(cols)
-        writer.writerow(vals)
+    """manifest.csv: the six fixed columns, then the run's own keys sorted."""
+    row = {"config_hash": config_hash(cfg), "model": cfg.model,
+           "nx": cfg.grid.nx, "ny": cfg.grid.ny, "status": status,
+           "wall_time_s": "%.3f" % wall, **dict(sorted(final.items()))}
+    diagnostics.write_records_csv([row], out / "manifest.csv", list(row))
 
 
 def _out_dir(cfg: RunConfig, override: str | None) -> Path:
@@ -431,50 +425,42 @@ def simulate(cfg: RunConfig, observers=(), observe_every: int = 1):
                observe_every=observe_every)
 
 
-def run_dynamic(cfg: RunConfig, out: Path) -> dict:
-    records = []
-
-    def observer(s, params):
-        records.append(diagnostics.observe(s, params))
-
+def _observed_run(cfg: RunConfig, out: Path, observe, columns):
+    """(final state, rows) of a stepped run observed by `observe`; the rows
+    go to records.csv under `columns`, those of a failed run too."""
+    rows = []
     try:
-        _, state = simulate(cfg, [observer], cfg.observe_every)
+        _, state = simulate(
+            cfg, [lambda s, params: rows.append(observe(s, params))],
+            cfg.observe_every)
     finally:
-        diagnostics.write_records_csv(records, out / "records.csv")
+        diagnostics.write_records_csv(rows, out / "records.csv", columns)
+    return state, rows
+
+
+def run_dynamic(cfg: RunConfig, out: Path) -> dict:
+    state, rows = _observed_run(cfg, out, diagnostics.observe,
+                                diagnostics.RECORD_COLUMNS)
     for name, f in (("n1", state.n1), ("n2", state.n2),
                     ("p1", state.p1), ("p2", state.p2)):
         fieldio.write_scalar_csv(f, out / f"{name}.csv")
         fieldio.write_scalar_vtk(f, out / f"{name}.vtk", name=name)
     fieldio.write_vector_vtk(state.v2, out / "v2.vtk")
-    last = records[-1]
-    return {"t": state.t, "mass1": last.mass1, "mass2": last.mass2,
-            "overlap": last.overlap, "comp_residual": last.comp_residual}
-
-
-LIMIT_RECORD_COLUMNS = ("t", "area1", "area2", "gmres_iterations",
-                        "rel_residual")
+    return {"t": state.t, **{key: rows[-1][key] for key in
+                             ("mass1", "mass2", "overlap", "comp_residual")}}
 
 
 def run_limit_model(cfg: RunConfig, out: Path) -> dict:
-    rows = []
-
-    def observer(s, params):
-        a1, a2 = s.areas()
-        rows.append([s.t, a1, a2, s.sol.iterations, s.sol.rel_residual])
-
-    try:
-        _, state = simulate(cfg, [observer], cfg.observe_every)
-    finally:
-        diagnostics.write_records_csv(rows, out / "records.csv",
-                                      columns=LIMIT_RECORD_COLUMNS)
+    state, rows = _observed_run(cfg, out, diagnostics.observe_limit,
+                                diagnostics.LIMIT_RECORD_COLUMNS)
     freeboundary.write_partition_csv(state.part, out / "partition.csv")
     fieldio.write_scalar_csv(state.q, out / "q.csv")
     fieldio.write_scalar_csv(state.sol.p, out / "p.csv")
     fieldio.write_vector_vtk(state.sol.v2, out / "v2.vtk")
     a1, a2 = state.areas()
     return {"t": state.t, "area1": a1, "area2": a2,
-            "max_gmres_iterations": max(row[3] for row in rows),
-            "max_rel_residual": max(row[4] for row in rows)}
+            "max_gmres_iterations": max(r["gmres_iterations"] for r in rows),
+            "max_rel_residual": max(r["rel_residual"] for r in rows)}
 
 
 def run_stationary(cfg: RunConfig, out: Path) -> dict:

@@ -12,7 +12,8 @@ Criterion 04 compares two code paths: ESVM with its repulsion on, which
 solves each tissue's velocity from its own pressure, and VM, which
 solves both from the shared pressure in one call.  On segregated data
 the repulsion pressure is exactly 0, so the two must agree bit for bit;
-a VM solve that pairs the viscosities with the wrong tissues fails it.
+a VM solve that pairs the viscosities with the wrong tissues fails it,
+as `test_criterion_04_catches_swapped_viscosities` checks.
 
 Measurements behind criteria 03 and 05 (64^2 and 128^2, preset data):
 
@@ -42,7 +43,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from tissueflow import freeboundary
+from tissueflow import dynamics, freeboundary
 from tissueflow.brinkman import (REL_TOL, solve_brinkman,
                                  solve_brinkman_gradient_form,
                                  solve_brinkman_rhs)
@@ -199,11 +200,11 @@ def test_criterion_03_overlap_halves_under_refinement():
             f"ratio {ratio:.3f}, required in [1.25, 1.6]; {clean}")
 
 
-def test_criterion_04_models_coincide_without_repulsion():
-    # ESVM with its repulsion on and VM from the segregated band data
-    # at alpha = 0 must agree bit for bit after init_state and after one
-    # step, for both velocity laws (see the module docstring).
-    cfg = _preset("fig3-esvm", 64)
+def _criterion_04_differences(n: int) -> list:
+    """Where ESVM with its repulsion on and VM differ, from the segregated
+    n x n band data at alpha = 0: "<law> law after <init_state|one step>"
+    for each velocity law."""
+    cfg = _preset("fig3-esvm", n)
     params = replace(cfg.params, alpha=0.0)
     n1_0, n2_0 = initial_densities(cfg)
     assert not (n1_0.values * n2_0.values).any()
@@ -224,10 +225,29 @@ def test_criterion_04_models_coincide_without_repulsion():
                     (vm.t, vm.dt_last, vm.counters) or
                     not all(map(np.array_equal, arrays(esvm), arrays(vm)))):
                 differ.append(f"{law} law after {when}")
+    return differ
+
+
+def test_criterion_04_models_coincide_without_repulsion():
+    # ESVM with its repulsion on and VM from the segregated band data
+    # at alpha = 0 must agree bit for bit after init_state and after one
+    # step, for both velocity laws (see the module docstring).
+    differ = _criterion_04_differences(64)
     detail = (f"differ: {', '.join(differ)}" if differ else
               "bitwise equal after init_state and one step, both laws")
     _report(4, not differ, f"ESVM (repulsion on) vs VM on the segregated "
             f"64^2 bands at alpha = 0: {detail}")
+
+
+def test_criterion_04_catches_swapped_viscosities(monkeypatch):
+    # a planted bug: VM's shared two-beta velocity solve pairs each
+    # viscosity with the other tissue (ESVM's one-beta solves are unchanged)
+    solve = dynamics._solve_velocity
+    monkeypatch.setattr(dynamics, "_solve_velocity",
+                        lambda p, betas, ctrl: solve(p, betas[::-1], ctrl))
+    assert _criterion_04_differences(32) == [
+        f"{law} law after {when}" for law in ("dirichlet", "gradient")
+        for when in ("init_state", "one step")]
 
 
 def test_criterion_05_incompressible_limit_monotonicity():

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from tissueflow.constitutive import ModelParams
-from tissueflow.diagnostics import (DiagnosticRecord, complementarity_residual,
-                                    curl_signature, mixedness, observe,
+from tissueflow.diagnostics import (LIMIT_RECORD_COLUMNS, RECORD_COLUMNS,
+                                    complementarity_residual, curl_signature,
+                                    mixedness, observe, observe_limit,
                                     segregation_metric, write_records_csv)
 from tissueflow.dynamics import StepControl, init_state, run
 from tissueflow.grid import GridSpec, ScalarField, VectorField
-from tissueflow.harness import PRESETS, sweep, write_sweep_csv
+from tissueflow.harness import PRESETS, simulate, sweep, write_sweep_csv
 
 
 def test_segregation_metric_values():
@@ -100,16 +101,29 @@ def test_observe_and_records_csv(tmp_path):
     state = init_state(n1, n2, params, ctrl)
     records, _ = run(state, ctrl, params, observers=(observe,))
     assert len(records) == 3
-    assert records[-1].t == pytest.approx(0.003)
-    assert records[0].mass1 > 0.0
+    assert records[-1]["t"] == pytest.approx(0.003)
+    assert records[0]["mass1"] > 0.0
 
     path = tmp_path / "records.csv"
-    write_records_csv(records, path)
+    write_records_csv(records, path, RECORD_COLUMNS)
     with open(path) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == list(DiagnosticRecord.CSV_COLUMNS)
+    assert rows[0] == list(RECORD_COLUMNS)
     assert len(rows) == 1 + len(records)
-    assert float(rows[1][0]) == records[0].t
+    assert float(rows[1][0]) == records[0]["t"]
+
+    # the limit observer's rows, each cell read back bit-exact
+    cfg = replace(PRESETS["fig3-lesvm"], grid=GridSpec(nx=16, ny=16),
+                  t_end=0.02)
+    records, _ = simulate(cfg, [observe_limit])
+    assert len(records) == 10 and records[-1]["gmres_iterations"] > 0
+    path = tmp_path / "limit.csv"
+    write_records_csv(records, path, LIMIT_RECORD_COLUMNS)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == list(LIMIT_RECORD_COLUMNS)
+    assert [{c: int(r[c]) if c == "gmres_iterations" else float(r[c])
+             for c in r} for r in rows] == records
 
 
 def _sweep_config(t_end, *tuples):

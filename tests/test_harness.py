@@ -602,6 +602,53 @@ def test_cli_runs_are_bitwise_reproducible(tmp_path, config):
     assert (ma["model"], ma["config_hash"]) == (mb["model"], mb["config_hash"])
 
 
+# each run's own manifest keys, which follow the six fixed columns sorted
+_MANIFEST_KEYS = {
+    "fig3-vm": ["comp_residual", "mass1", "mass2", "overlap", "t"],
+    "fig3-lesvm": ["area1", "area2", "max_gmres_iterations",
+                   "max_rel_residual", "t"],
+    "stationary": ["iterations", "max_transmission_residual", "rel_residual"],
+    "sweep": ["rows"]}
+
+
+@pytest.mark.parametrize("config", list(_MANIFEST_KEYS))
+def test_cli_manifest_columns_and_cells(tmp_path, monkeypatch, config):
+    # every cell reads back bit-exact as the value the run returned
+    finals, write = [], harness._write_manifest
+
+    def keep(out, cfg, wall, final, status):
+        finals.append(final)
+        write(out, cfg, wall, final, status)
+
+    monkeypatch.setattr(harness, "_write_manifest", keep)
+    source = config
+    text = {"stationary": _STATIONARY_CONFIG, "sweep": _SWEEP_CONFIG}
+    if config in text:
+        source = tmp_path / "config.ini"
+        source.write_text(text[config])
+    out = tmp_path / "run"
+    assert run_cli(["run", str(source), "--grid", "16x16",
+                    "--out", str(out)]) == 0
+    with open(out / "manifest.csv", newline="") as fh:
+        head, cells = csv.reader(fh)
+    assert head == ["config_hash", "model", "nx", "ny", "status",
+                    "wall_time_s"] + _MANIFEST_KEYS[config]
+    manifest = dict(zip(head, cells, strict=True))
+    assert (manifest["nx"], manifest["ny"], manifest["status"]) == (
+        "16", "16", "ok")
+    wall = manifest["wall_time_s"]
+    assert wall == "%.3f" % float(wall)
+    (final,) = finals
+    for key, value in final.items():
+        assert (float if isinstance(value, float) else int)(
+            manifest[key]) == value, key
+    if config == "fig3-lesvm":
+        with open(out / "records.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(manifest["max_rel_residual"]) == max(
+            float(row["rel_residual"]) for row in rows)
+
+
 def test_cli_sweep_with_bad_initial_data_is_a_config_error(tmp_path, capsys):
     cfgfile = tmp_path / "sweep.ini"
     cfgfile.write_text(_SWEEP_CONFIG + "[initial]\n"
